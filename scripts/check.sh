@@ -106,6 +106,13 @@ for preset in "${presets[@]}"; do
       cmp "$f" "${out}/ref.${f##*/default.}"
     done
     rm -rf "${out}"
+    # TcpSender's RACK list links std::map segment nodes by pointer: an
+    # erase without an unlink is a heap use-after-free the next time the
+    # sender walks the list. The transport suite drives the loss paths
+    # (and audits the indexes throughout); under ASan a stale link traps.
+    cmake --preset sanitize
+    cmake --build --preset sanitize -j "$(nproc)" --target transport_test
+    build-sanitize/tests/transport_test
     echo "diffsim oracle OK"
   elif [ "${preset}" = "lint" ]; then
     # Static analysis. Three gates:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/telemetry.hpp"
 #include "steer/basic_policies.hpp"
@@ -100,8 +101,6 @@ BulkResult run_bulk(const ScenarioConfig& cfg, const std::string& cca,
 
   BulkResult r;
   r.goodput_bps = sender.goodput_bps(0, duration);
-  r.rtt_ms = sender.stats().rtt_samples_ms;
-  r.acked_bytes = sender.stats().acked_bytes_series;
   r.retransmissions = sender.stats().retransmissions;
   r.rto_count = sender.stats().rto_count;
   r.data_packets_per_channel =
@@ -111,20 +110,21 @@ BulkResult run_bulk(const ScenarioConfig& cfg, const std::string& cca,
     r.fault_blackout_dropped_packets = inj->blackout_dropped_packets();
   }
 
-  // Per-second goodput from the cumulative acked series.
+  // Per-second goodput from the cumulative acked series, in one walk: at
+  // each second boundary, the value of the last point at or before it.
+  auto& stats = sender.mutable_stats();
+  const auto& acked = stats.acked_bytes_series.points();
+  auto next = acked.begin();
   double prev = 0.0;
+  double at = 0.0;
   for (sim::Time t = sim::seconds(1); t <= duration; t += sim::seconds(1)) {
-    double at = prev;
-    for (const auto& p : sender.stats().acked_bytes_series.points()) {
-      if (p.t <= t) {
-        at = p.value;
-      } else {
-        break;
-      }
-    }
+    for (; next != acked.end() && next->t <= t; ++next) at = next->value;
     r.goodput_mbps.add(t, (at - prev) * 8.0 / 1e6);
     prev = at;
   }
+  // The sender dies with this frame: hand its per-ACK series over.
+  r.rtt_ms = std::move(stats.rtt_samples_ms);
+  r.acked_bytes = std::move(stats.acked_bytes_series);
   return r;
 }
 

@@ -94,10 +94,10 @@ std::vector<TimeSeries::Point> TimeSeries::bucketed(Duration width) const {
   return out;
 }
 
-void WindowedMax::update(Time now, double v) {
+void WindowedMax::update(std::int64_t key, double v) {
   while (!q_.empty() && q_.back().value <= v) q_.pop_back();
-  q_.push_back({now, v});
-  while (!q_.empty() && q_.front().t < now - window_) q_.pop_front();
+  q_.push_back({key, v});
+  while (!q_.empty() && q_.front().key < key - window_) q_.pop_front();
 }
 
 void WindowedMin::update(Time now, double v) {

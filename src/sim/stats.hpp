@@ -81,27 +81,29 @@ class TimeSeries {
   std::vector<Point> points_;
 };
 
-/// Windowed max filter: reports the maximum of samples whose timestamps lie
-/// within `window` of the latest sample. O(1) amortized via a monotonic
-/// deque. This is the estimator BBR uses for bottleneck bandwidth.
+/// Windowed max filter: reports the maximum of the samples whose key lies
+/// within `window` of the latest pushed key. The key is any non-decreasing
+/// int64 — sim time, or a round count as BBR and HVC-CC use for
+/// bottleneck bandwidth (window = 10 rounds). A sample expires only when a
+/// later push moves the window past it (key < latest - window), so reads
+/// between pushes still see it. O(1) amortized via a monotonic deque.
 class WindowedMax {
  public:
-  explicit WindowedMax(Duration window) : window_(window) {}
+  explicit WindowedMax(std::int64_t window) : window_(window) {}
 
-  void update(Time now, double v);
+  void update(std::int64_t key, double v);
   [[nodiscard]] double get() const {
     return q_.empty() ? 0.0 : q_.front().value;
   }
   [[nodiscard]] bool empty() const { return q_.empty(); }
-  void set_window(Duration w) { window_ = w; }
   void reset() { q_.clear(); }
 
  private:
   struct Entry {
-    Time t;
+    std::int64_t key;
     double value;
   };
-  Duration window_;
+  std::int64_t window_;
   std::deque<Entry> q_;
 };
 

@@ -1,21 +1,17 @@
 #include "transport/bbr.hpp"
 
-#include <cmath>
-
 #include <algorithm>
+#include <cmath>
 
 namespace hvc::transport {
 
 Bbr::Bbr(BbrConfig cfg)
     : cfg_(cfg),
+      btl_bw_filter_(cfg.bw_window_rounds),
       rt_prop_filter_(cfg.min_rtt_window),
       pacing_gain_(cfg.startup_gain) {}
 
-double Bbr::btl_bw_bps() const {
-  double best = 0.0;
-  for (const auto& s : bw_samples_) best = std::max(best, s.bps);
-  return best;
-}
+double Bbr::btl_bw_bps() const { return btl_bw_filter_.get(); }
 
 sim::Duration Bbr::rt_prop() const {
   const double v = rt_prop_filter_.get();
@@ -48,21 +44,12 @@ double Bbr::pacing_rate_bps() const {
   return pacing_gain_ * bw;
 }
 
-void Bbr::on_packet_sent(sim::Time /*now*/, std::int64_t /*bytes*/,
-                         std::int64_t bytes_in_flight) {
-  inflight_at_last_sent_ = bytes_in_flight;
-}
-
 void Bbr::update_btl_bw(const AckEvent& ev) {
-  current_round_ = ev.round_trips;
   if (ev.delivery_rate_bps <= 0.0) return;
   // App-limited samples only count if they exceed the current estimate
   // (standard BBR rule: an app-limited flow can't underestimate the pipe).
   if (ev.app_limited && ev.delivery_rate_bps < btl_bw_bps()) return;
-  bw_samples_.push_back({current_round_, ev.delivery_rate_bps});
-  std::erase_if(bw_samples_, [&](const BwSample& s) {
-    return s.round < current_round_ - cfg_.bw_window_rounds;
-  });
+  btl_bw_filter_.update(ev.round_trips, ev.delivery_rate_bps);
 }
 
 void Bbr::update_rt_prop(const AckEvent& ev) {
@@ -104,7 +91,6 @@ void Bbr::maybe_enter_or_exit_probe_rtt(const AckEvent& ev) {
   const bool expired = ev.now - rt_prop_stamp_ > cfg_.min_rtt_window;
   if (mode_ != Mode::kProbeRtt && expired) {
     mode_ = Mode::kProbeRtt;
-    cwnd_before_probe_rtt_ = cwnd_bytes();
     probe_rtt_done_ = -1;
   }
   if (mode_ == Mode::kProbeRtt) {
@@ -154,7 +140,7 @@ void Bbr::on_ack(const AckEvent& ev) {
 void Bbr::on_loss(const LossEvent& ev) {
   // BBRv1 mostly ignores loss; on RTO it conservatively restarts the model.
   if (ev.is_rto) {
-    bw_samples_.clear();
+    btl_bw_filter_.reset();
     full_bw_ = 0.0;
     full_bw_count_ = 0;
     filled_pipe_ = false;

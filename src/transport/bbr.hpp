@@ -30,8 +30,6 @@ class Bbr final : public CcAlgorithm {
   explicit Bbr(BbrConfig cfg = {});
 
   [[nodiscard]] std::string name() const override { return "bbr"; }
-  void on_packet_sent(sim::Time now, std::int64_t bytes,
-                      std::int64_t bytes_in_flight) override;
   void on_ack(const AckEvent& ev) override;
   void on_loss(const LossEvent& ev) override;
   [[nodiscard]] std::int64_t cwnd_bytes() const override;
@@ -53,13 +51,8 @@ class Bbr final : public CcAlgorithm {
   BbrConfig cfg_;
   Mode mode_ = Mode::kStartup;
 
-  // BtlBw: max filter over rounds (we window by round count).
-  struct BwSample {
-    std::int64_t round;
-    double bps;
-  };
-  std::vector<BwSample> bw_samples_;
-  std::int64_t current_round_ = 0;
+  // BtlBw: max filter keyed by the sender's round count.
+  sim::WindowedMax btl_bw_filter_;
 
   // RTprop: windowed min over wall (sim) time.
   sim::WindowedMin rt_prop_filter_;
@@ -77,11 +70,8 @@ class Bbr final : public CcAlgorithm {
 
   // PROBE_RTT.
   sim::Time probe_rtt_done_ = -1;
-  bool probe_rtt_round_done_ = false;
 
   double pacing_gain_;
-  std::int64_t inflight_at_last_sent_ = 0;
-  std::int64_t cwnd_before_probe_rtt_ = 0;
 };
 
 }  // namespace hvc::transport

@@ -1,21 +1,18 @@
 #include "transport/hvc_cc.hpp"
 
-#include <cmath>
 #include <algorithm>
 #include <cmath>
 
 namespace hvc::transport {
 
 HvcAwareCc::HvcAwareCc(HvcCcConfig cfg)
-    : cfg_(cfg), pacing_gain_(cfg.startup_gain) {
+    : cfg_(cfg),
+      btl_bw_filter_(cfg.bw_window_rounds),
+      pacing_gain_(cfg.startup_gain) {
   for (auto& c : ch_) c.rtt_min.set_window(cfg_.rtt_window);
 }
 
-double HvcAwareCc::btl_bw_bps() const {
-  double best = 0.0;
-  for (const auto& s : bw_samples_) best = std::max(best, s.bps);
-  return best;
-}
+double HvcAwareCc::btl_bw_bps() const { return btl_bw_filter_.get(); }
 
 sim::Duration HvcAwareCc::weighted_rtt() const {
   double weight_sum = 0.0;
@@ -65,9 +62,6 @@ void HvcAwareCc::roll_epoch(sim::Time now) {
   epoch_start_ = now;
 }
 
-void HvcAwareCc::on_packet_sent(sim::Time /*now*/, std::int64_t /*bytes*/,
-                                std::int64_t /*in_flight*/) {}
-
 void HvcAwareCc::on_ack(const AckEvent& ev) {
   const std::size_t idx =
       ev.channel < HvcCcConfig::kMaxChannels ? ev.channel : 0;
@@ -82,10 +76,7 @@ void HvcAwareCc::on_ack(const AckEvent& ev) {
 
   if (ev.delivery_rate_bps > 0.0 &&
       (!ev.app_limited || ev.delivery_rate_bps > btl_bw_bps())) {
-    bw_samples_.push_back({ev.round_trips, ev.delivery_rate_bps});
-    std::erase_if(bw_samples_, [&](const BwSample& s) {
-      return s.round < ev.round_trips - cfg_.bw_window_rounds;
-    });
+    btl_bw_filter_.update(ev.round_trips, ev.delivery_rate_bps);
   }
 
   if (!filled_pipe_) {
@@ -130,7 +121,7 @@ void HvcAwareCc::on_ack(const AckEvent& ev) {
 
 void HvcAwareCc::on_loss(const LossEvent& ev) {
   if (ev.is_rto) {
-    bw_samples_.clear();
+    btl_bw_filter_.reset();
     full_bw_ = 0.0;
     full_bw_count_ = 0;
     filled_pipe_ = false;

@@ -34,8 +34,6 @@ class HvcAwareCc final : public CcAlgorithm {
   explicit HvcAwareCc(HvcCcConfig cfg = {});
 
   [[nodiscard]] std::string name() const override { return "hvc"; }
-  void on_packet_sent(sim::Time now, std::int64_t bytes,
-                      std::int64_t bytes_in_flight) override;
   void on_ack(const AckEvent& ev) override;
   void on_loss(const LossEvent& ev) override;
   [[nodiscard]] std::int64_t cwnd_bytes() const override;
@@ -62,11 +60,7 @@ class HvcAwareCc final : public CcAlgorithm {
   Mode mode_ = Mode::kStartup;
   std::array<PerChannel, HvcCcConfig::kMaxChannels> ch_{};
 
-  struct BwSample {
-    std::int64_t round;
-    double bps;
-  };
-  std::vector<BwSample> bw_samples_;
+  sim::WindowedMax btl_bw_filter_;  ///< keyed by the sender's round count
 
   double full_bw_ = 0.0;
   int full_bw_count_ = 0;

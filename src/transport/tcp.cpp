@@ -1,6 +1,7 @@
 #include "transport/tcp.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/tracer.hpp"
 
@@ -119,17 +120,10 @@ void TcpSender::try_send() {
       }
     }
 
-    // Retransmissions take precedence (oldest first).
-    Segment* to_retx = nullptr;
-    for (auto& [seq, seg] : outstanding_) {
-      if (seg.lost && !seg.sacked) {
-        to_retx = &seg;
-        break;
-      }
-    }
-
-    if (to_retx != nullptr) {
-      send_segment(*to_retx, /*retransmission=*/true);
+    // Retransmissions take precedence (lowest seq first).
+    if (!lost_seqs_.empty()) {
+      send_segment(outstanding_.find(*lost_seqs_.begin())->second,
+                   /*retransmission=*/true);
     } else {
       std::uint32_t len = 0;
       net::AppHeader app;
@@ -173,6 +167,14 @@ void TcpSender::send_segment(Segment& seg, bool retransmission) {
     }
   }
 
+  // Whatever index held the segment, a (re-)send puts it at the RACK
+  // list's tail: it is now the most recently sent.
+  if (seg.lost) {
+    lost_seqs_.erase(seg.seq);
+  } else if (seg.tx_count > 0) {
+    rack_unlink(seg);
+  }
+  rack_push_back(seg);
   if (seg.first_sent == 0) seg.first_sent = now;
   seg.last_sent = now;
   ++seg.tx_count;
@@ -244,20 +246,49 @@ void TcpSender::note_reordering(const Segment& seg) {
   }
 }
 
+void TcpSender::rack_push_back(Segment& seg) {
+  seg.rack_prev = rack_tail_;
+  seg.rack_next = nullptr;
+  (rack_tail_ != nullptr ? rack_tail_->rack_next : rack_head_) = &seg;
+  rack_tail_ = &seg;
+}
+
+void TcpSender::rack_unlink(Segment& seg) {
+  (seg.rack_prev != nullptr ? seg.rack_prev->rack_next : rack_head_) =
+      seg.rack_next;
+  (seg.rack_next != nullptr ? seg.rack_next->rack_prev : rack_tail_) =
+      seg.rack_prev;
+  seg.rack_prev = seg.rack_next = nullptr;
+}
+
+std::int64_t TcpSender::mark_lost(Segment& seg) {
+  rack_unlink(seg);
+  lost_seqs_.insert(seg.seq);
+  seg.lost = true;
+  if (seg.in_flight) {
+    seg.in_flight = false;
+    in_flight_ -= seg.len;
+  }
+  return seg.len;
+}
+
+void TcpSender::unindex_delivered(Segment& seg) {
+  if (seg.sacked) return;  // already off both indexes
+  if (seg.lost) {
+    lost_seqs_.erase(seg.seq);
+  } else {
+    rack_unlink(seg);
+  }
+}
+
 void TcpSender::detect_losses_rack(Time rack_ts) {
   if (rack_ts <= 0) return;
   std::int64_t lost_bytes = 0;
   const Duration window = rack_window();
-  for (auto& [seq, seg] : outstanding_) {
-    if (seg.sacked || seg.lost) continue;
-    if (seg.last_sent + window < rack_ts) {
-      seg.lost = true;
-      if (seg.in_flight) {
-        seg.in_flight = false;
-        in_flight_ -= seg.len;
-      }
-      lost_bytes += seg.len;
-    }
+  // The list is in last_sent order, so the first unexpired entry ends the
+  // scan: every later one was sent no earlier.
+  while (rack_head_ != nullptr && rack_head_->last_sent + window < rack_ts) {
+    lost_bytes += mark_lost(*rack_head_);
   }
   if (lost_bytes > 0) {
     cca_->on_loss({sim_.now(), lost_bytes, in_flight_, false});
@@ -281,7 +312,13 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
   std::int64_t newly_delivered = 0;
   Time rack_ts = 0;
   bool any_new_sack = false;
-  std::optional<Segment> rate_sample_seg;
+  std::optional<RateSnapshot> rate_sample;
+  const auto note_rate_sample = [&rate_sample](const Segment& seg) {
+    if (!rate_sample || seg.seq > rate_sample->seq) {
+      rate_sample = RateSnapshot{seg.seq, seg.delivered_snapshot,
+                                 seg.delivered_ts_snapshot, seg.app_limited};
+    }
+  };
 
   // Cumulative ack.
   if (tp.ack > cum_acked_) {
@@ -299,9 +336,8 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
         note_spurious_if_unretransmitted(seg, now);
       }
       rack_ts = std::max(rack_ts, seg.last_sent);
-      if (!rate_sample_seg || seg.seq > rate_sample_seg->seq) {
-        rate_sample_seg = seg;
-      }
+      note_rate_sample(seg);
+      unindex_delivered(seg);
       outstanding_.erase(it);
     }
     cum_acked_ = tp.ack;
@@ -318,6 +354,7 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
          ++it) {
       Segment& seg = it->second;
       if (seg.sacked) continue;
+      unindex_delivered(seg);
       seg.sacked = true;
       note_spurious_if_unretransmitted(seg, now);
       seg.lost = false;  // it arrived; no retransmission needed
@@ -332,9 +369,7 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
       }
       newly_delivered += seg.len;
       rack_ts = std::max(rack_ts, seg.last_sent);
-      if (!rate_sample_seg || seg.seq > rate_sample_seg->seq) {
-        rate_sample_seg = seg;
-      }
+      note_rate_sample(seg);
     }
   }
 
@@ -349,12 +384,8 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
     if (++dupacks_ >= cfg_.dupack_threshold && !outstanding_.empty()) {
       Segment& head = outstanding_.begin()->second;
       if (!head.lost && !head.sacked) {
-        head.lost = true;
-        if (head.in_flight) {
-          head.in_flight = false;
-          in_flight_ -= head.len;
-        }
-        cca_->on_loss({now, head.len, in_flight_, false});
+        const std::int64_t lost_bytes = mark_lost(head);
+        cca_->on_loss({now, lost_bytes, in_flight_, false});
       }
       dupacks_ = 0;
     }
@@ -374,14 +405,14 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
   // Delivery-rate sample from the most recent segment this ack covered.
   double rate_bps = 0.0;
   bool app_limited = false;
-  if (rate_sample_seg && newly_delivered > 0) {
-    const Duration interval = now - rate_sample_seg->delivered_ts_snapshot;
+  if (rate_sample && newly_delivered > 0) {
+    const Duration interval = now - rate_sample->delivered_ts;
     if (interval > 0) {
-      rate_bps = static_cast<double>(delivered_bytes_ -
-                                     rate_sample_seg->delivered_snapshot) *
-                 8.0 / sim::to_seconds(interval);
+      rate_bps =
+          static_cast<double>(delivered_bytes_ - rate_sample->delivered) *
+          8.0 / sim::to_seconds(interval);
     }
-    app_limited = rate_sample_seg->app_limited;
+    app_limited = rate_sample->app_limited;
   }
 
   AckEvent ev;
@@ -444,15 +475,7 @@ void TcpSender::on_rto() {
   // recovery can proceed (otherwise dead in-flight bytes pin the window
   // shut and the retransmission never leaves).
   std::int64_t lost_bytes = 0;
-  for (auto& [seq, seg] : outstanding_) {
-    if (seg.sacked || seg.lost) continue;
-    seg.lost = true;
-    if (seg.in_flight) {
-      seg.in_flight = false;
-      in_flight_ -= seg.len;
-    }
-    lost_bytes += seg.len;
-  }
+  while (rack_head_ != nullptr) lost_bytes += mark_lost(*rack_head_);
   dupacks_ = 0;
   cca_->on_loss({sim_.now(), lost_bytes, in_flight_, true});
   arm_rto();
@@ -461,13 +484,40 @@ void TcpSender::on_rto() {
 
 double TcpSender::goodput_bps(Time from, Time to) const {
   if (to <= from) return 0.0;
-  double at_from = 0.0;
-  double at_to = 0.0;
-  for (const auto& pt : stats_.acked_bytes_series.points()) {
-    if (pt.t <= from) at_from = pt.value;
-    if (pt.t <= to) at_to = pt.value;
+  // Cumulative acked bytes at t: the last point at or before t (the series
+  // is in time order).
+  const auto& pts = stats_.acked_bytes_series.points();
+  const auto acked_at = [&pts](Time t) {
+    const auto it = std::upper_bound(
+        pts.begin(), pts.end(), t,
+        [](Time v, const sim::TimeSeries::Point& pt) { return v < pt.t; });
+    return it == pts.begin() ? 0.0 : std::prev(it)->value;
+  };
+  return (acked_at(to) - acked_at(from)) * 8.0 / sim::to_seconds(to - from);
+}
+
+bool TcpSender::loss_index_consistent_for_test() const {
+  // Gather the segments each index should hold before following any link,
+  // so a stale pointer is reported rather than dereferenced.
+  std::set<const Segment*> markable;
+  std::set<std::uint64_t> lost;
+  std::int64_t in_flight = 0;
+  for (const auto& [seq, seg] : outstanding_) {
+    if (seg.lost && seg.sacked) return false;
+    if (!seg.sacked && !seg.lost) markable.insert(&seg);
+    if (seg.lost) lost.insert(seq);
+    if (seg.in_flight) in_flight += seg.len;
   }
-  return (at_to - at_from) * 8.0 / sim::to_seconds(to - from);
+  if (lost != lost_seqs_ || in_flight != in_flight_) return false;
+  std::size_t listed = 0;
+  const Segment* prev = nullptr;
+  for (const Segment* seg = rack_head_; seg != nullptr;
+       prev = seg, seg = seg->rack_next) {
+    if (markable.count(seg) == 0 || seg->rack_prev != prev) return false;
+    if (prev != nullptr && seg->last_sent < prev->last_sent) return false;
+    if (++listed > markable.size()) return false;
+  }
+  return listed == markable.size() && rack_tail_ == prev;
 }
 
 // -------------------------------------------------------------- receiver

@@ -3,6 +3,13 @@
 // 3-dupack fallback, RTO with exponential backoff, pacing, and pluggable
 // congestion control.
 //
+// Loss detection and the choice of the next retransmission are amortized
+// O(1) per ACK (O(log n) for index updates): RACK walks a send-time-ordered
+// list of the segments it may still mark and stops at the first unexpired
+// one (Linux's tsorted queue), and retransmissions come from an ordered
+// index of lost seqs rather than a walk over every outstanding segment
+// (DESIGN.md §4.12).
+//
 // One TcpSender/TcpReceiver pair is a unidirectional stream (requests and
 // responses are separate streams, as in HTTP/2 framing over one
 // connection; see transport/connection.hpp for the bidirectional bundle).
@@ -16,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "net/node.hpp"
@@ -121,6 +129,13 @@ class TcpSender {
   /// Average goodput over [from, to] based on cumulative acked bytes.
   [[nodiscard]] double goodput_bps(sim::Time from, sim::Time to) const;
 
+  /// Brute-force audit of the loss-detection indexes against the
+  /// outstanding segments: the RACK list is ordered by last_sent and holds
+  /// exactly the !sacked && !lost segments, the lost index holds exactly
+  /// the lost ones, and bytes_in_flight() is the summed length of the
+  /// in_flight segments. O(n); tests call it between events.
+  [[nodiscard]] bool loss_index_consistent_for_test() const;
+
  private:
   struct Segment {
     std::uint64_t seq = 0;
@@ -136,6 +151,18 @@ class TcpSender {
     std::int64_t delivered_snapshot = 0;
     sim::Time delivered_ts_snapshot = 0;
     bool app_limited = false;
+    // RACK list links (see rack_head_); null when not listed.
+    Segment* rack_prev = nullptr;
+    Segment* rack_next = nullptr;
+  };
+
+  /// What a delivery-rate sample needs from the newest segment an ACK
+  /// covers (the segment itself may be erased by then).
+  struct RateSnapshot {
+    std::uint64_t seq = 0;
+    std::int64_t delivered = 0;
+    sim::Time delivered_ts = 0;
+    bool app_limited = false;
   };
 
   void on_ack_packet(const net::PacketPtr& p);
@@ -143,6 +170,14 @@ class TcpSender {
   void send_segment(Segment& seg, bool retransmission);
   std::optional<std::uint64_t> next_fresh_span(std::uint32_t* len,
                                                net::AppHeader* app);
+  void rack_push_back(Segment& seg);
+  void rack_unlink(Segment& seg);
+  /// Takes a listed segment off the RACK list and into the lost index,
+  /// out of in_flight_; returns its length.
+  std::int64_t mark_lost(Segment& seg);
+  /// Takes a segment that is being SACKed or cum-acked off whichever
+  /// index holds it (neither, if it was already SACKed).
+  void unindex_delivered(Segment& seg);
   void detect_losses_rack(sim::Time rack_ts);
   void note_reordering(const Segment& seg);
   void note_spurious_if_unretransmitted(const Segment& seg, sim::Time now);
@@ -168,6 +203,17 @@ class TcpSender {
 
   std::map<std::uint64_t, Segment> outstanding_;  ///< by seq
   std::int64_t in_flight_ = 0;
+
+  // Loss-detection indexes over outstanding_. Every segment that is
+  // neither sacked nor lost sits on the RACK list, linked through its own
+  // rack_prev/rack_next in last_sent order: a send or re-send moves it to
+  // the tail, so RACK scans from the head and stops at the first unexpired
+  // entry. Every lost segment's seq sits in lost_seqs_, so the lowest-seq
+  // retransmission is its first element. A segment leaves its index before
+  // its outstanding_ node is erased (the list links point into the map).
+  Segment* rack_head_ = nullptr;
+  Segment* rack_tail_ = nullptr;
+  std::set<std::uint64_t> lost_seqs_;
 
   // Delivery accounting for rate samples.
   std::int64_t delivered_bytes_ = 0;

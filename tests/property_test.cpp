@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <tuple>
 
 #include "channel/profile.hpp"
 #include "core/scenario.hpp"
@@ -113,8 +115,11 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, FifoTest,
 
 // ---- Transport reliability across loss rates (TEST_P sweep) ----
 
+// The CCA is a std::string, not a const char*: inside a tuple gtest prints a
+// const char* with its address, which ASLR makes differ on every run, and
+// the printed value is part of the CTest name.
 class ReliabilityTest
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(ReliabilityTest, AllBytesDeliveredUnderLoss) {
   const auto [cca, loss] = GetParam();
@@ -140,7 +145,10 @@ TEST_P(ReliabilityTest, AllBytesDeliveredUnderLoss) {
 
 INSTANTIATE_TEST_SUITE_P(
     CcaLossGrid, ReliabilityTest,
-    ::testing::Combine(::testing::Values("cubic", "bbr", "vegas", "hvc"),
+    ::testing::Combine(::testing::Values(std::string("cubic"),
+                                         std::string("bbr"),
+                                         std::string("vegas"),
+                                         std::string("hvc")),
                        ::testing::Values(0.0, 0.01, 0.05)));
 
 // ---- Steering sanity across packet sizes ----

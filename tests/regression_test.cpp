@@ -4,7 +4,13 @@
 // (The full-scale versions live in bench/; these run in seconds.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "core/scenario.hpp"
+#include "net/node.hpp"
 #include "steer/dchannel.hpp"
 #include "trace/gen5g.hpp"
 
@@ -181,6 +187,82 @@ TEST(PaperShape, SteeringIsTransparentToEndpoints) {
   EXPECT_GT(with.data_packets_per_channel[1], 0);
   EXPECT_EQ(without.data_packets_per_channel[1], 0);
 }
+
+// ---- Transport golden: exact counts, not bounds ----
+//
+// PaperShape above pins only coarse bounds (BBR < 12 Mbps), and
+// diffsim_test compares configurations of one binary against each other,
+// so neither notices a transport change that shifts a single
+// retransmission. This table pins the exact integer outcome of a 5 s
+// Fig. 1 bulk download for every CCA under eMBB-only and DChannel
+// steering. A change that claims to leave transport behaviour untouched
+// (a data-structure or complexity rewrite) must leave every number here
+// unchanged; a change that means to alter behaviour re-captures them and
+// says why.
+
+struct BulkGolden {
+  const char* cca;
+  const char* policy;
+  std::int64_t retransmissions;
+  std::int64_t rto_count;
+  std::size_t rtt_samples;
+  std::int64_t acked_bytes;  ///< final cumulative acked bytes
+  std::vector<std::int64_t> data_packets_per_channel;
+};
+
+// Without this gtest prints a BulkGolden as its raw bytes, pointers
+// included, which ASLR makes differ on every run; the printed value is
+// part of the CTest name.
+void PrintTo(const BulkGolden& g, std::ostream* os) {
+  *os << g.cca << ' ' << g.policy;
+}
+
+const BulkGolden kBulkGoldens[] = {
+    {"cubic", "embb-only", 0, 0, 14862, 21713120, {15061, 0}},
+    {"cubic", "dchannel", 26, 0, 2284, 3308360, {1488, 830}},
+    {"bbr", "embb-only", 0, 0, 4491, 6558320, {4617, 0}},
+    {"bbr", "dchannel", 0, 0, 2257, 3293760, {1437, 833}},
+    {"vegas", "embb-only", 0, 0, 23211, 33902660, {23758, 0}},
+    {"vegas", "dchannel", 16, 0, 2652, 3860240, {1844, 831}},
+    {"vivace", "embb-only", 0, 0, 1408, 2057140, {1428, 0}},
+    {"vivace", "dchannel", 0, 0, 635, 928560, {168, 468}},
+    {"hvc", "embb-only", 0, 0, 2595, 3790160, {2666, 0}},
+    {"hvc", "dchannel", 0, 0, 14647, 21383160, {13954, 833}},
+};
+
+class TransportGoldenTest : public ::testing::TestWithParam<BulkGolden> {};
+
+TEST_P(TransportGoldenTest, Fig1BulkCountsAreExact) {
+  const BulkGolden& g = GetParam();
+  const net::IdScope ids;  // ids from 1, whatever ran before in-process
+  const auto r = core::run_bulk(core::ScenarioConfig::fig1(g.policy), g.cca,
+                                seconds(5));
+  ASSERT_FALSE(r.acked_bytes.empty());
+  const auto acked =
+      static_cast<std::int64_t>(r.acked_bytes.points().back().value);
+  std::string per_channel;
+  for (const auto n : r.data_packets_per_channel) {
+    per_channel += (per_channel.empty() ? "" : ", ") + std::to_string(n);
+  }
+  SCOPED_TRACE(::testing::Message()
+               << "actual: {\"" << g.cca << "\", \"" << g.policy << "\", "
+               << r.retransmissions << ", " << r.rto_count << ", "
+               << r.rtt_ms.size() << ", " << acked << ", {" << per_channel
+               << "}}");
+  EXPECT_EQ(r.retransmissions, g.retransmissions);
+  EXPECT_EQ(r.rto_count, g.rto_count);
+  EXPECT_EQ(r.rtt_ms.size(), g.rtt_samples);
+  EXPECT_EQ(acked, g.acked_bytes);
+  EXPECT_EQ(r.data_packets_per_channel, g.data_packets_per_channel);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig1, TransportGoldenTest, ::testing::ValuesIn(kBulkGoldens),
+    [](const ::testing::TestParamInfo<BulkGolden>& p) {
+      std::string name = std::string(p.param.cca) + "_" + p.param.policy;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace hvc

@@ -2,7 +2,9 @@
 // determinism, and the statistics toolkit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -288,6 +290,62 @@ TEST(WindowedFilters, MaxTracksWindow) {
   EXPECT_DOUBLE_EQ(f.get(), 100.0);
   f.update(milliseconds(150), 10.0);
   EXPECT_DOUBLE_EQ(f.get(), 50.0);
+}
+
+// BBR and HVC-CC key WindowedMax by round count. It must agree exactly
+// with the model it replaced: a vector of (round, rate) samples, appended
+// per push and erase_if-compacted to round >= latest - window on that push
+// only. The walk covers non-decreasing rounds with repeats and jumps past
+// the window, equal rates (a small rate alphabet), reads between pushes
+// (after the round moved on, stale samples must survive until the next
+// push) and reset().
+TEST(WindowedFilters, RoundKeyedMaxMatchesVectorModel) {
+  struct Sample {
+    std::int64_t round;
+    double bps;
+  };
+  constexpr std::int64_t kWindow = 10;
+  WindowedMax filter(kWindow);
+  std::vector<Sample> model;
+  const auto model_max = [&model] {
+    double best = 0.0;
+    for (const auto& s : model) best = std::max(best, s.bps);
+    return best;
+  };
+
+  Rng rng(0xf11e);
+  std::int64_t round = 0;
+  int pushes = 0;
+  int resets = 0;
+  for (int step = 0; step < 250'000; ++step) {
+    // Rounds: mostly repeats and small steps, sometimes past the window.
+    const double r = rng.uniform();
+    if (r < 0.05) {
+      round += rng.uniform_int(kWindow + 1, 3 * kWindow);
+    } else if (r < 0.55) {
+      round += rng.uniform_int(1, 3);
+    }
+    const double action = rng.uniform();
+    if (action < 0.0005) {
+      filter.reset();
+      model.clear();
+      ++resets;
+    } else if (action < 0.8) {
+      const double bps = rng.chance(0.8)
+                             ? static_cast<double>(rng.uniform_int(1, 16)) * 1e6
+                             : rng.uniform(1e5, 2e7);
+      filter.update(round, bps);
+      model.push_back({round, bps});
+      std::erase_if(model, [&](const Sample& s) {
+        return s.round < round - kWindow;
+      });
+      ++pushes;
+    }  // else: a read only — the round moved on but nothing expires yet
+    ASSERT_EQ(filter.get(), model_max()) << "step " << step;
+    ASSERT_EQ(filter.empty(), model.empty()) << "step " << step;
+  }
+  EXPECT_GT(pushes, 100'000);
+  EXPECT_GT(resets, 50);
 }
 
 TEST(WindowedFilters, NewExtremeReplacesImmediately) {

@@ -1,6 +1,8 @@
 // Tests for capacity traces and the synthetic 5G generators.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "trace/gen5g.hpp"
 #include "trace/trace.hpp"
 
@@ -104,6 +106,12 @@ struct ProfileCase {
   double min_avg_mbps;
   double max_avg_mbps;
 };
+
+// Without this gtest prints a ProfileCase as its raw bytes, uninitialised
+// padding included, and the printed value is part of the CTest name.
+void PrintTo(const ProfileCase& pc, std::ostream* os) {
+  *os << to_string(pc.profile);
+}
 
 class FiveGProfileTest : public ::testing::TestWithParam<ProfileCase> {};
 

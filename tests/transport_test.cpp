@@ -2,7 +2,12 @@
 // RTT estimation, messages, datagrams, and connections.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "channel/profile.hpp"
+#include "core/scenario.hpp"
+#include "fault/injector.hpp"
 #include "net/node.hpp"
 #include "steer/basic_policies.hpp"
 #include "transport/bbr.hpp"
@@ -343,6 +348,22 @@ struct Harness {
   }
 };
 
+// Runs `s` to `until` in 1 ms steps and audits the sender's loss-detection
+// indexes (RACK list, lost index, in_flight_) after every step, so each
+// ACK, RTO and send is checked within a millisecond of when it ran.
+::testing::AssertionResult RunAuditingLossIndexes(sim::Simulator& s,
+                                                  const TcpSender& snd,
+                                                  sim::Time until) {
+  while (s.now() < until) {
+    s.run_until(std::min(s.now() + milliseconds(1), until));
+    if (!snd.loss_index_consistent_for_test()) {
+      return ::testing::AssertionFailure()
+             << "loss indexes diverge at t=" << s.now() << " ns";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(Tcp, TransfersAllBytesReliably) {
   Harness h(channel::embb_constant_profile());
   TcpConfig cfg;
@@ -389,7 +410,7 @@ TEST(Tcp, RecoversFromRandomLoss) {
   std::int64_t received = 0;
   rcv.set_on_data([&](std::int64_t n) { received += n; });
   snd.write(2'000'000);
-  h.s.run_until(seconds(60));
+  ASSERT_TRUE(RunAuditingLossIndexes(h.s, snd, seconds(60)));
   EXPECT_EQ(received, 2'000'000);
   EXPECT_GT(snd.stats().retransmissions, 0);
 }
@@ -405,8 +426,78 @@ TEST(Tcp, RecoversFromBurstLoss) {
   std::int64_t received = 0;
   rcv.set_on_data([&](std::int64_t n) { received += n; });
   snd.write(2'000'000);
-  h.s.run_until(seconds(120));
+  ASSERT_TRUE(RunAuditingLossIndexes(h.s, snd, seconds(120)));
   EXPECT_EQ(received, 2'000'000);
+}
+
+// FaultFuzz-shaped bulk sweep over the loss paths. Per seed, an eMBB
+// outage runs while the URLLC channel first flaps, then goes dark too:
+// RTOs, then (with both channels down) backed-off single-segment probes.
+// A later GE burst on the eMBB downlink punches holes that SACK recovery
+// repairs. Odd seeds report a single SACK block, so ACKs for packets that
+// fill lower holes carry no news and the dupack fallback marks the head
+// lost. The indexes must match the brute-force audit throughout, and
+// every byte must arrive.
+TEST(Tcp, LossIndexesStayConsistentThroughFaultSweep) {
+  std::int64_t rtos = 0;
+  std::int64_t retransmissions = 0;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    sim::Rng rng(seed ^ 0x1055);
+    sim::Simulator s;
+    net::TwoHostNetwork net(s, core::make_policy("dchannel"),
+                            core::make_policy("dchannel"));
+    net.add_channel(channel::embb_constant_profile());
+    net.add_channel(channel::urllc_profile());
+    net.finalize();
+
+    fault::FaultEvent outage;
+    outage.kind = fault::FaultKind::kOutage;
+    outage.channel = 0;
+    outage.start = sim::seconds_f(rng.uniform(0.3, 0.8));
+    outage.duration = sim::seconds_f(rng.uniform(2.0, 3.0));
+    fault::FaultEvent flap;
+    flap.kind = fault::FaultKind::kFlap;
+    flap.channel = 1;
+    flap.start = outage.start;
+    flap.duration = outage.duration / 2;
+    flap.flap_period = milliseconds(rng.uniform_int(150, 400));
+    flap.flap_up_fraction = rng.uniform(0.2, 0.5);
+    flap.flap_seed = seed + 1;
+    fault::FaultEvent dark = outage;
+    dark.channel = 1;
+    dark.start = flap.end();
+    dark.duration = outage.end() - flap.end();
+    fault::FaultEvent burst;
+    burst.kind = fault::FaultKind::kGeBurst;
+    burst.channel = 0;
+    burst.dir = fault::FaultDir::kDownlink;
+    burst.start = outage.end() + sim::seconds_f(rng.uniform(0.5, 1.0));
+    burst.duration = seconds(1);
+    burst.loss.ge_p_good_to_bad = rng.uniform(0.01, 0.2);
+    burst.loss.ge_p_bad_to_good = rng.uniform(0.1, 0.5);
+    burst.loss.ge_loss_in_bad = rng.uniform(0.5, 1.0);
+    burst.loss_seed = rng.next_u64();
+    fault::FaultInjector inj(s, net.channels(),
+                             {{outage, flap, dark, burst}});
+
+    TcpConfig cfg;
+    cfg.max_sack_blocks = seed % 2 == 0 ? 4 : 1;
+    const auto flows = make_flow_pair();
+    TcpSender snd(net.server(), flows, make_cca(seed % 3 == 2 ? "bbr" : "cubic"),
+                  cfg);
+    TcpReceiver rcv(net.client(), flows, cfg);
+    std::int64_t received = 0;
+    rcv.set_on_data([&](std::int64_t n) { received += n; });
+    constexpr std::int64_t kBytes = 12'000'000;
+    snd.write(kBytes);
+    ASSERT_TRUE(RunAuditingLossIndexes(s, snd, seconds(90)));
+    EXPECT_EQ(received, kBytes);
+    rtos += snd.stats().rto_count;
+    retransmissions += snd.stats().retransmissions;
+  }
+  EXPECT_GT(rtos, 0);
+  EXPECT_GT(retransmissions, rtos);
 }
 
 TEST(Tcp, MessageCompletionCallback) {
