@@ -25,7 +25,8 @@ PageLoadSession::PageLoadSession(net::Node& client, net::Node& server,
           sim::seed_mix(cfg_.processing_seed, sim::fnv1a64(page.name))),
       deps_remaining_(page.objects.size(), 0),
       requested_(page.objects.size(), false),
-      loaded_(page.objects.size(), false) {
+      loaded_(page.objects.size(), false),
+      processing_(page.objects.size(), kNoEvent) {
   for (const auto& o : page_.objects) {
     deps_remaining_[o.id] = static_cast<int>(o.deps.size());
   }
@@ -35,6 +36,14 @@ PageLoadSession::PageLoadSession(net::Node& client, net::Node& server,
     completed_at_.assign(page_.objects.size(), 0);
     processed_at_.assign(page_.objects.size(), 0);
     trigger_.assign(page_.objects.size(), -1);
+  }
+}
+
+PageLoadSession::~PageLoadSession() {
+  // Only ids that have not fired: cancelling a fired event would corrupt
+  // the queue's live count.
+  for (const sim::EventId id : processing_) {
+    if (id != kNoEvent) client_.simulator().cancel(id);
   }
 }
 
@@ -128,9 +137,11 @@ void PageLoadSession::on_object_complete(int object_id) {
     const double mu = std::log(mean) - sigma * sigma / 2.0;
     delay = static_cast<sim::Duration>(processing_rng_.lognormal(mu, sigma));
   }
-  client_.simulator().after(delay, [this, object_id] {
-    on_object_processed(object_id);
-  });
+  processing_[object_id] =
+      client_.simulator().after(delay, [this, object_id] {
+        processing_[object_id] = kNoEvent;
+        on_object_processed(object_id);
+      });
 }
 
 void PageLoadSession::on_object_processed(int object_id) {

@@ -49,6 +49,11 @@ class PageLoadSession {
  public:
   PageLoadSession(net::Node& client, net::Node& server, const WebPage& page,
                   BrowserConfig cfg, std::function<void(sim::Time)> done);
+  /// Cancels the object-processing events still pending, which capture
+  /// `this`: a load abandoned at its timeout must not run them later.
+  ~PageLoadSession();
+  PageLoadSession(const PageLoadSession&) = delete;
+  PageLoadSession& operator=(const PageLoadSession&) = delete;
 
   void start();
 
@@ -93,6 +98,10 @@ class PageLoadSession {
   std::vector<int> deps_remaining_;
   std::vector<bool> requested_;
   std::vector<bool> loaded_;
+  /// Per object: the id of its scheduled processing event until that
+  /// event fires, kNoEvent otherwise.
+  static constexpr sim::EventId kNoEvent = ~sim::EventId{0};
+  std::vector<sim::EventId> processing_;
   int loaded_count_ = 0;
   int processed_count_ = 0;
   sim::Time started_at_ = 0;

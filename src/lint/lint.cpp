@@ -9,9 +9,6 @@
 #include <set>
 #include <sstream>
 
-#include "lint/graph.hpp"
-#include "lint/index.hpp"
-#include "lint/rules_semantic.hpp"
 #include "obs/json.hpp"
 
 namespace hvc::lint {
@@ -49,6 +46,260 @@ std::string_view trim(std::string_view s) {
   while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
   while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
   return s;
+}
+
+}  // namespace
+
+// ---- Scrubbed ---------------------------------------------------------
+
+int Scrubbed::line_of(std::size_t offset) const {
+  const auto it =
+      std::upper_bound(line_starts.begin(), line_starts.end(), offset);
+  return static_cast<int>(it - line_starts.begin());
+}
+
+std::string_view Scrubbed::code_line(int line) const {
+  const auto i = static_cast<std::size_t>(line - 1);
+  if (i >= line_starts.size()) return {};
+  const std::size_t start = line_starts[i];
+  const std::size_t end =
+      i + 1 < line_starts.size() ? line_starts[i + 1] - 1 : code.size();
+  return std::string_view(code).substr(start, end - start);
+}
+
+std::string_view Scrubbed::comment_line(int line) const {
+  const auto i = static_cast<std::size_t>(line - 1);
+  if (i >= line_starts.size()) return {};
+  const std::size_t start = line_starts[i];
+  const std::size_t end =
+      i + 1 < line_starts.size() ? line_starts[i + 1] - 1 : comments.size();
+  return std::string_view(comments).substr(start, end - start);
+}
+
+Scrubbed scrub(std::string_view text) {
+  Scrubbed out;
+  out.code.assign(text.size(), ' ');
+  out.comments.assign(text.size(), ' ');
+  out.line_starts.push_back(0);
+
+  enum class State {
+    kCode,
+    kLineComment,
+    kBlockComment,
+    kString,
+    kChar,
+    kRawString
+  };
+  State state = State::kCode;
+  std::string raw_delim;  // the )delim" terminator for raw strings
+
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    const char next = i + 1 < text.size() ? text[i + 1] : '\0';
+    if (c == '\n') {
+      out.code[i] = '\n';
+      out.comments[i] = '\n';
+      out.line_starts.push_back(i + 1);
+      if (state == State::kLineComment) state = State::kCode;
+      continue;
+    }
+    switch (state) {
+      case State::kCode:
+        if (c == '/' && next == '/') {
+          state = State::kLineComment;
+          ++i;  // swallow both slashes
+          if (i < text.size() && text[i] == '\n') --i;
+        } else if (c == '/' && next == '*') {
+          state = State::kBlockComment;
+          ++i;
+        } else if (c == '"' &&
+                   (i >= 1 && text[i - 1] == 'R' &&
+                    (i < 2 || !is_word(text[i - 2])))) {
+          // R"delim( ... )delim"
+          std::size_t p = i + 1;
+          while (p < text.size() && text[p] != '(') ++p;
+          raw_delim = ")" + std::string(text.substr(i + 1, p - i - 1)) + "\"";
+          out.code[i] = '"';
+          i = p;  // leave contents blanked from here on
+          state = State::kRawString;
+        } else if (c == '"') {
+          out.code[i] = '"';
+          state = State::kString;
+        } else if (c == '\'') {
+          out.code[i] = '\'';
+          state = State::kChar;
+        } else {
+          out.code[i] = c;
+        }
+        break;
+      case State::kLineComment:
+        out.comments[i] = c;
+        break;
+      case State::kBlockComment:
+        if (c == '*' && next == '/') {
+          ++i;
+          state = State::kCode;
+        } else {
+          out.comments[i] = c;
+        }
+        break;
+      case State::kString:
+        if (c == '\\') {
+          ++i;  // skip the escaped char (stays blanked)
+        } else if (c == '"') {
+          out.code[i] = '"';
+          state = State::kCode;
+        }
+        break;
+      case State::kChar:
+        if (c == '\\') {
+          ++i;
+        } else if (c == '\'') {
+          out.code[i] = '\'';
+          state = State::kCode;
+        }
+        break;
+      case State::kRawString:
+        if (text.compare(i, raw_delim.size(), raw_delim) == 0) {
+          i += raw_delim.size() - 1;
+          out.code[i] = '"';
+          state = State::kCode;
+        }
+        break;
+    }
+  }
+  return out;
+}
+
+namespace {
+
+// ---- suppression directives -------------------------------------------
+
+struct FileSuppressions {
+  /// (rule, line) pairs the file explicitly allows.
+  std::set<std::pair<std::string, int>> allows;
+  std::set<std::string> file_allows;
+
+  [[nodiscard]] bool suppressed(const std::string& rule, int line) const {
+    return file_allows.count(rule) > 0 || allows.count({rule, line}) > 0;
+  }
+};
+
+/// Parse every suppression directive — `allow(...)` and `allow-file(...)`
+/// forms. Malformed/unjustified/unknown-rule directives become findings
+/// (never themselves suppressible). Directives on a comment-only line
+/// cover the next code line.
+FileSuppressions collect_suppressions(const std::string& path,
+                                      const Scrubbed& sc,
+                                      std::vector<Finding>* findings) {
+  FileSuppressions out;
+  constexpr std::string_view kTag = "hvc-lint:";
+  for (int line = 1; line <= static_cast<int>(sc.line_count()); ++line) {
+    const std::string_view comment = sc.comment_line(line);
+    std::size_t at = comment.find(kTag);
+    if (at == std::string_view::npos) continue;
+    std::string_view rest = trim(comment.substr(at + kTag.size()));
+
+    bool file_scope = false;
+    if (rest.rfind("allow-file", 0) == 0) {
+      file_scope = true;
+      rest.remove_prefix(std::string_view("allow-file").size());
+    } else if (rest.rfind("allow", 0) == 0) {
+      rest.remove_prefix(std::string_view("allow").size());
+    } else {
+      findings->push_back({path, line, kAllowUnknownRule, Severity::kError,
+                           "unrecognized hvc-lint directive (expected "
+                           "allow(<rule>) or allow-file(<rule>))",
+});
+      continue;
+    }
+    rest = trim(rest);
+    if (rest.empty() || rest.front() != '(') {
+      findings->push_back({path, line, kAllowUnknownRule, Severity::kError,
+                           "malformed allow: expected (<rule>[,<rule>...])",
+});
+      continue;
+    }
+    const std::size_t close = rest.find(')');
+    if (close == std::string_view::npos) {
+      findings->push_back({path, line, kAllowUnknownRule, Severity::kError,
+                           "malformed allow: missing ')'",
+});
+      continue;
+    }
+    const std::string_view rule_list = rest.substr(1, close - 1);
+    std::string_view after = trim(rest.substr(close + 1));
+
+    // A justification is mandatory: ": why this is safe". The "why" is
+    // what turns an allow from a mute button into a proof obligation.
+    bool justified = false;
+    if (!after.empty() && after.front() == ':') {
+      const std::string_view why = trim(after.substr(1));
+      justified = why.size() >= 10;
+    }
+    if (!justified) {
+      // Continuation comment lines immediately below count as the
+      // justification body (long explanations wrap).
+      const std::string_view next_comment =
+          line < static_cast<int>(sc.line_count())
+              ? trim(sc.comment_line(line + 1))
+              : std::string_view{};
+      justified = !after.empty() && after.front() == ':' &&
+                  next_comment.size() >= 10;
+    }
+    if (!justified) {
+      findings->push_back(
+          {path, line, kAllowNeedsJustification, Severity::kError,
+           "allow() must carry a justification: \"// hvc-lint: "
+           "allow(rule): why this is provably safe\""});
+      continue;
+    }
+
+    // Split the rule list and register.
+    std::size_t start = 0;
+    while (start <= rule_list.size()) {
+      std::size_t comma = rule_list.find(',', start);
+      if (comma == std::string_view::npos) comma = rule_list.size();
+      const std::string rule{trim(rule_list.substr(start, comma - start))};
+      start = comma + 1;
+      if (rule.empty()) continue;
+      if (!known_rule(rule)) {
+        findings->push_back({path, line, kAllowUnknownRule, Severity::kError,
+                             "allow names unknown rule '" + rule + "'",
+});
+        continue;
+      }
+      // R7: wallclock suppressions are themselves banned outside the
+      // clock island — host time comes from obs::prof::now_ns(), not
+      // from a local carve-out. (Island files skip R1 entirely, so a
+      // wallclock allow there is merely dead weight, not an error.)
+      if (rule == "wallclock" && !in_clock_island(path)) {
+        findings->push_back(
+            {path, line, "clock-island", Severity::kError,
+             "allow(wallclock) outside the clock island (src/obs/prof*, "
+             "bench/): call obs::prof::now_ns()/cycles() instead of "
+             "suppressing the wallclock ban locally",
+});
+        continue;
+      }
+      if (file_scope) {
+        out.file_allows.insert(rule);
+        continue;
+      }
+      out.allows.insert({rule, line});
+      // A directive on a comment-only line covers the next code line.
+      if (trim(sc.code_line(line)).empty()) {
+        int next = line + 1;
+        while (next <= static_cast<int>(sc.line_count()) &&
+               trim(sc.code_line(next)).empty() &&
+               sc.comment_line(next).find(kTag) == std::string_view::npos) {
+          ++next;
+        }
+        out.allows.insert({rule, next});
+      }
+    }
+  }
+  return out;
 }
 
 // ---- R1: wallclock / entropy ------------------------------------------
@@ -98,9 +349,7 @@ void check_wallclock(const std::string& path, const Scrubbed& sc,
              std::string(pat.what) +
                  ": wall-clock/entropy source in simulation code (derive "
                  "time from sim::Simulator and randomness from sim::Rng so "
-                 "runs stay reproducible)",
-             {},
-             0});
+                 "runs stay reproducible)"});
       }
       at = end;
     }
@@ -129,9 +378,7 @@ void check_unordered(const std::string& path, const Scrubbed& sc,
                  ": iteration order is unspecified, so any traversal "
                  "feeding an export or steering decision is a latent "
                  "nondeterminism bug; use std::map/std::set, sort before "
-                 "export, or allow-tag with a proof of order-independence",
-             {},
-             0});
+                 "export, or allow-tag with a proof of order-independence"});
       }
       at = end;
     }
@@ -267,9 +514,7 @@ void check_steer_reasons(const std::string& path, const Scrubbed& sc,
              Severity::kError,
              "return in a steer() implementation without an audit reason "
              "tag (set Decision::reason on every exit path so the "
-             "steering-decision audit log stays complete)",
-             {},
-             0});
+             "steering-decision audit log stays complete)"});
       }
       r = semi == std::string::npos ? body.size() : semi;
     }
@@ -306,9 +551,7 @@ void check_new_delete(const std::string& path, const Scrubbed& sc,
             {path, sc.line_of(at), "raw-new-delete", Severity::kError,
              "raw " + std::string(kw) +
                  ": ownership goes through std::unique_ptr / containers "
-                 "in this codebase (leaks in long sweep runs are silent)",
-             {},
-             0});
+                 "in this codebase (leaks in long sweep runs are silent)"});
       }
       at = end;
     }
@@ -396,9 +639,7 @@ void check_float_equality(const std::string& path, const Scrubbed& sc,
           {path, sc.line_of(i), "float-equality", Severity::kWarning,
            "floating-point ==/!= comparison: metric values must be "
            "compared with an ordering or an explicit tolerance (exact "
-           "equality is representation-dependent)",
-           {},
-           0});
+           "equality is representation-dependent)"});
     }
     ++i;
   }
@@ -438,9 +679,7 @@ void check_std_hash(const std::string& path, const Scrubbed& sc,
          "std::hash: libstdc++ and libc++ hash the same value "
          "differently, so seeds/sampling keys derived from it diverge "
          "across platforms; use sim::fnv1a64 / sim::seed_mix "
-         "(sim/seed.hpp) instead",
-         {},
-         0});
+         "(sim/seed.hpp) instead"});
     at = end;
   }
 }
@@ -483,9 +722,7 @@ void check_header_self_sufficient(const std::string& path,
         {path, 1, "header-not-self-sufficient", Severity::kError,
          "header does not compile on its own (include what you use)" +
              (first_error.empty() ? std::string{}
-                                  : ": " + first_error),
-         {},
-         0});
+                                  : ": " + first_error)});
   }
   std::error_code ec;
   fs::remove(tu, ec);
@@ -515,26 +752,23 @@ void run_per_file_checks(const std::string& path, const Scrubbed& sc,
   check_std_hash(path, sc, raw);
 }
 
-std::string normalize_path(const std::string& path) {
-  std::string p = path;
-  std::replace(p.begin(), p.end(), '\\', '/');
-  while (p.rfind("./", 0) == 0) p.erase(0, 2);
-  return p;
-}
+/// Lint one file's text: suppression directives, the per-file battery,
+/// and (when `compile` is set) the R6 compile check of `path` on disk.
+/// Directive findings are never suppressible; everything else is.
+std::vector<Finding> lint_text(const std::string& path, std::string_view text,
+                               const Options* compile) {
+  const Scrubbed sc = scrub(text);
+  std::vector<Finding> out;
+  const FileSuppressions allows = collect_suppressions(path, sc, &out);
 
-/// True when `path` is `suffix` or ends with "/<suffix>" (either way
-/// around — baseline entries are repo-relative, findings may carry
-/// longer or shorter spellings of the same file).
-bool path_suffix_match(const std::string& a, const std::string& b) {
-  const std::string na = normalize_path(a);
-  const std::string nb = normalize_path(b);
-  if (na == nb) return true;
-  const auto ends_with = [](const std::string& hay, const std::string& s) {
-    return hay.size() > s.size() &&
-           hay.compare(hay.size() - s.size(), s.size(), s) == 0 &&
-           hay[hay.size() - s.size() - 1] == '/';
-  };
-  return ends_with(na, nb) || ends_with(nb, na);
+  std::vector<Finding> raw;
+  run_per_file_checks(path, sc, &raw);
+  if (compile != nullptr) check_header_self_sufficient(path, *compile, &raw);
+  for (auto& f : raw) {
+    if (!allows.suppressed(f.rule, f.line)) out.push_back(std::move(f));
+  }
+  sort_findings(&out);
+  return out;
 }
 
 }  // namespace
@@ -566,12 +800,6 @@ const std::vector<RuleInfo>& rules() {
        "allow(wallclock) only inside src/obs/prof* and bench/ (R7)"},
       {"std-hash", Severity::kError,
        "no std::hash — platform-dependent; use sim/seed.hpp mixes (R8)"},
-      {"worker-shared-state", Severity::kError,
-       "no unguarded global/static writes on sweep worker threads (R9)"},
-      {"unordered-taint", Severity::kError,
-       "no unordered-iteration values flowing into export sinks (R10)"},
-      {"hotpath-alloc", Severity::kError,
-       "no allocation in HVC_PROF_SCOPE functions or callees (R11)"},
       {kAllowNeedsJustification, Severity::kError,
        "every allow() carries a justification"},
       {kAllowUnknownRule, Severity::kError,
@@ -588,54 +816,26 @@ bool known_rule(std::string_view name) {
 }
 
 std::vector<Finding> lint_source(const std::string& path,
-                                 std::string_view text,
-                                 const Options& /*opts*/) {
-  const Scrubbed sc = scrub(text);
-  std::vector<Finding> directives;
-  const FileSuppressions allows =
-      collect_suppressions(path, sc, &directives);
-
-  std::vector<Finding> raw;
-  run_per_file_checks(path, sc, &raw);
-
-  std::vector<Finding> out = std::move(directives);  // never suppressible
-  for (auto& f : raw) {
-    if (!allows.suppressed(f.rule, f.line)) out.push_back(std::move(f));
-  }
-  sort_findings(&out);
-  return out;
+                                 std::string_view text) {
+  return lint_text(path, text, nullptr);
 }
 
 std::vector<Finding> lint_file(const std::string& path, const Options& opts) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    return {{path, 1, "io-error", Severity::kError, "cannot read file",
-             {}, 0}};
+    return {{path, 1, "io-error", Severity::kError, "cannot read file"}};
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  std::vector<Finding> out = lint_source(path, buf.str(), opts);
-
   const bool is_header = path.size() >= 4 &&
                          (path.rfind(".hpp") == path.size() - 4 ||
                           path.rfind(".h") == path.size() - 2);
-  if (opts.compile_check && is_header) {
-    // A file-scope allow silences R6 too (umbrella headers that need a
-    // specific include order would tag themselves; none do today).
-    const Scrubbed sc = scrub(buf.str());
-    std::vector<Finding> scratch;
-    const FileSuppressions allows =
-        collect_suppressions(path, sc, &scratch);
-    if (!allows.suppressed("header-not-self-sufficient", 1)) {
-      check_header_self_sufficient(path, opts, &out);
-    }
-    sort_findings(&out);
-  }
-  return out;
+  return lint_text(path, buf.str(),
+                   opts.compile_check && is_header ? &opts : nullptr);
 }
 
 std::vector<Finding> lint_tree(const std::vector<std::string>& roots,
-                               const Options& opts, TreeStats* stats) {
+                               const Options& opts) {
   Options effective = opts;
   if (effective.compile_check &&
       !compiler_available(effective.compiler)) {
@@ -660,90 +860,17 @@ std::vector<Finding> lint_tree(const std::vector<std::string>& roots,
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  // Every file is indexed exactly once (cache-restored summaries skip
-  // tokenization entirely); headers shared by many TUs are no longer
-  // re-read per includer.
-  TokenCache cache;
-  if (!opts.index_cache_path.empty()) {
-    cache.load_index_cache(opts.index_cache_path);
-  }
-
   std::vector<Finding> out;
-  std::vector<const TokenCache::FileData*> fds;
   for (const auto& f : files) {
-    const TokenCache::FileData& fd = cache.get(f);
-    if (!fd.readable) {
-      out.push_back({f, 1, "io-error", Severity::kError,
-                     "cannot read file", {}, 0});
-      continue;
-    }
-    fds.push_back(&fd);
+    std::vector<Finding> one = lint_file(f, effective);
+    out.insert(out.end(), std::make_move_iterator(one.begin()),
+               std::make_move_iterator(one.end()));
   }
-
-  // Incremental mode: changed files plus their transitive reverse-
-  // includers get the per-file rules and appear in the report; the rest
-  // of the tree only feeds the semantic index.
-  const bool incremental = !opts.changed_files.empty();
-  std::set<std::string> affected;
-  if (incremental) {
-    const IncludeGraph ig(fds);
-    affected = ig.affected(opts.changed_files);
-  }
-  const auto is_affected = [&](const std::string& path) {
-    return !incremental || affected.count(normalize_path(path)) > 0;
-  };
-
-  for (const TokenCache::FileData* fd : fds) {
-    if (!is_affected(fd->path)) continue;
-    const TokenCache::FileData& full = cache.ensure_tokens(fd->path);
-    out.insert(out.end(), full.directive_findings.begin(),
-               full.directive_findings.end());
-    std::vector<Finding> raw;
-    run_per_file_checks(full.path, full.scrubbed, &raw);
-    for (auto& f : raw) {
-      if (!full.allows.suppressed(f.rule, f.line)) {
-        out.push_back(std::move(f));
-      }
-    }
-    const bool is_header =
-        full.path.size() >= 4 &&
-        (full.path.rfind(".hpp") == full.path.size() - 4 ||
-         full.path.rfind(".h") == full.path.size() - 2);
-    if (effective.compile_check && is_header &&
-        !full.allows.suppressed("header-not-self-sufficient", 1)) {
-      check_header_self_sufficient(full.path, effective, &out);
-    }
-  }
-
-  if (opts.semantic) {
-    const Index idx = build_index(fds);
-    SemanticOptions sopts;
-    sopts.hotpath_depth = opts.hotpath_depth;
-    for (auto& f : run_semantic_rules(idx, sopts)) {
-      if (!is_affected(f.file)) continue;
-      const TokenCache::FileData& fd = cache.get(f.file);
-      if (fd.readable && fd.allows.suppressed(f.rule, f.line)) continue;
-      out.push_back(std::move(f));
-    }
-  }
-
   if (opts.compile_check && !effective.compile_check) {
     out.push_back({"", 0, "compile-check-skipped", Severity::kNote,
                    "compiler '" + opts.compiler +
                        "' not found; header self-sufficiency (R6) not "
-                       "checked",
-                   {}, 0});
-  }
-  if (!opts.index_cache_path.empty()) {
-    cache.save_index_cache(opts.index_cache_path);
-  }
-  if (stats != nullptr) {
-    const TokenCache::Stats& cs = cache.stats();
-    stats->files = static_cast<int>(fds.size());
-    stats->files_read = cs.files_read;
-    stats->tokenizations = cs.tokenizations;
-    stats->memo_hits = cs.memo_hits;
-    stats->disk_cache_hits = cs.disk_cache_hits;
+                       "checked"});
   }
   sort_findings(&out);
   return out;
@@ -830,69 +957,6 @@ std::string to_sarif(const std::vector<Finding>& findings) {
     out += "}";
   }
   out += "]}]}";
-  return out;
-}
-
-// ---- baselines --------------------------------------------------------
-
-std::string baseline_to_json(const Baseline& b) {
-  using obs::json::quote;
-  std::string out = "{\"hvc-lint-baseline\":1,\"entries\":[";
-  bool first = true;
-  for (const auto& [key, count] : b.counts) {
-    if (count <= 0) continue;
-    if (!first) out += ',';
-    first = false;
-    out += "{\"file\":" + quote(key.first) + ",\"rule\":" +
-           quote(key.second) + ",\"count\":" + std::to_string(count) + "}";
-  }
-  out += "]}";
-  return out;
-}
-
-bool baseline_from_json(std::string_view text, Baseline* b) {
-  obs::json::Value root;
-  if (!obs::json::parse(text, &root) || !root.is_object()) return false;
-  const obs::json::Value* entries = root.find("entries");
-  if (entries == nullptr || !entries->is_array()) return false;
-  b->counts.clear();
-  for (const auto& e : entries->array) {
-    if (!e.is_object()) return false;
-    const std::string file = e.string_or("file", "");
-    const std::string rule = e.string_or("rule", "");
-    const int count = static_cast<int>(e.number_or("count", 0));
-    if (file.empty() || rule.empty() || count <= 0) return false;
-    b->counts[{file, rule}] += count;
-  }
-  return true;
-}
-
-Baseline baseline_from_findings(const std::vector<Finding>& findings) {
-  Baseline b;
-  for (const auto& f : findings) {
-    if (f.severity == Severity::kNote || f.file.empty()) continue;
-    ++b.counts[{normalize_path(f.file), f.rule}];
-  }
-  return b;
-}
-
-std::vector<Finding> apply_baseline(std::vector<Finding> findings,
-                                    const Baseline& b) {
-  sort_findings(&findings);
-  std::map<std::pair<std::string, std::string>, int> budget = b.counts;
-  std::vector<Finding> out;
-  for (auto& f : findings) {
-    bool covered = false;
-    for (auto& [key, remaining] : budget) {
-      if (remaining > 0 && key.second == f.rule &&
-          path_suffix_match(key.first, f.file)) {
-        --remaining;
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) out.push_back(std::move(f));
-  }
   return out;
 }
 

@@ -46,9 +46,9 @@ class FlowTable {
   std::pair<V*, bool> try_emplace(std::uint64_t key) {
     if (key < kDenseLimit) {
       if (key >= dense_.size()) {
-        // hvc-lint: allow(hotpath-alloc): grows to the highest flow id
-        // seen, once — ids are dense, so this amortizes to one growth
-        // per run and is bounded by kDenseLimit
+        // Grows to the highest flow id seen, once — ids are dense, so
+        // this amortizes to one growth per run and is bounded by
+        // kDenseLimit
         dense_.resize(static_cast<std::size_t>(key) + 1);
       }
       Entry& e = dense_[key];
@@ -59,8 +59,8 @@ class FlowTable {
       }
       return {&e.value, created};
     }
-    // hvc-lint: allow(hotpath-alloc): spill map only holds ids past the
-    // dense limit, which dense per-run id allocation never produces
+    // The spill map only holds ids past the dense limit, which dense
+    // per-run id allocation never produces
     const auto [it, created] = spill_.try_emplace(key);
     if (created) ++size_;
     return {&it->second, created};

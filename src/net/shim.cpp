@@ -72,8 +72,7 @@ std::span<const steer::ChannelView> Shim::snapshot_views() const {
   if (views_scratch_.size() != channels_.size()) {
     // First decision (or a test re-wired the channel set): size the
     // scratch once; every later call refills it in place.
-    // hvc-lint: allow(hotpath-alloc): runs once per channel-set change,
-    // not per decision
+    // Runs once per channel-set change, not per decision
     views_scratch_.resize(channels_.size());
   }
   for (std::size_t i = 0; i < channels_.size(); ++i) {
@@ -157,10 +156,10 @@ void Shim::send(PacketPtr p) {
     rec.duplicates = static_cast<std::uint8_t>(decision.duplicate_on.size());
     rec.reason = decision.reason;
     rec.policy = policy_name_;
-    // hvc-lint: allow(hotpath-alloc): audit records only exist when the steering audit log is enabled (off in perf runs)
+    // Audit records only exist when the steering audit log is enabled (off in perf runs)
     rec.channels.reserve(views.size());
     for (const auto& v : views) {
-      // hvc-lint: allow(hotpath-alloc): appends into the reserve()d capacity above; never reallocates
+      // Appends into the reserve()d capacity above; never reallocates
       rec.channels.push_back(
           {v.queued_bytes,
            sim::to_millis(v.est_delivery_delay(p->size_bytes))});

@@ -8,20 +8,18 @@
 
 namespace hvc::obs {
 
-thread_local SteeringAuditLog* SteeringAuditLog::active_ = nullptr;
-
 void SteeringAuditLog::enable(std::size_t capacity) {
   if (capacity == 0) capacity = 1;
   ring_.assign(capacity, AuditRecord{});
   head_ = 0;
   total_ = 0;
   enabled_ = true;
-  active_ = this;
+  bind();
 }
 
 void SteeringAuditLog::disable() {
   enabled_ = false;
-  if (active_ == this) active_ = nullptr;
+  unbind();
 }
 
 void SteeringAuditLog::record(AuditRecord rec) {
@@ -107,15 +105,6 @@ std::string SteeringAuditLog::to_jsonl() const {
     out += "]}\n";
   }
   return out;
-}
-
-ScopedSteeringAuditLog::ScopedSteeringAuditLog(SteeringAuditLog& log)
-    : prev_active_(SteeringAuditLog::active_) {
-  SteeringAuditLog::active_ = log.enabled() ? &log : nullptr;
-}
-
-ScopedSteeringAuditLog::~ScopedSteeringAuditLog() {
-  SteeringAuditLog::active_ = prev_active_;
 }
 
 }  // namespace hvc::obs

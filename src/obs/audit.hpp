@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/binding.hpp"
 #include "sim/units.hpp"
 
 namespace hvc::obs {
@@ -43,22 +44,16 @@ struct AuditRecord {
   std::vector<AuditChannelState> channels;
 };
 
-class SteeringAuditLog {
+class SteeringAuditLog : public ThreadBinding<SteeringAuditLog> {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 16;
 
   SteeringAuditLog() = default;
-  /// A dying log must never stay installed as the thread's active().
-  ~SteeringAuditLog() {
-    if (active_ == this) active_ = nullptr;
-  }
-  SteeringAuditLog(const SteeringAuditLog&) = delete;
-  SteeringAuditLog& operator=(const SteeringAuditLog&) = delete;
 
   /// Hot-path accessor: nullptr unless auditing is enabled on this
   /// thread. The shim does
   ///   if (auto* al = obs::SteeringAuditLog::active()) al->record(...);
-  [[nodiscard]] static SteeringAuditLog* active() { return active_; }
+  [[nodiscard]] static SteeringAuditLog* active() { return bound(); }
 
   /// Start recording into a fresh ring of `capacity` records and install
   /// this log as the calling thread's active().
@@ -88,10 +83,6 @@ class SteeringAuditLog {
   [[nodiscard]] std::string to_jsonl() const;
 
  private:
-  friend class ScopedSteeringAuditLog;
-
-  static thread_local SteeringAuditLog* active_;
-
   std::vector<AuditRecord> ring_;
   std::size_t head_ = 0;  ///< next write slot
   std::uint64_t total_ = 0;
@@ -101,15 +92,6 @@ class SteeringAuditLog {
 /// RAII: installs a log as the calling thread's active() for the scope's
 /// lifetime — if it is enabled; a disabled log masks any outer one, so
 /// sweep runs never write into each other's audit trail.
-class ScopedSteeringAuditLog {
- public:
-  explicit ScopedSteeringAuditLog(SteeringAuditLog& log);
-  ~ScopedSteeringAuditLog();
-  ScopedSteeringAuditLog(const ScopedSteeringAuditLog&) = delete;
-  ScopedSteeringAuditLog& operator=(const ScopedSteeringAuditLog&) = delete;
-
- private:
-  SteeringAuditLog* prev_active_;
-};
+using ScopedSteeringAuditLog = ScopedBinding<SteeringAuditLog>;
 
 }  // namespace hvc::obs

@@ -38,26 +38,14 @@ std::vector<double> Histogram::default_latency_edges() {
   return edges;
 }
 
-namespace {
-thread_local MetricsRegistry* t_current_registry = nullptr;
-}  // namespace
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;
 }
 
 MetricsRegistry& MetricsRegistry::current() {
-  return t_current_registry != nullptr ? *t_current_registry : global();
-}
-
-ScopedMetricsRegistry::ScopedMetricsRegistry(MetricsRegistry& registry)
-    : prev_(t_current_registry) {
-  t_current_registry = &registry;
-}
-
-ScopedMetricsRegistry::~ScopedMetricsRegistry() {
-  t_current_registry = prev_;
+  MetricsRegistry* registry = bound();
+  return registry != nullptr ? *registry : global();
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

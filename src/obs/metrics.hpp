@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/binding.hpp"
 #include "sim/stats.hpp"
 
 namespace hvc::obs {
@@ -76,11 +77,9 @@ class Histogram {
   sim::Summary summary_;
 };
 
-class MetricsRegistry {
+class MetricsRegistry : public ThreadBinding<MetricsRegistry, CurrentSlot> {
  public:
   MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// The process-wide default registry.
   static MetricsRegistry& global();
@@ -143,16 +142,7 @@ class MetricsRegistry {
 /// previous registry (or global()) is restored on destruction. Each sweep
 /// run lives inside one of these, so runs never share instruments even
 /// when executing concurrently.
-class ScopedMetricsRegistry {
- public:
-  explicit ScopedMetricsRegistry(MetricsRegistry& registry);
-  ~ScopedMetricsRegistry();
-  ScopedMetricsRegistry(const ScopedMetricsRegistry&) = delete;
-  ScopedMetricsRegistry& operator=(const ScopedMetricsRegistry&) = delete;
-
- private:
-  MetricsRegistry* prev_;
-};
+using ScopedMetricsRegistry = ScopedBinding<MetricsRegistry, CurrentSlot>;
 
 /// CSV cell escaping per RFC 4180: fields containing commas, quotes or
 /// newlines are quoted, embedded quotes doubled.

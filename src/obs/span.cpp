@@ -8,8 +8,6 @@
 
 namespace hvc::obs {
 
-thread_local SpanRecorder* SpanRecorder::active_ = nullptr;
-
 const char* span_comp_name(SpanComp c) {
   switch (c) {
     case SpanComp::kQueueing: return "queueing";
@@ -183,12 +181,12 @@ void SpanRecorder::enable(SpanConfig cfg) {
   aborted_ = 0;
   truncated_ = 0;
   enabled_ = true;
-  active_ = this;
+  bind();
 }
 
 void SpanRecorder::disable() {
   enabled_ = false;
-  if (active_ == this) active_ = nullptr;
+  unbind();
 }
 
 void SpanRecorder::offer(SpanUnit&& unit) {
@@ -362,17 +360,6 @@ std::string SpanRecorder::to_jsonl() const {
     }
   }
   return out;
-}
-
-// ---- ScopedSpanRecorder -----------------------------------------------
-
-ScopedSpanRecorder::ScopedSpanRecorder(SpanRecorder& rec)
-    : prev_active_(SpanRecorder::active_) {
-  SpanRecorder::active_ = rec.enabled() ? &rec : nullptr;
-}
-
-ScopedSpanRecorder::~ScopedSpanRecorder() {
-  SpanRecorder::active_ = prev_active_;
 }
 
 }  // namespace hvc::obs

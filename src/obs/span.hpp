@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/binding.hpp"
 #include "sim/units.hpp"
 #include "stats/streaming.hpp"
 
@@ -157,16 +158,11 @@ struct SpanConfig {
 /// Per-run span recorder: owns the live histograms and the retained
 /// exemplar sets. Install with ScopedSpanRecorder; hot paths check
 /// SpanRecorder::active() (nullptr = spans off, one branch).
-class SpanRecorder {
+class SpanRecorder : public ThreadBinding<SpanRecorder> {
  public:
   SpanRecorder() = default;
-  ~SpanRecorder() {
-    if (active_ == this) active_ = nullptr;
-  }
-  SpanRecorder(const SpanRecorder&) = delete;
-  SpanRecorder& operator=(const SpanRecorder&) = delete;
 
-  [[nodiscard]] static SpanRecorder* active() { return active_; }
+  [[nodiscard]] static SpanRecorder* active() { return bound(); }
 
   void enable(SpanConfig cfg = {});
   void disable();
@@ -191,8 +187,6 @@ class SpanRecorder {
   [[nodiscard]] std::string to_jsonl() const;
 
  private:
-  friend class ScopedSpanRecorder;
-
   struct Kept {
     SpanUnit unit;
     std::uint64_t n = 0;          ///< offer index within the key
@@ -207,8 +201,6 @@ class SpanRecorder {
     std::vector<Kept> reservoir;  ///< oldest-out ring, insertion order
   };
 
-  static thread_local SpanRecorder* active_;
-
   SpanConfig cfg_;
   std::map<std::string, MetricState> keys_;
   std::uint64_t offered_ = 0;
@@ -220,15 +212,6 @@ class SpanRecorder {
 /// RAII installer, same contract as ScopedSteeringAuditLog: an enabled
 /// recorder becomes the thread's active(); a disabled one masks any
 /// outer recorder so sweep runs never cross-record.
-class ScopedSpanRecorder {
- public:
-  explicit ScopedSpanRecorder(SpanRecorder& rec);
-  ~ScopedSpanRecorder();
-  ScopedSpanRecorder(const ScopedSpanRecorder&) = delete;
-  ScopedSpanRecorder& operator=(const ScopedSpanRecorder&) = delete;
-
- private:
-  SpanRecorder* prev_active_;
-};
+using ScopedSpanRecorder = ScopedBinding<SpanRecorder>;
 
 }  // namespace hvc::obs

@@ -8,8 +8,6 @@
 
 namespace hvc::obs {
 
-thread_local TelemetrySampler* TelemetrySampler::active_ = nullptr;
-
 void TelemetrySampler::enable(TelemetryConfig cfg) {
   cfg_ = std::move(cfg);
   if (cfg_.period <= 0) cfg_.period = sim::milliseconds(10);
@@ -22,12 +20,12 @@ void TelemetrySampler::enable(TelemetryConfig cfg) {
   overwritten_ = 0;
   dropped_series_ = 0;
   enabled_ = true;
-  active_ = this;
+  bind();
 }
 
 void TelemetrySampler::disable() {
   enabled_ = false;
-  if (active_ == this) active_ = nullptr;
+  unbind();
 }
 
 bool TelemetrySampler::group_selected(std::string_view group) const {
@@ -89,7 +87,7 @@ void TelemetrySampler::sample(sim::Time now) {
     if (!s.probe) continue;
     const double v = s.probe();
     if (s.ring.size() < cfg_.max_samples_per_series) {
-      // hvc-lint: allow(hotpath-alloc): ring grows only until max_samples_per_series, then overwrites in place
+      // Ring grows only until max_samples_per_series, then overwrites in place
       s.ring.push_back({now, v});
     } else {
       s.ring[s.head] = {now, v};
@@ -203,15 +201,6 @@ std::string TelemetrySampler::to_chrome_trace() const {
   }
   out += "]}";
   return out;
-}
-
-ScopedTelemetrySampler::ScopedTelemetrySampler(TelemetrySampler& sampler)
-    : prev_active_(TelemetrySampler::active_) {
-  TelemetrySampler::active_ = sampler.enabled() ? &sampler : nullptr;
-}
-
-ScopedTelemetrySampler::~ScopedTelemetrySampler() {
-  TelemetrySampler::active_ = prev_active_;
 }
 
 void TelemetryProbes::add(std::string_view group, std::string name,

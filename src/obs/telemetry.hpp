@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/binding.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 
@@ -50,7 +51,7 @@ struct TelemetryConfig {
   std::vector<std::string> groups;
 };
 
-class TelemetrySampler {
+class TelemetrySampler : public ThreadBinding<TelemetrySampler> {
  public:
   using Probe = std::function<double()>;
   /// Probe registration handle; 0 = not registered (group filtered out,
@@ -63,17 +64,11 @@ class TelemetrySampler {
   };
 
   TelemetrySampler() = default;
-  /// A dying sampler must never stay installed as the thread's active().
-  ~TelemetrySampler() {
-    if (active_ == this) active_ = nullptr;
-  }
-  TelemetrySampler(const TelemetrySampler&) = delete;
-  TelemetrySampler& operator=(const TelemetrySampler&) = delete;
 
   /// Hot-path accessor: nullptr unless sampling is enabled *on this
   /// thread* (same thread-local discipline as PacketTracer::active(), so
   /// concurrent sweep runs stay isolated).
-  [[nodiscard]] static TelemetrySampler* active() { return active_; }
+  [[nodiscard]] static TelemetrySampler* active() { return bound(); }
 
   /// Start sampling with `cfg`; drops any previously recorded data and
   /// installs this sampler as the calling thread's active().
@@ -132,8 +127,6 @@ class TelemetrySampler {
   [[nodiscard]] std::string to_chrome_trace() const;
 
  private:
-  friend class ScopedTelemetrySampler;
-
   struct Series {
     std::string name;
     Probe probe;  ///< null once the owning component died
@@ -144,8 +137,6 @@ class TelemetrySampler {
 
   [[nodiscard]] bool group_selected(std::string_view group) const;
   [[nodiscard]] std::vector<Sample> series_samples(const Series& s) const;
-
-  static thread_local TelemetrySampler* active_;
 
   TelemetryConfig cfg_;
   bool enabled_ = false;
@@ -166,16 +157,7 @@ class TelemetrySampler {
 /// scope's lifetime — if it is enabled. Installing a disabled sampler
 /// masks any outer active sampler, which is what gives every sweep run a
 /// clean slate (the same contract as ScopedPacketTracer).
-class ScopedTelemetrySampler {
- public:
-  explicit ScopedTelemetrySampler(TelemetrySampler& sampler);
-  ~ScopedTelemetrySampler();
-  ScopedTelemetrySampler(const ScopedTelemetrySampler&) = delete;
-  ScopedTelemetrySampler& operator=(const ScopedTelemetrySampler&) = delete;
-
- private:
-  TelemetrySampler* prev_active_;
-};
+using ScopedTelemetrySampler = ScopedBinding<TelemetrySampler>;
 
 /// A component's bundle of probe registrations: add() is a no-op without
 /// an active sampler, and destruction detaches everything that was

@@ -10,9 +10,6 @@
 
 namespace hvc::obs {
 
-thread_local PacketTracer* PacketTracer::active_ = nullptr;
-thread_local PacketTracer* PacketTracer::current_ = nullptr;
-
 const char* to_string(EventKind k) {
   switch (k) {
     case EventKind::kEnqueue: return "enqueue";
@@ -53,19 +50,8 @@ PacketTracer& PacketTracer::instance() {
 }
 
 PacketTracer& PacketTracer::current() {
-  return current_ != nullptr ? *current_ : instance();
-}
-
-ScopedPacketTracer::ScopedPacketTracer(PacketTracer& tracer)
-    : prev_current_(PacketTracer::current_),
-      prev_active_(PacketTracer::active_) {
-  PacketTracer::current_ = &tracer;
-  PacketTracer::active_ = tracer.enabled() ? &tracer : nullptr;
-}
-
-ScopedPacketTracer::~ScopedPacketTracer() {
-  PacketTracer::current_ = prev_current_;
-  PacketTracer::active_ = prev_active_;
+  PacketTracer* bound = Current::bound();
+  return bound != nullptr ? *bound : instance();
 }
 
 void PacketTracer::enable(std::size_t capacity) {
@@ -74,17 +60,12 @@ void PacketTracer::enable(std::size_t capacity) {
   head_ = 0;
   total_ = 0;
   enabled_ = true;
-  active_ = this;
+  Active::bind();
 }
 
 void PacketTracer::disable() {
   enabled_ = false;
-  // Only drop the thread's fast-path binding when it points at *this*
-  // tracer: a concurrent sweep run installs its own tracer via
-  // ScopedPacketTracer, and disabling the global instance (bench
-  // teardown does) must not silently stop that run's recording. Same
-  // guard as TelemetrySampler/SteeringAuditLog.
-  if (active_ == this) active_ = nullptr;
+  Active::unbind();
 }
 
 void PacketTracer::clear() {

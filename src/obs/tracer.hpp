@@ -4,9 +4,10 @@
 // a policy flipped, how much time was queueing vs. propagation).
 //
 // Design constraints, in order:
-//   1. Zero cost when disabled. The hot-path check is one relaxed load of
-//      a process-global pointer (`PacketTracer::active()` returns nullptr
-//      unless tracing is on); instrumentation sites compile to a test+jump.
+//   1. Zero cost when disabled. The hot-path check is one load of a
+//      thread-local pointer (`PacketTracer::active()` returns nullptr
+//      unless tracing is on; obs/binding.hpp); instrumentation sites
+//      compile to a test+jump.
 //      Benchmarks run with the tracer off by default.
 //   2. Bounded memory. Events land in a fixed-capacity ring; when it
 //      wraps, the oldest events are overwritten (total_recorded() keeps
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/binding.hpp"
 #include "sim/stats.hpp"
 #include "sim/units.hpp"
 
@@ -80,23 +82,14 @@ struct TraceEvent {
 [[nodiscard]] const char* to_string(DropReason r);
 [[nodiscard]] const char* to_string(ReorderAction a);
 
-class PacketTracer {
+class PacketTracer : public ThreadBinding<PacketTracer, ActiveSlot>,
+                     public ThreadBinding<PacketTracer, CurrentSlot> {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 20;  // ~48 MB
 
   /// Per-run instances are constructible directly; the sweep engine gives
   /// every concurrent run its own (installed via ScopedPacketTracer).
   PacketTracer() = default;
-  PacketTracer(const PacketTracer&) = delete;
-  PacketTracer& operator=(const PacketTracer&) = delete;
-
-  /// A run-private tracer can die while still installed as this thread's
-  /// active()/current() binding (enable() installs, and a throwing run
-  /// can skip disable()); clear both so they never dangle.
-  ~PacketTracer() {
-    if (active_ == this) active_ = nullptr;
-    if (current_ == this) current_ = nullptr;
-  }
 
   /// The process-global tracer (exists even while disabled, so topology
   /// code can set channel names unconditionally).
@@ -113,9 +106,10 @@ class PacketTracer {
   ///   if (auto* tr = obs::PacketTracer::active()) tr->record(...);
   /// Thread-local so a tracing main-thread bench never races with sweep
   /// worker threads (which run with tracing off).
-  [[nodiscard]] static PacketTracer* active() { return active_; }
+  [[nodiscard]] static PacketTracer* active() { return Active::bound(); }
 
-  /// Start recording into a fresh ring of `capacity` events.
+  /// Start recording into a fresh ring of `capacity` events, and bind
+  /// this tracer as the calling thread's active().
   void enable(std::size_t capacity = kDefaultCapacity);
   /// Stop recording; retained events stay exportable.
   void disable();
@@ -167,10 +161,8 @@ class PacketTracer {
   [[nodiscard]] std::string to_chrome_trace() const;
 
  private:
-  friend class ScopedPacketTracer;
-
-  static thread_local PacketTracer* active_;
-  static thread_local PacketTracer* current_;
+  using Active = ThreadBinding<PacketTracer, ActiveSlot>;
+  using Current = ThreadBinding<PacketTracer, CurrentSlot>;
 
   std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;        ///< next write slot
@@ -185,14 +177,12 @@ class PacketTracer {
 /// channel names into run-private state instead of the shared instance.
 class ScopedPacketTracer {
  public:
-  explicit ScopedPacketTracer(PacketTracer& tracer);
-  ~ScopedPacketTracer();
-  ScopedPacketTracer(const ScopedPacketTracer&) = delete;
-  ScopedPacketTracer& operator=(const ScopedPacketTracer&) = delete;
+  explicit ScopedPacketTracer(PacketTracer& tracer)
+      : current_(tracer), active_(tracer) {}
 
  private:
-  PacketTracer* prev_current_;
-  PacketTracer* prev_active_;
+  ScopedBinding<PacketTracer, CurrentSlot> current_;
+  ScopedBinding<PacketTracer, ActiveSlot> active_;
 };
 
 /// Per-packet one-way-delay decomposition derived from lifecycle events:

@@ -73,8 +73,8 @@ class EventFn {
       ops_ = &inline_ops<Fn>;
     } else {
       using Holder = std::unique_ptr<Fn>;
-      // hvc-lint: allow(hotpath-alloc): capture larger than the inline
-      // buffer; every sim-core schedule site fits inline
+      // Capture larger than the inline buffer; every sim-core schedule
+      // site fits inline
       std::construct_at(reinterpret_cast<Holder*>(buf_),
                         std::make_unique<Fn>(std::forward<F>(f)));
       ops_ = &boxed_ops<Fn>;
@@ -220,7 +220,7 @@ void clear_reference_queue_override_for_test();
 class DebugHeapQueue {
  public:
   void enqueue(Time at, EventId id, EventFn&& fn) {
-    // hvc-lint: allow(hotpath-alloc): reference-oracle implementation; the heap vector's capacity amortizes and is recycled across pushes
+    // Reference-oracle implementation; the heap vector's capacity amortizes and is recycled across pushes
     heap_.emplace_back(at, id, std::move(fn));
     std::push_heap(heap_.begin(), heap_.end(), later);
   }
@@ -282,13 +282,13 @@ class CalendarQueue {
     }
     if (tick < base_tick_ + buckets_.size()) {
       const std::size_t slot = static_cast<std::size_t>(tick) & mask_;
-      // hvc-lint: allow(hotpath-alloc): bucket vectors keep their capacity across drains — after warm-up this emplace writes into pooled storage
+      // Bucket vectors keep their capacity across drains — after warm-up this emplace writes into pooled storage
       buckets_[slot].emplace_back(at, id, std::move(fn));
       occupied_[slot >> 6] |= 1ull << (slot & 63);
       ++ring_count_;
       return;
     }
-    // hvc-lint: allow(hotpath-alloc): the overflow heap's capacity amortizes; entries beyond the ring horizon are rare by construction
+    // The overflow heap's capacity amortizes; entries beyond the ring horizon are rare by construction
     overflow_.emplace_back(at, id, std::move(fn));
     std::push_heap(overflow_.begin(), overflow_.end(), heap_later);
   }
@@ -568,7 +568,9 @@ class EventQueue {
   }
 
   /// Cancel a pending event. O(1): the entry is tombstoned and skipped when
-  /// popped. Cancelling an already-fired or unknown id is a no-op.
+  /// popped. Cancelling the same id twice is a no-op, but `id` must not
+  /// have fired: the queue keeps no record of fired ids, so cancelling one
+  /// would still decrement size().
   void cancel(EventId id) {
     if (cancelled_.size() <= id) cancelled_.resize(id + 1, false);
     if (!cancelled_[id]) {

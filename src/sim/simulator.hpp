@@ -41,7 +41,8 @@ class Simulator {
     return at(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn));
   }
 
-  /// Cancel a pending event (no-op if it already ran).
+  /// Cancel a pending event; `id` must not have run yet (see
+  /// EventQueue::cancel). sim::Timer tracks that for its own event.
   void cancel(EventId id) { queue_.cancel(id); }
 
   /// Run until the event queue drains or `deadline` is reached, whichever

@@ -43,8 +43,8 @@ class SlotMap {
   /// call). Returns its handle; generation starts at 0.
   Handle acquire(T value) {
     const auto slot = static_cast<std::uint32_t>(slots_.size());
-    // hvc-lint: allow(hotpath-alloc): the slot vector's growth amortizes
-    // and reserve() pre-sizes it for the common fixed-population case
+    // The slot vector's growth amortizes, and reserve() pre-sizes it for
+    // the common fixed-population case
     slots_.push_back(Slot{std::move(value), 0, true});
     ++live_;
     return Handle{slot, 0};
@@ -79,8 +79,7 @@ class SlotMap {
     s.live = false;
     ++s.gen;
     --live_;
-    // hvc-lint: allow(hotpath-alloc): free-list growth amortizes and is
-    // bounded by the slot count
+    // Free-list growth amortizes and is bounded by the slot count
     free_.push_back(slot);
   }
 
@@ -122,7 +121,7 @@ class SlotMap {
   [[nodiscard]] std::size_t live_count() const { return live_; }
 
   void reserve(std::size_t n) {
-    // hvc-lint: allow(hotpath-alloc): explicit pre-sizing call
+    // Explicit pre-sizing call
     slots_.reserve(n);
   }
 

@@ -36,7 +36,7 @@ Decision RedundantPolicy::steer(const net::Packet& pkt,
     }
   }
   if (mirror != SIZE_MAX) {
-    // hvc-lint: allow(hotpath-alloc): one-element duplicate list per redundant decision; Decision is stack-local
+    // One-element duplicate list per redundant decision; Decision is stack-local
     d.duplicate_on.push_back(mirror);
     d.reason = "redundant:mirror";
   }

@@ -16,6 +16,11 @@ Connection::Connection(net::Node& client, net::Node& server, TcpConfig cfg)
   syn_ack_flow_ = net::next_flow_id();
 }
 
+Connection::~Connection() {
+  server_.unregister_flow(syn_flow_);
+  client_.unregister_flow(syn_ack_flow_);
+}
+
 void Connection::handshake(std::function<void()> ready) {
   if (established_) {
     if (ready) ready();

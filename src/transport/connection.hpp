@@ -18,6 +18,12 @@ class Connection {
   /// `client`/`server` are the two endpoints; `cfg` applies to both
   /// directions (separate CCA instances are created per direction).
   Connection(net::Node& client, net::Node& server, TcpConfig cfg = {});
+  /// Unregisters the handshake handlers, which capture `this`: a
+  /// connection destroyed mid-handshake (a timed-out page load) must not
+  /// leave them on the nodes.
+  ~Connection();
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
 
   /// Client-side request stream.
   [[nodiscard]] TcpSender& client_sender() { return *c2s_sender_; }

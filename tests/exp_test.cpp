@@ -5,6 +5,10 @@
 // so the tsan stage of scripts/check.sh can select exactly them.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <thread>
 
 #include "core/scenario.hpp"
@@ -403,6 +407,125 @@ TEST(ExpSweepDeterminism, ConcurrentRunsDoNotPolluteGlobalRegistry) {
   const auto before = global.snapshot();
   (void)exp::run_sweep(determinism_sweep(), 4);
   EXPECT_EQ(global.snapshot(), before);
+}
+
+// ---- Every workload under concurrent sweeps (ExpSweep*: runs under tsan) ----
+//
+// One small sweep per workload, each at -j 1 and -j 4: under
+// ThreadSanitizer this puts every workload's worker path (bulk with
+// faults, trace-driven video, web with background flows, city with
+// spans) on more than one thread, and checks that the results and every
+// per-run artifact stay byte-identical.
+
+std::map<std::string, std::string> read_dir(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    files[entry.path().filename().string()] = buf.str();
+  }
+  return files;
+}
+
+/// Runs `sweep` at -j 1 and -j 4, each into a fresh directory, and expects
+/// identical results and identical artifact files. Every name in
+/// `artifacts` (e.g. ".run0.spans.jsonl") must have been written.
+void expect_jobs_invariant(const std::string& sweep_json,
+                           const std::vector<std::string>& artifacts) {
+  const auto sweep = exp::SweepSpec::from_json_text(sweep_json);
+  std::string results[2];
+  std::map<std::string, std::string> files[2];
+  const int jobs[2] = {1, 4};
+  for (int k = 0; k < 2; ++k) {
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("hvc_all_" + sweep.name + "_j" + std::to_string(jobs[k]));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const auto runs =
+        exp::run_sweep(sweep, jobs[k], nullptr, (dir / sweep.name).string());
+    ASSERT_GE(runs.size(), 2u);
+    for (const auto& r : runs) ASSERT_TRUE(r.error.empty()) << r.error;
+    results[k] = exp::to_jsonl(runs);
+    files[k] = read_dir(dir);
+  }
+  EXPECT_EQ(results[0], results[1]);
+  for (const auto& name : artifacts) {
+    EXPECT_TRUE(files[0].contains(sweep.name + name)) << name;
+  }
+  ASSERT_EQ(files[0].size(), files[1].size());
+  for (const auto& [name, bytes] : files[0]) {
+    ASSERT_TRUE(files[1].contains(name)) << name;
+    EXPECT_FALSE(bytes.empty()) << name;
+    EXPECT_TRUE(bytes == files[1].at(name)) << name << " differs across -j";
+  }
+}
+
+TEST(ExpSweepAllWorkloads, BulkEveryPolicyWithFaultAndAudit) {
+  expect_jobs_invariant(R"({
+    "name": "all_bulk",
+    "base": {
+      "name": "all_bulk", "workload": "bulk", "duration_s": 1, "seed": 5,
+      "channels": [{"type": "embb"}, {"type": "urllc"}],
+      "faults": [{"kind": "outage", "channel": 0, "start_s": 0.3,
+                  "duration_s": 0.2}],
+      "telemetry": {"period_ms": 10, "audit": true}
+    },
+    "axes": {"policy": ["embb-only", "urllc-only", "round-robin",
+                        "weighted", "min-delay", "dchannel", "dchannel+prio",
+                        "msg-priority", "redundant", "cost-aware",
+                        "flow-binding"]}
+  })",
+                        {".run0.telemetry.jsonl", ".run0.audit.jsonl",
+                         ".run10.telemetry.jsonl", ".run10.audit.jsonl"});
+}
+
+TEST(ExpSweepAllWorkloads, VideoOnDrivingTraceWithTelemetry) {
+  expect_jobs_invariant(R"({
+    "name": "all_video",
+    "base": {
+      "name": "all_video", "workload": "video", "duration_s": 3, "seed": 7,
+      "channels": [{"type": "5g", "profile": "lowband-driving"},
+                   {"type": "urllc"}],
+      "video": {"duration_s": 2},
+      "telemetry": {"period_ms": 20}
+    },
+    "axes": {"policy": ["embb-only", "dchannel"]}
+  })",
+                        {".run0.telemetry.jsonl", ".run1.telemetry.jsonl"});
+}
+
+TEST(ExpSweepAllWorkloads, WebWithBackgroundFlows) {
+  expect_jobs_invariant(R"({
+    "name": "all_web",
+    "base": {
+      "name": "all_web", "workload": "web", "duration_s": 30, "seed": 9,
+      "channels": [{"type": "5g", "profile": "lowband-stationary"},
+                   {"type": "urllc"}],
+      "web": {"pages": 2, "loads_per_page": 1, "background_flows": true}
+    },
+    "axes": {"policy": ["embb-only", "dchannel"]}
+  })",
+                        {});
+}
+
+TEST(ExpSweepAllWorkloads, CityWithSpans) {
+  expect_jobs_invariant(R"({
+    "name": "all_city",
+    "base": {
+      "name": "all_city", "workload": "city", "duration_s": 5, "seed": 3,
+      "channels": [
+        {"type": "embb", "rate_mbps": 100, "rtt_ms": 50},
+        {"type": "urllc", "rate_mbps": 5, "rtt_ms": 5}
+      ],
+      "city": {"users": 300,
+               "churn": {"arrival_rate_per_s": 1, "mean_session_s": 20}},
+      "spans": {"warmup": 8, "reservoir_period": 16}
+    },
+    "axes": {"policy": ["embb-only", "dchannel"]}
+  })",
+                        {".run0.spans.jsonl", ".run1.spans.jsonl"});
 }
 
 }  // namespace

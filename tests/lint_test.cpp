@@ -1,13 +1,14 @@
 // Tests for the determinism & simulation-safety static-analysis pass
 // (src/lint). Golden fixture files under tests/lint_fixtures/ seed one
 // violation per rule; further cases cover the suppression grammar,
-// severities, JSON output, and — the point of the whole exercise — that
-// the real source tree lints clean.
+// severities, JSON and SARIF output, and — the point of the whole
+// exercise — that the real source tree lints clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint/lint.hpp"
@@ -64,6 +65,37 @@ TEST(LintRules, R4RawNewDeleteFiresButDeletedFunctionsDoNot) {
   ASSERT_EQ(hits.size(), 2u) << lint::to_text(all);
   EXPECT_EQ(hits[0].line, 8);
   EXPECT_EQ(hits[1].line, 9);
+}
+
+// The r10_* fixtures seeded the retired cross-TU unordered-taint rule.
+// Every taint path there starts at an unordered container declaration,
+// and R2 flags exactly that line, so each seed is still caught.
+TEST(LintRules, R2FiresAtEveryUnorderedTaintSeedsContainer) {
+  const std::pair<const char*, int> seeds[] = {
+      {"r10_direct.cpp", 6},
+      {"r10_via_assign.cpp", 6},
+      {"r10_via_callarg.cpp", 10},
+      {"r10_via_return.cpp", 6},
+  };
+  for (const auto& [name, line] : seeds) {
+    const auto all = lint::lint_file(fixture(name));
+    const auto hits = of_rule(all, "unordered-container");
+    ASSERT_EQ(hits.size(), 1u) << name << "\n" << lint::to_text(all);
+    EXPECT_EQ(hits[0].line, line) << name;
+    EXPECT_EQ(all.size(), hits.size()) << name << ": no other rule may fire";
+  }
+  const auto ordered = lint::lint_file(fixture("r10_ordered_clean.cpp"));
+  EXPECT_TRUE(ordered.empty()) << lint::to_text(ordered);
+}
+
+// r11_new.cpp seeded the retired hot-path allocation rule with a raw new
+// inside an HVC_PROF_SCOPE function; R4 bans raw new everywhere.
+TEST(LintRules, R4FiresOnRawNewInProfiledFunction) {
+  const auto all = lint::lint_file(fixture("r11_new.cpp"));
+  const auto hits = of_rule(all, "raw-new-delete");
+  ASSERT_EQ(hits.size(), 1u) << lint::to_text(all);
+  EXPECT_EQ(hits[0].line, 6);
+  EXPECT_EQ(all.size(), hits.size()) << "no other rule may fire";
 }
 
 TEST(LintRules, R5FloatEqualityFiresOnExactCompareOnly) {
@@ -207,9 +239,9 @@ TEST(LintOutput, TextFormatIsFileLineSeverityRule) {
 
 TEST(LintOutput, JsonIsValidAndCountsSeverities) {
   std::vector<Finding> findings = {
-      {"a.cpp", 1, "wallclock", Severity::kError, "msg \"quoted\"", "", 0},
-      {"b.cpp", 2, "float-equality", Severity::kWarning, "msg", "", 0},
-      {"", 0, "compile-check-skipped", Severity::kNote, "msg", "", 0},
+      {"a.cpp", 1, "wallclock", Severity::kError, "msg \"quoted\""},
+      {"b.cpp", 2, "float-equality", Severity::kWarning, "msg"},
+      {"", 0, "compile-check-skipped", Severity::kNote, "msg"},
   };
   const std::string json = lint::to_json(findings);
   obs::json::Value v;
@@ -223,9 +255,9 @@ TEST(LintOutput, JsonIsValidAndCountsSeverities) {
 
 TEST(LintOutput, HasFailureIgnoresNotes) {
   std::vector<Finding> notes = {
-      {"", 0, "compile-check-skipped", Severity::kNote, "msg", "", 0}};
+      {"", 0, "compile-check-skipped", Severity::kNote, "msg"}};
   EXPECT_FALSE(lint::has_failure(notes));
-  notes.push_back({"a.cpp", 1, "wallclock", Severity::kError, "msg", "", 0});
+  notes.push_back({"a.cpp", 1, "wallclock", Severity::kError, "msg"});
   EXPECT_TRUE(lint::has_failure(notes));
 }
 
@@ -237,6 +269,74 @@ TEST(LintOutput, RuleTableKnowsEveryRule) {
     EXPECT_TRUE(lint::known_rule(name)) << name;
   }
   EXPECT_FALSE(lint::known_rule("no-such-rule"));
+  // Retired rules: an allow() naming one is an unknown-rule finding.
+  for (const char* name :
+       {"worker-shared-state", "unordered-taint", "hotpath-alloc"}) {
+    EXPECT_FALSE(lint::known_rule(name)) << name;
+  }
+}
+
+TEST(LintIndex, ScrubStripsCommentsButKeepsPositions) {
+  const std::string src = "int a; // trailing\n/* b */ int c;\n";
+  const lint::Scrubbed sc = lint::scrub(src);
+  EXPECT_EQ(sc.code.size(), src.size()) << "positions must be preserved";
+  EXPECT_EQ(sc.code.find("trailing"), std::string::npos);
+  EXPECT_NE(sc.code.find("int c;"), std::string::npos);
+  EXPECT_NE(sc.comments.find("trailing"), std::string::npos);
+}
+
+TEST(LintSarif, OutputValidatesAgainst210Shape) {
+  const auto all =
+      lint::lint_tree({std::string(HVC_SOURCE_DIR) + "/tests/lint_fixtures"});
+  ASSERT_FALSE(all.empty());
+  obs::json::Value doc;
+  ASSERT_TRUE(obs::json::parse(lint::to_sarif(all), &doc));
+  ASSERT_TRUE(doc.is_object());
+  const auto* schema = doc.find("$schema");
+  ASSERT_NE(schema, nullptr);
+  EXPECT_NE(schema->str.find("sarif-2.1.0"), std::string::npos);
+  const auto* version = doc.find("version");
+  ASSERT_NE(version, nullptr);
+  EXPECT_EQ(version->str, "2.1.0");
+  const auto* runs = doc.find("runs");
+  ASSERT_NE(runs, nullptr);
+  ASSERT_TRUE(runs->is_array());
+  ASSERT_EQ(runs->array.size(), 1u);
+  const auto& run = runs->array[0];
+  const auto* tool = run.find("tool");
+  ASSERT_NE(tool, nullptr);
+  const auto* driver = tool->find("driver");
+  ASSERT_NE(driver, nullptr);
+  const auto* name = driver->find("name");
+  ASSERT_NE(name, nullptr);
+  EXPECT_EQ(name->str, "hvc_lint");
+  const auto* rules = driver->find("rules");
+  ASSERT_NE(rules, nullptr);
+  EXPECT_EQ(rules->array.size(), lint::rules().size())
+      << "every known rule must be declared";
+  const auto* results = run.find("results");
+  ASSERT_NE(results, nullptr);
+  ASSERT_EQ(results->array.size(), all.size());
+  for (const auto& r : results->array) {
+    ASSERT_NE(r.find("ruleId"), nullptr);
+    ASSERT_NE(r.find("level"), nullptr);
+    const auto* msg = r.find("message");
+    ASSERT_NE(msg, nullptr);
+    ASSERT_NE(msg->find("text"), nullptr);
+    const auto* locs = r.find("locations");
+    ASSERT_NE(locs, nullptr);
+    ASSERT_FALSE(locs->array.empty());
+    const auto* phys = locs->array[0].find("physicalLocation");
+    ASSERT_NE(phys, nullptr);
+    const auto* art = phys->find("artifactLocation");
+    ASSERT_NE(art, nullptr);
+    ASSERT_NE(art->find("uri"), nullptr);
+    const auto* region = phys->find("region");
+    ASSERT_NE(region, nullptr);
+    const auto* start = region->find("startLine");
+    ASSERT_NE(start, nullptr);
+    EXPECT_GE(start->num, 1.0);
+  }
 }
 
 TEST(LintTree, FindingsAreSortedByPathThenLine) {

@@ -1,18 +1,23 @@
 // Tests for the observability layer: packet tracer ring semantics and
-// exports, metrics registry instruments, run manifests, delay
-// decomposition, and trace determinism across identical runs.
+// exports, the thread-local binding protocol every per-run recorder shares,
+// metrics registry instruments, run manifests, delay decomposition, and
+// trace determinism across identical runs.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "channel/profile.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "obs/audit.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/tracer.hpp"
 #include "sim/logger.hpp"
 #include "steer/dchannel.hpp"
@@ -186,6 +191,165 @@ TEST(Tracer, ChromeTraceIsWellFormedJsonWithSpans) {
   EXPECT_TRUE(saw_span);
   EXPECT_TRUE(saw_metadata);
   EXPECT_NE(chrome.find("eMBB"), std::string::npos);
+}
+
+// ---- Thread-local binding protocol (obs/binding.hpp) ----
+
+/// Per-class glue for the typed suites: the scope type, a cheap enable(),
+/// and for CurrentSlot classes the process-global fallback.
+template <class T>
+struct Binds;
+
+template <>
+struct Binds<PacketTracer> {
+  static constexpr const char* kName = "PacketTracer";
+  using Scope = obs::ScopedPacketTracer;
+  static void enable(PacketTracer& t) { t.enable(64); }
+  static PacketTracer& fallback() { return PacketTracer::instance(); }
+};
+
+template <>
+struct Binds<obs::SteeringAuditLog> {
+  static constexpr const char* kName = "SteeringAuditLog";
+  using Scope = obs::ScopedSteeringAuditLog;
+  static void enable(obs::SteeringAuditLog& log) { log.enable(64); }
+};
+
+template <>
+struct Binds<obs::TelemetrySampler> {
+  static constexpr const char* kName = "TelemetrySampler";
+  using Scope = obs::ScopedTelemetrySampler;
+  static void enable(obs::TelemetrySampler& ts) { ts.enable({}); }
+};
+
+template <>
+struct Binds<obs::SpanRecorder> {
+  static constexpr const char* kName = "SpanRecorder";
+  using Scope = obs::ScopedSpanRecorder;
+  static void enable(obs::SpanRecorder& rec) { rec.enable({}); }
+};
+
+template <>
+struct Binds<obs::MetricsRegistry> {
+  static constexpr const char* kName = "MetricsRegistry";
+  using Scope = obs::ScopedMetricsRegistry;
+  static obs::MetricsRegistry& fallback() {
+    return obs::MetricsRegistry::global();
+  }
+};
+
+struct BindsName {
+  template <class T>
+  static std::string GetName(int /*index*/) {
+    return Binds<T>::kName;
+  }
+};
+
+/// active(): bound by enable() and by a scope over an enabled instance.
+template <class T>
+class ActiveBinding : public ::testing::Test {
+ protected:
+  void SetUp() override { ASSERT_EQ(T::active(), nullptr); }
+  void TearDown() override { EXPECT_EQ(T::active(), nullptr); }
+};
+using ActiveBound = ::testing::Types<PacketTracer, obs::SteeringAuditLog,
+                                     obs::TelemetrySampler, obs::SpanRecorder>;
+TYPED_TEST_SUITE(ActiveBinding, ActiveBound, BindsName);
+
+TYPED_TEST(ActiveBinding, DestroyedWhileBoundLeavesNoBinding) {
+  // enable() binds; the instance then dies without disable() (a run that
+  // threw). The slot must not keep pointing at it.
+  auto x = std::make_unique<TypeParam>();
+  Binds<TypeParam>::enable(*x);
+  ASSERT_EQ(TypeParam::active(), x.get());
+  x.reset();
+  EXPECT_EQ(TypeParam::active(), nullptr);
+}
+
+TYPED_TEST(ActiveBinding, AnotherInstanceCannotUnbindTheScopedOne) {
+  TypeParam a;
+  Binds<TypeParam>::enable(a);
+  const typename Binds<TypeParam>::Scope scope(a);
+  ASSERT_EQ(TypeParam::active(), &a);
+  {
+    TypeParam b;
+    b.disable();
+    EXPECT_EQ(TypeParam::active(), &a) << "disable() of another instance";
+  }
+  EXPECT_EQ(TypeParam::active(), &a) << "destruction of another instance";
+  a.disable();
+}
+
+TYPED_TEST(ActiveBinding, DisabledScopeMasksOuterAndRestoresIt) {
+  TypeParam outer;
+  Binds<TypeParam>::enable(outer);
+  const typename Binds<TypeParam>::Scope outer_scope(outer);
+  ASSERT_EQ(TypeParam::active(), &outer);
+  {
+    // A run with this recorder off must not record into a sibling's.
+    TypeParam inner;
+    const typename Binds<TypeParam>::Scope inner_scope(inner);
+    EXPECT_EQ(TypeParam::active(), nullptr);
+    // Bindings are per thread: another thread never sees this one's.
+    std::thread([] { EXPECT_EQ(TypeParam::active(), nullptr); }).join();
+  }
+  EXPECT_EQ(TypeParam::active(), &outer);
+  outer.disable();
+}
+
+TYPED_TEST(ActiveBinding, EnableInsideScopeBindsUntilScopeEnds) {
+  // The order exp::run_scenario uses: scope over a disabled instance
+  // first, then enable() from the spec.
+  TypeParam outer;
+  Binds<TypeParam>::enable(outer);
+  const typename Binds<TypeParam>::Scope outer_scope(outer);
+  {
+    TypeParam run;
+    const typename Binds<TypeParam>::Scope run_scope(run);
+    EXPECT_EQ(TypeParam::active(), nullptr);
+    Binds<TypeParam>::enable(run);
+    EXPECT_EQ(TypeParam::active(), &run);
+  }
+  EXPECT_EQ(TypeParam::active(), &outer);
+  outer.disable();
+}
+
+/// current(): bound by any scope, enabled or not; falls back to the
+/// process-global instance when no scope is installed.
+template <class T>
+class CurrentBinding : public ::testing::Test {
+ protected:
+  void SetUp() override { ASSERT_EQ(&T::current(), &Binds<T>::fallback()); }
+  void TearDown() override {
+    EXPECT_EQ(&T::current(), &Binds<T>::fallback());
+  }
+};
+using CurrentBound = ::testing::Types<PacketTracer, obs::MetricsRegistry>;
+TYPED_TEST_SUITE(CurrentBinding, CurrentBound, BindsName);
+
+TYPED_TEST(CurrentBinding, NestedScopesRestoreAndFallBackToGlobal) {
+  TypeParam outer;
+  {
+    const typename Binds<TypeParam>::Scope s1(outer);
+    EXPECT_EQ(&TypeParam::current(), &outer);
+    TypeParam inner;
+    {
+      const typename Binds<TypeParam>::Scope s2(inner);
+      EXPECT_EQ(&TypeParam::current(), &inner);
+      std::thread([] {
+        EXPECT_EQ(&TypeParam::current(), &Binds<TypeParam>::fallback());
+      }).join();
+    }
+    EXPECT_EQ(&TypeParam::current(), &outer);
+  }
+}
+
+TYPED_TEST(CurrentBinding, DestroyedWhileScopedFallsBackToGlobal) {
+  auto x = std::make_unique<TypeParam>();
+  const typename Binds<TypeParam>::Scope scope(*x);
+  ASSERT_EQ(&TypeParam::current(), x.get());
+  x.reset();
+  EXPECT_EQ(&TypeParam::current(), &Binds<TypeParam>::fallback());
 }
 
 TEST(Metrics, CounterGaugeFindOrCreateIsStable) {

@@ -123,22 +123,6 @@ TEST(ObsTelemetry, ExportsOrderSeriesByName) {
   EXPECT_EQ(v.find("traceEvents")->array.size(), 2u);
 }
 
-TEST(ObsTelemetry, ScopedInstallMasksAndRestores) {
-  obs::TelemetrySampler outer;
-  outer.enable({});
-  obs::ScopedTelemetrySampler outer_scope(outer);
-  ASSERT_EQ(obs::TelemetrySampler::active(), &outer);
-  {
-    // A disabled sampler masks the outer one: a sweep run with telemetry
-    // off must not leak probes into a sibling run's sampler.
-    obs::TelemetrySampler inner;
-    obs::ScopedTelemetrySampler inner_scope(inner);
-    EXPECT_EQ(obs::TelemetrySampler::active(), nullptr);
-  }
-  EXPECT_EQ(obs::TelemetrySampler::active(), &outer);
-  outer.disable();
-}
-
 // ---- SteeringAuditLog ----
 
 TEST(ObsAudit, RingWrapsOldestFirstWithTrueTotal) {
@@ -184,20 +168,6 @@ TEST(ObsAudit, JsonlCarriesReasonAndChannelSnapshots) {
       std::string_view(jsonl).substr(0, jsonl.find('\n')), &v));
   EXPECT_DOUBLE_EQ(v.number_or("t_us", 0), 1500.0);
   EXPECT_DOUBLE_EQ(v.number_or("ch", -1), 1.0);
-}
-
-TEST(ObsAudit, ScopedInstallMasksAndRestores) {
-  obs::SteeringAuditLog outer;
-  outer.enable(4);
-  obs::ScopedSteeringAuditLog outer_scope(outer);
-  ASSERT_EQ(obs::SteeringAuditLog::active(), &outer);
-  {
-    obs::SteeringAuditLog inner;  // disabled: masks the outer log
-    obs::ScopedSteeringAuditLog inner_scope(inner);
-    EXPECT_EQ(obs::SteeringAuditLog::active(), nullptr);
-  }
-  EXPECT_EQ(obs::SteeringAuditLog::active(), &outer);
-  outer.disable();
 }
 
 // ---- "telemetry" spec block ----

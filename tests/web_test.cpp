@@ -2,9 +2,13 @@
 // over the emulated network, dependencies, and background flows.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "app/web/browser.hpp"
 #include "app/web/page.hpp"
 #include "channel/profile.hpp"
+#include "exp/runner.hpp"
+#include "exp/spec.hpp"
 #include "net/node.hpp"
 #include "steer/basic_policies.hpp"
 
@@ -221,6 +225,30 @@ TEST(PageLoad, TransportTotalsAccumulate) {
   EXPECT_GT(tt.packets_sent,
             static_cast<std::int64_t>(2 * page.objects.size()));
   EXPECT_EQ(tt.rto_count, 0);  // clean network
+}
+
+// A load that hits per_load_timeout destroys its session while the
+// simulator still holds callbacks into it: a SYN-ACK handler on the
+// client node (the handshake never completed) and object-processing
+// events. Over a starved eMBB both happen; the run must finish cleanly
+// under ASan (the sanitize preset runs this suite) and count the
+// timeouts.
+TEST(PageLoad, TimedOutLoadsLeaveNoCallbacksBehind) {
+  for (const char* variant :
+       {R"("channels": [{"type": "embb", "rate_mbps": 0.02}, {"type": "urllc"}],
+           "policy": "embb-only", "web": {"pages": 3, "loads_per_page": 2,
+           "per_load_timeout_s": 1})",
+        R"("channels": [{"type": "embb", "rate_mbps": 0.01}, {"type": "urllc"}],
+           "policy": "dchannel", "web": {"pages": 3, "loads_per_page": 2,
+           "per_load_timeout_s": 0.5})"}) {
+    const auto spec = exp::ScenarioSpec::from_json_text(
+        std::string(R"({"name": "web_timeout", "workload": "web",
+                        "seed": 3, "duration_s": 30, )") +
+        variant + "}");
+    const exp::RunResult r = exp::run_scenario(spec);
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    EXPECT_GT(r.metrics.at("web.timeouts"), 0.0) << variant;
+  }
 }
 
 }  // namespace

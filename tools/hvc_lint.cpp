@@ -10,25 +10,6 @@
 //                           with a note when no compiler is on PATH)
 //     --compiler <cc>       compiler for --compile-check (default: c++)
 //     -I <dir>              include dir for --compile-check (repeatable)
-//     --no-semantic         per-file rules only (skip R9-R11)
-//     --hotpath-depth <n>   R11 call-edge radius (default 1)
-//     --diff <ref>          incremental: lint only files changed since
-//                           <ref> (git diff --name-only) plus their
-//                           reverse-includers; the semantic index still
-//                           covers the whole tree
-//     --changed <file>      like --diff but with an explicit file
-//                           (repeatable; no git needed)
-//     --baseline <file>     drop findings covered by this baseline JSON
-//     --write-baseline <f>  write the current findings as a baseline to
-//                           <f> and exit 0
-//     --index-cache <file>  load/save the on-disk symbol index (JSON
-//                           keyed on content hashes)
-//     --fix                 print a unified diff converting flagged
-//                           unordered_map/set declarations to std::map/
-//                           set (origin declarations of unordered-taint
-//                           findings); never touches files by itself
-//     --in-place            with --fix: apply the edits to the files
-//     --stats               print index/cache counters to stderr
 //     --list-rules          print the rule table and exit
 //
 // Exit status: 0 clean (notes allowed), 1 findings at warning or worse,
@@ -41,52 +22,16 @@
 #include <vector>
 
 #include "lint/lint.hpp"
-#include "lint/rules_semantic.hpp"
 
 namespace {
 
 int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--json] [--sarif <file|->] [--compile-check] "
-      "[--compiler <cc>] [-I <dir>]... [--no-semantic] "
-      "[--hotpath-depth <n>] [--diff <ref>] [--changed <file>]... "
-      "[--baseline <file>] [--write-baseline <file>] "
-      "[--index-cache <file>] [--fix [--in-place]] [--stats] "
-      "[--list-rules] <file-or-dir>...\n",
-      argv0);
+  std::fprintf(stderr,
+               "usage: %s [--json] [--sarif <file|->] [--compile-check] "
+               "[--compiler <cc>] [-I <dir>]... [--list-rules] "
+               "<file-or-dir>...\n",
+               argv0);
   return 2;
-}
-
-/// `git diff --name-only <ref>` -> source files. Returns false when git
-/// fails (bad ref, not a repo).
-bool git_changed_files(const std::string& ref,
-                       std::vector<std::string>* out) {
-  const std::string cmd = "git diff --name-only " + ref + " 2>/dev/null";
-  FILE* pipe = popen(cmd.c_str(), "r");  // NOLINT
-  if (pipe == nullptr) return false;
-  char buf[4096];
-  std::string text;
-  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) text += buf;
-  const int rc = pclose(pipe);
-  if (rc != 0) return false;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    for (const char* ext : {".hpp", ".h", ".cpp", ".cc"}) {
-      const std::string e = ext;
-      if (line.size() > e.size() &&
-          line.compare(line.size() - e.size(), e.size(), e) == 0) {
-        out->push_back(line);
-        break;
-      }
-    }
-  }
-  return true;
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -105,13 +50,7 @@ bool write_file(const std::string& path, const std::string& content) {
 int main(int argc, char** argv) {
   hvc::lint::Options opts;
   bool json = false;
-  bool fix = false;
-  bool in_place = false;
-  bool stats_flag = false;
   std::string sarif_path;
-  std::string baseline_path;
-  std::string write_baseline_path;
-  std::string diff_ref;
   std::vector<std::string> roots;
 
   for (int i = 1; i < argc; ++i) {
@@ -129,32 +68,6 @@ int main(int argc, char** argv) {
     } else if (arg == "-I") {
       if (++i >= argc) return usage(argv[0]);
       opts.include_dirs.push_back(argv[i]);
-    } else if (arg == "--no-semantic") {
-      opts.semantic = false;
-    } else if (arg == "--hotpath-depth") {
-      if (++i >= argc) return usage(argv[0]);
-      opts.hotpath_depth = std::atoi(argv[i]);
-    } else if (arg == "--diff") {
-      if (++i >= argc) return usage(argv[0]);
-      diff_ref = argv[i];
-    } else if (arg == "--changed") {
-      if (++i >= argc) return usage(argv[0]);
-      opts.changed_files.push_back(argv[i]);
-    } else if (arg == "--baseline") {
-      if (++i >= argc) return usage(argv[0]);
-      baseline_path = argv[i];
-    } else if (arg == "--write-baseline") {
-      if (++i >= argc) return usage(argv[0]);
-      write_baseline_path = argv[i];
-    } else if (arg == "--index-cache") {
-      if (++i >= argc) return usage(argv[0]);
-      opts.index_cache_path = argv[i];
-    } else if (arg == "--fix") {
-      fix = true;
-    } else if (arg == "--in-place") {
-      in_place = true;
-    } else if (arg == "--stats") {
-      stats_flag = true;
     } else if (arg == "--list-rules") {
       for (const auto& r : hvc::lint::rules()) {
         std::printf("%-28s %-8s %s\n", r.name,
@@ -172,10 +85,6 @@ int main(int argc, char** argv) {
     }
   }
   if (roots.empty()) return usage(argv[0]);
-  if (in_place && !fix) {
-    std::fprintf(stderr, "hvc_lint: --in-place requires --fix\n");
-    return 2;
-  }
 
   for (const auto& root : roots) {
     std::error_code ec;
@@ -186,89 +95,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!diff_ref.empty()) {
-    std::vector<std::string> changed;
-    if (!git_changed_files(diff_ref, &changed)) {
-      std::fprintf(stderr, "hvc_lint: git diff --name-only %s failed\n",
-                   diff_ref.c_str());
-      return 2;
-    }
-    if (changed.empty() && opts.changed_files.empty()) {
-      // Nothing changed: report clean without walking the tree.
-      if (json) std::printf("%s\n", hvc::lint::to_json({}).c_str());
-      else std::printf("hvc_lint: no source changes since %s\n",
-                       diff_ref.c_str());
-      return 0;
-    }
-    opts.changed_files.insert(opts.changed_files.end(), changed.begin(),
-                              changed.end());
-  }
-
-  hvc::lint::TreeStats stats;
-  std::vector<hvc::lint::Finding> findings =
-      hvc::lint::lint_tree(roots, opts, &stats);
-
-  if (!write_baseline_path.empty()) {
-    const std::string text = hvc::lint::baseline_to_json(
-        hvc::lint::baseline_from_findings(findings));
-    if (!write_file(write_baseline_path, text + "\n")) {
-      std::fprintf(stderr, "hvc_lint: cannot write %s\n",
-                   write_baseline_path.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "hvc_lint: baseline written to %s\n",
-                 write_baseline_path.c_str());
-    return 0;
-  }
-
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "hvc_lint: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    hvc::lint::Baseline baseline;
-    if (!hvc::lint::baseline_from_json(text, &baseline)) {
-      std::fprintf(stderr, "hvc_lint: malformed baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    findings = hvc::lint::apply_baseline(std::move(findings), baseline);
-  }
-
-  if (fix) {
-    hvc::lint::TokenCache cache;
-    const std::vector<hvc::lint::FixEdit> edits =
-        hvc::lint::propose_fixes(findings, cache);
-    if (edits.empty()) {
-      std::fprintf(stderr, "hvc_lint: nothing to fix\n");
-      return hvc::lint::has_failure(findings) ? 1 : 0;
-    }
-    std::fputs(hvc::lint::to_unified_diff(edits).c_str(), stdout);
-    if (in_place) {
-      const int n = hvc::lint::apply_fixes(edits);
-      std::fprintf(stderr, "hvc_lint: rewrote %d file%s\n", n,
-                   n == 1 ? "" : "s");
-    }
-    return hvc::lint::has_failure(findings) ? 1 : 0;
-  }
+  const std::vector<hvc::lint::Finding> findings =
+      hvc::lint::lint_tree(roots, opts);
 
   if (!sarif_path.empty() &&
       !write_file(sarif_path, hvc::lint::to_sarif(findings) + "\n")) {
     std::fprintf(stderr, "hvc_lint: cannot write %s\n",
                  sarif_path.c_str());
     return 2;
-  }
-
-  if (stats_flag) {
-    std::fprintf(stderr,
-                 "hvc_lint: %d files, %d read, %d tokenized, "
-                 "%d memo hits, %d index-cache hits\n",
-                 stats.files, stats.files_read, stats.tokenizations,
-                 stats.memo_hits, stats.disk_cache_hits);
   }
 
   if (json) {
