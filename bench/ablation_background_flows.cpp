@@ -12,8 +12,6 @@
 
 int main() {
   using namespace hvc;
-  bench::ObsSession obs("ablation_background_flows");
-  obs.set_seed(2023);
   bench::print_header(
       "Ablation E: PLT vs number of background flow pairs (Lowband "
       "stationary)");

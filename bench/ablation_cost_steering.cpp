@@ -12,7 +12,6 @@
 
 int main() {
   using namespace hvc;
-  bench::ObsSession obs("ablation_cost_steering");
   bench::print_header(
       "Ablation A: cost-aware steering (fiber 40 ms + cISP 8 ms @ $0.05/MB)");
   bench::print_row({"budget $/s", "mean ms", "msg p50 ms", "msg p95 ms",

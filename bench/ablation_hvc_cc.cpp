@@ -2,6 +2,9 @@
 // under DChannel steering. Identical setup to Fig. 1a; the HVC-aware CCA
 // attributes RTT samples to channels (receiver echoes the channel index)
 // and computes the BDP against the bandwidth-weighted cross-channel RTT.
+// The steered-vs-eMBB-only goodput and retransmission table is the
+// bbr/hvc/cubic rows of scenarios/fig1a_cca_sweep.json; this program
+// prints the per-second goodput series the engine does not export.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -9,20 +12,7 @@
 
 int main() {
   using namespace hvc;
-  bench::ObsSession obs("ablation_hvc_cc");
   bench::print_header("Ablation C: HVC-aware CC vs BBR under steering");
-  bench::print_row({"cca", "steered Mbps", "of eMBB-only", "retx"});
-
-  for (const char* cca : {"bbr", "hvc", "cubic"}) {
-    const auto steered =
-        core::run_bulk(core::ScenarioConfig::fig1(), cca, sim::seconds(60));
-    const auto solo = core::run_bulk(core::ScenarioConfig::fig1("embb-only"),
-                                     cca, sim::seconds(60));
-    bench::print_row(
-        {cca, bench::fmt(steered.goodput_bps / 1e6, 2),
-         bench::fmt(steered.goodput_bps / solo.goodput_bps * 100.0) + "%",
-         std::to_string(steered.retransmissions)});
-  }
 
   // Per-second goodput series for bbr vs hvc: shows the collapse/recover
   // sawtooth vs steady utilization.

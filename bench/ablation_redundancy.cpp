@@ -14,8 +14,6 @@
 
 int main() {
   using namespace hvc;
-  bench::ObsSession obs("ablation_redundancy");
-  obs.set_seed(977);
   bench::print_header(
       "Ablation B: MLO redundancy on lossy Wi-Fi links (burst loss, ~10% marginal)");
   bench::print_row({"policy", "delivered %", "p95 ms", "bytes sent x"});

@@ -13,7 +13,6 @@
 
 int main() {
   using namespace hvc;
-  bench::ObsSession obs("ablation_transport_steering");
   bench::print_header(
       "Ablation D: MPQUIC-style schedulers (bulk + interactive mix, 8 s)");
   bench::print_row({"scheduler", "acks", "small p50", "small p95", "done",

@@ -14,7 +14,6 @@
 
 int main() {
   using namespace hvc;
-  bench::ObsSession obs("ablation_tsn_gating");
   bench::print_header(
       "Ablation: 802.1Qbv window share vs TSN determinism / BE throughput");
   bench::print_row({"window %", "tsn p50 ms", "tsn max ms", "be Mbps",

@@ -1,27 +1,10 @@
-// Shared helpers for the benchmark harness: table printing, the paper's
-// standard experiment parameters, and the ObsSession wrapper every bench
-// binary uses to emit its run manifest (and, when HVC_TRACE is set, the
-// packet-lifecycle trace exports).
-//
-// Host time comes exclusively from obs::prof::now_ns() — the sanctioned
-// clock island — so this header needs no wallclock lint carve-out. The
-// wall_time_ms it produces is a diagnostic: manifests are not
-// byte-compared and no simulation state derives from it.
+// Shared table-printing helpers for the bench programs that print series
+// or run workloads the scenario engine does not express.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <system_error>
 #include <vector>
-
-#include "obs/manifest.hpp"
-#include "obs/metrics.hpp"
-#include "obs/prof.hpp"
-#include "obs/tracer.hpp"
-#include "sim/stats.hpp"
 
 namespace hvc::bench {
 
@@ -39,147 +22,5 @@ inline std::string fmt(double v, int prec = 1) {
   std::snprintf(buf, sizeof(buf), "%.*f", prec, v);
   return buf;
 }
-
-/// Print a CDF at fixed probability grid points (paper-style series).
-inline void print_cdf(const std::string& label, const sim::Summary& s,
-                      int prec = 1) {
-  std::printf("%s CDF:", label.c_str());
-  for (const double p : {5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0}) {
-    std::printf("  p%.0f=%.*f", p, prec, s.percentile(p));
-  }
-  std::printf("\n");
-}
-
-/// Locate a checked-in scenario/sweep file. Bench binaries may run from
-/// any directory: try the path as given, walk up (../, ../../ — covers
-/// repo root, build/, build/bench/), then fall back to the source tree's
-/// absolute path baked in at configure time. Empty string when none
-/// exists.
-inline std::string find_scenario(const std::string& relative) {
-  for (const char* up : {"", "../", "../../"}) {
-    const std::string candidate = std::string(up) + relative;
-    if (std::ifstream(candidate).good()) return candidate;
-  }
-#ifdef HVC_SOURCE_DIR
-  const std::string candidate = std::string(HVC_SOURCE_DIR) + "/" + relative;
-  if (std::ifstream(candidate).good()) return candidate;
-#endif
-  return {};
-}
-
-/// Where generated bench artifacts (manifests, traces, result files) go:
-/// bench/out/<file>, created on demand so runs never litter the repo
-/// root (the directory is gitignored). Falls back to the CWD when the
-/// directory cannot be created.
-inline std::string out_path(const std::string& file) {
-  std::error_code ec;
-  std::filesystem::create_directories("bench/out", ec);
-  return ec ? file : "bench/out/" + file;
-}
-
-/// One bench run's observability session. Construct at the top of main():
-///
-///   hvc::bench::ObsSession obs("fig2_video_steering");
-///   obs.set_seed(2023);
-///   obs.param("duration_s", "30");
-///
-/// On destruction (or an explicit finish()) it writes
-/// `<name>.manifest.json` — seed, params, wall time, trace-event count and
-/// a flattened MetricsRegistry snapshot. When the HVC_TRACE environment
-/// variable is set (any value but "0"), the packet tracer is enabled for
-/// the whole run and `<name>.trace.jsonl` + `<name>.trace.json` (Chrome
-/// trace_event, loads in Perfetto) are written too. When HVC_PROF is set
-/// (same convention), the hot-path profiler runs for the whole bench and
-/// its totals land in the manifest as prof.* metrics.
-class ObsSession {
- public:
-  explicit ObsSession(std::string name) : name_(std::move(name)) {
-    tracing_ = env_flag("HVC_TRACE");
-    if (tracing_) obs::PacketTracer::instance().enable();
-    profiling_ = env_flag("HVC_PROF");
-    if (profiling_) {
-      obs::prof::reset();
-      obs::prof::enable();
-    }
-    obs::MetricsRegistry::global().reset_values();
-    start_ns_ = obs::prof::now_ns();
-  }
-
-  ObsSession(const ObsSession&) = delete;
-  ObsSession& operator=(const ObsSession&) = delete;
-
-  ~ObsSession() { finish(); }
-
-  void set_seed(std::uint64_t seed) { manifest_.seed = seed; }
-  void param(std::string key, std::string value) {
-    manifest_.add_param(std::move(key), std::move(value));
-  }
-
-  [[nodiscard]] bool tracing() const { return tracing_; }
-
-  /// Write the manifest (and trace exports when tracing). Idempotent;
-  /// called automatically from the destructor.
-  void finish() {
-    if (finished_) return;
-    finished_ = true;
-
-    manifest_.name = name_;
-    manifest_.wall_time_ms =
-        static_cast<double>(obs::prof::now_ns() - start_ns_) * 1e-6;
-
-    if (profiling_) {
-      obs::prof::disable();
-      obs::prof::fold_into(obs::MetricsRegistry::global());
-    }
-
-    auto& tracer = obs::PacketTracer::instance();
-    manifest_.trace_events = tracer.total_recorded();
-    manifest_.capture_metrics(obs::MetricsRegistry::global());
-
-    const std::string manifest_path = out_path(name_ + ".manifest.json");
-    if (!manifest_.write(manifest_path)) {
-      std::fprintf(stderr, "[obs] failed to write %s\n",
-                   manifest_path.c_str());
-    }
-
-    if (tracing_) {
-      const std::string trace_prefix = out_path(name_);
-      write_file(trace_prefix + ".trace.jsonl", tracer.to_jsonl());
-      write_file(trace_prefix + ".trace.json", tracer.to_chrome_trace());
-      tracer.disable();
-      std::printf(
-          "[obs] %s: %llu events (%zu retained) -> %s.trace.jsonl, "
-          "%s.trace.json\n",
-          name_.c_str(),
-          static_cast<unsigned long long>(manifest_.trace_events),
-          tracer.size(), trace_prefix.c_str(), trace_prefix.c_str());
-    }
-    std::printf("[obs] %s: manifest %s (%.0f ms, %zu metrics)\n",
-                name_.c_str(), manifest_path.c_str(),
-                manifest_.wall_time_ms, manifest_.metrics.size());
-  }
-
- private:
-  static bool env_flag(const char* name) {
-    const char* env = std::getenv(name);
-    return env != nullptr && env[0] != '\0' && std::string(env) != "0";
-  }
-
-  static void write_file(const std::string& path, const std::string& body) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "[obs] failed to write %s\n", path.c_str());
-      return;
-    }
-    out << body;
-  }
-
-  std::string name_;
-  bool tracing_ = false;
-  bool profiling_ = false;
-  bool finished_ = false;
-  std::uint64_t start_ns_ = 0;
-  obs::RunManifest manifest_;
-};
 
 }  // namespace hvc::bench

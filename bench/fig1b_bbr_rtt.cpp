@@ -9,7 +9,6 @@
 
 int main() {
   using namespace hvc;
-  bench::ObsSession obs("fig1b_bbr_rtt");
   bench::print_header("Figure 1b: BBR packet RTTs under DChannel steering");
 
   const auto r =

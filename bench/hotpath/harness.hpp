@@ -1,5 +1,4 @@
-// The pinned-cycle microbench harness behind tools/hvc_perf and the
-// hotpath_bench binary.
+// The pinned-cycle microbench harness behind tools/hvc_perf.
 //
 // Each microbench is a BenchDef whose body does `scale` units of work and
 // reports how many items it processed. The harness supplies everything

@@ -35,7 +35,9 @@ for preset in "${presets[@]}"; do
     # End-to-end report smoke covering every hvc_report mode:
     #  1. hvc_run + telemetry/audit/trace -> default render, --trace,
     #     --merged (Chrome trace with telemetry + audit + lifecycle).
-    #  2. hvc_sweep over the city smoke (spans enabled) -> cohort and
+    #  2. hvc_sweep over a bulk ablation grid -> the default render has
+    #     a bulk.goodput_mbps line for every run.
+    #  3. hvc_sweep over the city smoke (spans enabled) -> cohort and
     #     capacity tables, --capacity JSON export, and --explain (the
     #     critical-path waterfall; every unit must pass its exact-sum
     #     check against the measured PLT/chunk latency).
@@ -51,6 +53,12 @@ for preset in "${presets[@]}"; do
     grep -q "dchannel:small-object" "${out}/report.txt"
     grep -q "== telemetry ==" "${out}/report.txt"
     test -s "${out}/f2t.merged.json"
+
+    build/tools/hvc_sweep scenarios/ablation_resequencer.json -j 2 \
+      --out "${out}/reseq" >/dev/null
+    build/tools/hvc_report "${out}/reseq" >"${out}/reseq_report.txt"
+    grep -q '^== runs (5) ==$' "${out}/reseq_report.txt"
+    test "$(grep -c '^  bulk.goodput_mbps ' "${out}/reseq_report.txt")" -eq 5
 
     build/tools/hvc_sweep scenarios/city_cell_smoke.json -j 2 \
       --out "${out}/city" >/dev/null

@@ -1,6 +1,7 @@
 #include "exp/report.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -296,11 +297,27 @@ Report Report::load(const std::string& prefix,
   return rep;
 }
 
+std::string display_number(double v) {
+  // Below 2^53 every integral double prints exactly; `+ 0.0` turns -0
+  // into 0.
+  if (v == std::trunc(v) && std::fabs(v) < 9007199254740992.0) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.0f", v + 0.0);
+    return buf;
+  }
+  return obs::json::number(v);
+}
+
 std::string Report::render_summary() const {
   std::string out = "== runs (" + std::to_string(runs.size()) + ") ==\n";
   for (const auto& r : runs) {
     out += "run " + std::to_string(r.index) + " " + r.name;
-    for (const auto& [k, v] : r.params) out += " " + k + "=" + v;
+    for (const auto& [k, v] : r.params) {
+      // Numeric axis values are recorded in number()'s form ("2e+01").
+      Value num;
+      const bool numeric = obs::json::parse(v, &num) && num.is_number();
+      out += " " + k + "=" + (numeric ? display_number(num.num) : v);
+    }
     out += "\n";
     if (!r.error.empty()) {
       out += "  ERROR: " + r.error + "\n";
@@ -309,8 +326,17 @@ std::string Report::render_summary() const {
     for (const auto& [k, v] : r.metrics) {
       char buf[192];
       std::snprintf(buf, sizeof(buf), "  %-40s %s\n", k.c_str(),
-                    obs::json::number(v).c_str());
+                    display_number(v).c_str());
       out += buf;
+    }
+    const auto timeouts = r.metrics.find("web.timeouts");
+    const auto loads = r.metrics.find("web.plt_ms.count");
+    if (timeouts != r.metrics.end() && timeouts->second > 0 &&
+        loads != r.metrics.end()) {
+      out += "  censored: " + display_number(timeouts->second) + " of " +
+             display_number(loads->second) +
+             " loads hit the timeout and enter web.plt_ms.* at the "
+             "timeout value\n";
     }
   }
   return out;

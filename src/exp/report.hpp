@@ -20,6 +20,11 @@
 
 namespace hvc::exp {
 
+/// A metric value for display: integral values print as integers
+/// ("131780", "20"), anything else in obs::json::number's shortest
+/// round-trip form. Display only; results files keep their bytes.
+[[nodiscard]] std::string display_number(double v);
+
 /// One telemetry sample row (`{"t_us":…,"series":…,"v":…}`).
 struct ReportSample {
   double t_us = 0.0;
@@ -105,7 +110,10 @@ struct Report {
 
   // ---- Renderers (plain text, trailing newline) ----
 
-  /// Per-run headline metrics: name, axis params, key workload numbers.
+  /// Per-run headline metrics: name, axis params, key workload numbers,
+  /// numbers shown with display_number(). A web run with timed-out loads
+  /// gets one more line saying how many of its PLT samples are censored
+  /// at the timeout.
   [[nodiscard]] std::string render_summary() const;
 
   /// Steering behaviour: per-channel decision shares (from the runs' obs

@@ -20,11 +20,24 @@ FlowId flow_id_counter() { return g_next_flow; }
 
 void set_flow_id_counter(FlowId next) { g_next_flow = next; }
 
-void Node::register_flow(FlowId flow, PacketHandler handler) {
-  *handlers_.try_emplace(flow).first = std::move(handler);
+void FlowHandle::reset() {
+  if (Node* node = std::exchange(node_, nullptr)) {
+    node->unregister_flow(flow_, generation_);
+  }
 }
 
-void Node::unregister_flow(FlowId flow) { handlers_.erase(flow); }
+FlowHandle Node::register_flow(FlowId flow, PacketHandler handler) {
+  const std::uint64_t generation = next_generation_++;
+  *handlers_.try_emplace(flow).first = {std::move(handler), generation};
+  return FlowHandle(this, flow, generation);
+}
+
+void Node::unregister_flow(FlowId flow, std::uint64_t generation) {
+  const FlowEntry* entry = handlers_.find(flow);
+  if (entry != nullptr && entry->generation == generation) {
+    handlers_.erase(flow);
+  }
+}
 
 void Node::send(PacketPtr p) {
   if (egress_ == nullptr) {
@@ -54,7 +67,7 @@ void Node::deliver(PacketPtr p) {
       seen_order_.pop_front();
     }
   }
-  const PacketHandler* entry = handlers_.find(p->flow);
+  const FlowEntry* entry = handlers_.find(p->flow);
   if (entry == nullptr) {
     ++unroutable_;
     m_unroutable_->inc();
@@ -66,10 +79,10 @@ void Node::deliver(PacketPtr p) {
     }
     return;
   }
-  // Copy the handler before invoking: a handler may unregister itself
+  // Copy the handler before invoking: a handler may reset its own handle
   // (e.g. one-shot handshake flows), which would destroy the closure we
   // are executing.
-  const PacketHandler handler = *entry;
+  const PacketHandler handler = entry->handler;
   handler(std::move(p));
 }
 

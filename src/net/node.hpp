@@ -2,9 +2,11 @@
 //
 // A Node owns a flow demultiplexer: transports register a handler per
 // FlowId and the node routes arriving packets to it, deduplicating copies
-// produced by redundancy policies. TwoHostNetwork builds the paper's
-// standard topology — client and server joined by an HvcSet, with an
-// independent steering shim per direction.
+// produced by redundancy policies. Registration returns an owning
+// FlowHandle, so a handler can never outlive the object it captures.
+// TwoHostNetwork builds the paper's standard topology — client and
+// server joined by an HvcSet, with an independent steering shim per
+// direction.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "channel/channel.hpp"
 #include "net/flow_table.hpp"
@@ -63,6 +66,49 @@ class IdScope {
   std::uint64_t prev_packet_;
 };
 
+class Node;
+
+/// Owning registration of one flow's inbound handler on a Node (see
+/// Node::register_flow). The handler stays routable exactly as long as
+/// the handle holds it: destruction, reset() and move-assignment over a
+/// live handle unregister it. Each registration carries a generation,
+/// and unregistering erases the entry only while the generations agree,
+/// so a stale handle never erases a newer registration of the same flow
+/// (the generational handle idea of sim/slot_map). The Node must outlive
+/// every handle it issued.
+class FlowHandle {
+ public:
+  FlowHandle() = default;
+  FlowHandle(FlowHandle&& other) noexcept
+      : node_(std::exchange(other.node_, nullptr)),
+        flow_(other.flow_),
+        generation_(other.generation_) {}
+  FlowHandle& operator=(FlowHandle&& other) noexcept {
+    if (this != &other) {
+      reset();
+      node_ = std::exchange(other.node_, nullptr);
+      flow_ = other.flow_;
+      generation_ = other.generation_;
+    }
+    return *this;
+  }
+  FlowHandle(const FlowHandle&) = delete;
+  FlowHandle& operator=(const FlowHandle&) = delete;
+  ~FlowHandle() { reset(); }
+
+  /// Unregister now; no-op on an empty handle.
+  void reset();
+
+ private:
+  friend class Node;
+  FlowHandle(Node* node, FlowId flow, std::uint64_t generation)
+      : node_(node), flow_(flow), generation_(generation) {}
+
+  Node* node_ = nullptr;
+  FlowId flow_ = 0;
+  std::uint64_t generation_ = 0;
+};
+
 class Node {
  public:
   Node(sim::Simulator& sim, std::string name)
@@ -80,12 +126,10 @@ class Node {
   void set_egress(Shim* shim) { egress_ = shim; }
   [[nodiscard]] Shim* egress() { return egress_; }
 
-  /// Register/unregister the handler for a flow's inbound packets.
-  void register_flow(FlowId flow, PacketHandler handler);
-  void unregister_flow(FlowId flow);
-  [[nodiscard]] bool has_flow(FlowId flow) const {
-    return handlers_.contains(flow);
-  }
+  /// Route a flow's inbound packets to `handler` until the returned
+  /// handle lets go. Registering a flow again replaces its handler; only
+  /// the newest handle can then unregister it.
+  [[nodiscard]] FlowHandle register_flow(FlowId flow, PacketHandler handler);
 
   /// Send a packet out through the egress shim.
   void send(PacketPtr p);
@@ -104,12 +148,22 @@ class Node {
   }
 
  private:
+  friend class FlowHandle;
+  /// Erase `flow`'s entry if it is still registration `generation`.
+  void unregister_flow(FlowId flow, std::uint64_t generation);
+
+  struct FlowEntry {
+    PacketHandler handler;
+    std::uint64_t generation = 0;
+  };
+
   sim::Simulator* sim_;
   std::string name_;
   Shim* egress_ = nullptr;
   // Per-packet find() on the arriving flow id; ids are dense per run,
   // so the demux is a vector index (net/flow_table).
-  FlowTable<PacketHandler> handlers_;
+  FlowTable<FlowEntry> handlers_;
+  std::uint64_t next_generation_ = 1;
 
   // Bounded memory of recently seen duplicate groups. Membership tests
   // only; eviction order comes from seen_order_ (FIFO), not the set.

@@ -1,14 +1,11 @@
 // Part of the sanctioned clock island (see prof.hpp): calibration,
-// thread pinning, host metadata for perf manifests, and the
-// MetricsRegistry fold.
+// thread pinning and host metadata for perf manifests.
 #include "obs/prof.hpp"
 
 #include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <string>
-
-#include "obs/metrics.hpp"
 
 #if defined(__linux__)
 #include <sched.h>
@@ -121,26 +118,6 @@ std::string compiler_id() {
 #else
   return "unknown";
 #endif
-}
-
-void fold_into(MetricsRegistry& registry) {
-  const ThreadStats& ts = thread_stats();
-  for (std::size_t i = 0; i < kHookCount; ++i) {
-    const std::string prefix =
-        std::string("prof.") + hook_name(static_cast<Hook>(i));
-    registry.counter(prefix + ".calls")
-        .inc(static_cast<std::int64_t>(ts.hooks[i].calls));
-    registry.counter(prefix + ".cycles")
-        .inc(static_cast<std::int64_t>(ts.hooks[i].cycles));
-  }
-  registry.counter("prof.alloc.count")
-      .inc(static_cast<std::int64_t>(ts.alloc.allocs));
-  registry.counter("prof.alloc.bytes")
-      .inc(static_cast<std::int64_t>(ts.alloc.alloc_bytes));
-  registry.counter("prof.free.count")
-      .inc(static_cast<std::int64_t>(ts.alloc.frees));
-  registry.counter("prof.free.bytes")
-      .inc(static_cast<std::int64_t>(ts.alloc.free_bytes));
 }
 
 }  // namespace hvc::obs::prof

@@ -19,14 +19,13 @@
 //   3. Near-zero overhead when compiled in but disabled (the default at
 //      runtime): one relaxed atomic load per hook.
 //   4. Sweep-safe. All accumulation is thread-local, so the concurrent
-//      sweep engine (src/exp) never contends; fold/snapshot read the
+//      sweep engine (src/exp) never contends; snapshots read the
 //      calling thread's stats.
 //
-// The profiler feeds two consumers: bench::ObsSession folds hook totals
-// into the MetricsRegistry (prof.* metrics in every bench manifest when
-// the HVC_PROF env var is set), and the bench/hotpath harness turns
-// per-repeat deltas into the BENCH_*.json perf trajectory
-// (obs/perf_manifest.hpp).
+// The profiler feeds two consumers: the bench/hotpath harness behind
+// tools/hvc_perf turns per-repeat deltas into the BENCH_*.json perf
+// trajectory (obs/perf_manifest.hpp), and the repo benchmark
+// (perfbench/) reads the event-pop count of a traced run.
 #pragma once
 
 #include <array>
@@ -41,11 +40,7 @@
 #define HVC_PROF_ENABLED 1
 #endif
 
-namespace hvc::obs {
-
-class MetricsRegistry;
-
-namespace prof {
+namespace hvc::obs::prof {
 
 // ---- Instrumented hot paths --------------------------------------------
 
@@ -60,7 +55,7 @@ enum class Hook : std::uint8_t {
 };
 inline constexpr std::size_t kHookCount = 7;
 
-/// Stable short name used in metric keys and perf manifests
+/// Stable short name used in perf manifest keys
 /// ("event_push", "steer", ...).
 [[nodiscard]] const char* hook_name(Hook h);
 
@@ -191,13 +186,6 @@ inline void count_free(std::uint64_t bytes) {
   ++s.calls;
 }
 
-/// Fold the calling thread's accumulators into `registry` as counters:
-///   prof.<hook>.calls   prof.<hook>.cycles
-///   prof.alloc.{count,bytes}   prof.free.{count,bytes}
-/// Every key is always emitted (zeros included) so manifest schemas stay
-/// diffable across runs.
-void fold_into(MetricsRegistry& registry);
-
 // ---- RAII scoped timer ---------------------------------------------------
 
 /// Counts every call and cycle-times a deterministic 1-in-64 sample of
@@ -307,8 +295,7 @@ struct TrackingAllocator {
   }
 };
 
-}  // namespace prof
-}  // namespace hvc::obs
+}  // namespace hvc::obs::prof
 
 // Statement hooks for hot paths. `hook` must be a fully qualified
 // ::hvc::obs::prof::Hook value (or one reachable from the call site).

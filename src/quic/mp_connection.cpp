@@ -28,7 +28,8 @@ MpEndpoint::MpEndpoint(net::Node& node, net::FlowId flow,
   m_packets_sent_ = &reg.counter("transport.quic.packets_sent");
   m_retx_chunks_ = &reg.counter("transport.quic.retransmitted_chunks");
   m_msg_latency_ = &reg.histogram("transport.quic.message_latency_ms");
-  node_.register_flow(flow_, [this](PacketPtr p) { on_packet(p); });
+  inbound_handler_ =
+      node_.register_flow(flow_, [this](PacketPtr p) { on_packet(p); });
 
   // Probe every path once so the scheduler learns per-path RTTs before
   // real data arrives (QUIC path validation plays this role).
@@ -50,8 +51,6 @@ MpEndpoint::MpEndpoint(net::Node& node, net::FlowId flow,
     node_.send(std::move(probe));
   }
 }
-
-MpEndpoint::~MpEndpoint() { node_.unregister_flow(flow_); }
 
 std::uint64_t MpEndpoint::open_stream(StreamIntents intents) {
   const auto id = next_stream_++;

@@ -75,7 +75,6 @@ class MpEndpoint {
  public:
   MpEndpoint(net::Node& node, net::FlowId flow, std::size_t num_paths,
              MpConfig cfg);
-  ~MpEndpoint();
 
   MpEndpoint(const MpEndpoint&) = delete;
   MpEndpoint& operator=(const MpEndpoint&) = delete;
@@ -182,6 +181,8 @@ class MpEndpoint {
   obs::Counter* m_packets_sent_ = nullptr;
   obs::Counter* m_retx_chunks_ = nullptr;
   obs::Histogram* m_msg_latency_ = nullptr;
+
+  net::FlowHandle inbound_handler_;  ///< last: unregistered first
 };
 
 /// Client/server endpoint pair over a TwoHostNetwork whose shims must use

@@ -16,19 +16,14 @@ Connection::Connection(net::Node& client, net::Node& server, TcpConfig cfg)
   syn_ack_flow_ = net::next_flow_id();
 }
 
-Connection::~Connection() {
-  server_.unregister_flow(syn_flow_);
-  client_.unregister_flow(syn_ack_flow_);
-}
-
 void Connection::handshake(std::function<void()> ready) {
   if (established_) {
     if (ready) ready();
     return;
   }
   // SYN: client → server.
-  server_.register_flow(syn_flow_, [this](net::PacketPtr) {
-    server_.unregister_flow(syn_flow_);
+  syn_handler_ = server_.register_flow(syn_flow_, [this](net::PacketPtr) {
+    syn_handler_.reset();
     auto syn_ack = net::make_packet();
     syn_ack->flow = syn_ack_flow_;
     syn_ack->type = net::PacketType::kControl;
@@ -37,12 +32,12 @@ void Connection::handshake(std::function<void()> ready) {
     server_.send(std::move(syn_ack));
   });
   // SYN-ACK: server → client.
-  client_.register_flow(syn_ack_flow_,
-                        [this, ready = std::move(ready)](net::PacketPtr) {
-                          client_.unregister_flow(syn_ack_flow_);
-                          established_ = true;
-                          if (ready) ready();
-                        });
+  syn_ack_handler_ = client_.register_flow(
+      syn_ack_flow_, [this, ready = std::move(ready)](net::PacketPtr) {
+        syn_ack_handler_.reset();
+        established_ = true;
+        if (ready) ready();
+      });
   auto syn = net::make_packet();
   syn->flow = syn_flow_;
   syn->type = net::PacketType::kControl;

@@ -18,10 +18,6 @@ class Connection {
   /// `client`/`server` are the two endpoints; `cfg` applies to both
   /// directions (separate CCA instances are created per direction).
   Connection(net::Node& client, net::Node& server, TcpConfig cfg = {});
-  /// Unregisters the handshake handlers, which capture `this`: a
-  /// connection destroyed mid-handshake (a timed-out page load) must not
-  /// leave them on the nodes.
-  ~Connection();
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
@@ -51,6 +47,11 @@ class Connection {
   net::FlowId syn_flow_;
   net::FlowId syn_ack_flow_;
   bool established_ = false;
+  // The one-shot handshake handlers capture `this`. Each resets its own
+  // handle when it fires; a connection destroyed mid-handshake (a
+  // timed-out page load) drops them with the handles.
+  net::FlowHandle syn_handler_;
+  net::FlowHandle syn_ack_handler_;
 };
 
 }  // namespace hvc::transport

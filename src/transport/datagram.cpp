@@ -8,11 +8,11 @@ using net::PacketPtr;
 
 DatagramSocket::DatagramSocket(net::Node& local, net::FlowId flow,
                                std::uint8_t flow_priority)
-    : local_(local), flow_(flow), flow_priority_(flow_priority) {
-  local_.register_flow(flow_, [this](PacketPtr p) { on_inbound(p); });
-}
-
-DatagramSocket::~DatagramSocket() { local_.unregister_flow(flow_); }
+    : local_(local),
+      flow_(flow),
+      flow_priority_(flow_priority),
+      inbound_handler_(local_.register_flow(
+          flow_, [this](PacketPtr p) { on_inbound(p); })) {}
 
 std::uint64_t DatagramSocket::send_message(std::int64_t bytes,
                                            std::uint8_t priority) {

@@ -19,7 +19,6 @@ class DatagramSocket {
  public:
   DatagramSocket(net::Node& local, net::FlowId flow,
                  std::uint8_t flow_priority = 0);
-  ~DatagramSocket();
 
   DatagramSocket(const DatagramSocket&) = delete;
   DatagramSocket& operator=(const DatagramSocket&) = delete;
@@ -78,6 +77,8 @@ class DatagramSocket {
 
   std::function<void(const net::PacketPtr&)> on_packet_;
   std::function<void(const MessageEvent&)> on_message_;
+
+  net::FlowHandle inbound_handler_;  ///< last: unregistered first
 };
 
 }  // namespace hvc::transport

@@ -42,7 +42,7 @@ TcpSender::TcpSender(net::Node& local, FlowPair flows, CcaPtr cca,
               [this] { return sim::to_millis(rtt_.srtt()); });
   probes_.add("transport", tprefix + "pacing_mbps",
               [this] { return cca_->pacing_rate_bps() / 1e6; });
-  local_.register_flow(flows_.ack, [this](PacketPtr p) {
+  ack_handler_ = local_.register_flow(flows_.ack, [this](PacketPtr p) {
     on_ack_packet(p);
   });
 }
@@ -54,7 +54,6 @@ TcpSender::~TcpSender() {
   m_retransmissions_->inc(stats_.retransmissions);
   m_rto_count_->inc(stats_.rto_count);
   m_spurious_->inc(stats_.spurious_loss_marks);
-  local_.unregister_flow(flows_.ack);
 }
 
 void TcpSender::write(std::int64_t bytes) {
@@ -534,12 +533,10 @@ TcpReceiver::TcpReceiver(net::Node& local, FlowPair flows, TcpConfig cfg)
           unacked_count_ = 0;
         }
       }) {
-  local_.register_flow(flows_.data, [this](PacketPtr p) {
+  data_handler_ = local_.register_flow(flows_.data, [this](PacketPtr p) {
     on_data_packet(p);
   });
 }
-
-TcpReceiver::~TcpReceiver() { local_.unregister_flow(flows_.data); }
 
 void TcpReceiver::on_data_packet(const PacketPtr& p) {
   const Time now = sim_.now();

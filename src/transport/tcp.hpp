@@ -255,6 +255,8 @@ class TcpSender {
   // cross-channel steering). Registrations die with the sender; recorded
   // samples stay exportable.
   obs::TelemetryProbes probes_;
+
+  net::FlowHandle ack_handler_;  ///< last: unregistered first
 };
 
 struct TcpReceiverStats {
@@ -266,7 +268,6 @@ struct TcpReceiverStats {
 class TcpReceiver {
  public:
   TcpReceiver(net::Node& local, FlowPair flows, TcpConfig cfg = {});
-  ~TcpReceiver();
 
   TcpReceiver(const TcpReceiver&) = delete;
   TcpReceiver& operator=(const TcpReceiver&) = delete;
@@ -312,6 +313,8 @@ class TcpReceiver {
   std::function<void(std::int64_t)> on_data_;
   std::function<void(const net::AppHeader&, sim::Time)> on_message_;
   TcpReceiverStats stats_;
+
+  net::FlowHandle data_handler_;  ///< last: unregistered first
 };
 
 }  // namespace hvc::transport

@@ -2,7 +2,6 @@
 // the one-call experiment runners (which back every benchmark).
 #include <gtest/gtest.h>
 
-#include "core/recorder.hpp"
 #include "core/scenario.hpp"
 #include "steer/dchannel.hpp"
 #include "trace/gen5g.hpp"
@@ -127,31 +126,6 @@ TEST(RunWeb, DChannelBeatsEmbbOnlyOnDrivingTrace) {
   const auto embb = run_web(embb_cfg, corpus, web);
   const auto dch = run_web(dch_cfg, corpus, web);
   EXPECT_LT(dch.plt_ms.mean(), embb.plt_ms.mean());
-}
-
-TEST(Recorder, SamplesQueuesAndExportsCsv) {
-  Scenario sc(ScenarioConfig::fig1());
-  ChannelRecorder rec(sc.network(), sim::milliseconds(100));
-  const auto flows = transport::make_flow_pair();
-  // HVC-aware CCA holds ~1 BDP of standing queue once ramped: a reliable
-  // backlog signal for the recorder to observe.
-  transport::TcpSender snd(sc.server(), flows, transport::make_cca("hvc"));
-  transport::TcpReceiver rcv(sc.client(), flows);
-  snd.write(60'000'000);
-  sc.sim().run_until(seconds(6));
-  rec.stop();
-  ASSERT_EQ(rec.series().size(), 2u);
-  EXPECT_EQ(rec.series()[0].name, "embb");
-  EXPECT_GE(rec.series()[0].down_queue_bytes.size(), 20u);
-  // The bulk transfer must have shown up as eMBB backlog at some point.
-  double max_q = 0;
-  for (const auto& p : rec.series()[0].down_queue_bytes.points()) {
-    max_q = std::max(max_q, p.value);
-  }
-  EXPECT_GT(max_q, 10'000.0);
-  const auto csv = rec.to_csv();
-  EXPECT_NE(csv.find("embb_down_queue"), std::string::npos);
-  EXPECT_GT(std::count(csv.begin(), csv.end(), '\n'), 20);
 }
 
 TEST(Experiments, DeterministicAcrossInvocations) {

@@ -247,9 +247,10 @@ FuzzOutput run_fuzzed_plan(std::uint64_t seed, const SimConfig& cfg) {
     fault::FaultInjector inj(s, net.channels(), plan);
 
     const auto flow = net::next_flow_id();
-    net.server().register_flow(flow, [&](net::PacketPtr p) {
-      out.delivered.push_back(p->id);
-    });
+    const net::FlowHandle sink =
+        net.server().register_flow(flow, [&](net::PacketPtr p) {
+          out.delivered.push_back(p->id);
+        });
     sim::Rng rng(seed ^ 0xf00d);
     constexpr int kPackets = 1200;
     for (int i = 0; i < kPackets; ++i) {

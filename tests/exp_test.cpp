@@ -19,6 +19,7 @@
 #include "net/node.hpp"
 #include "obs/metrics.hpp"
 #include "sim/units.hpp"
+#include "trace/gen5g.hpp"
 
 namespace hvc {
 namespace {
@@ -248,23 +249,75 @@ TEST(ExpSweepSpec, InvalidCombinationsFailAtExpandTime) {
 // ---- Engine vs direct core run: equivalence ----
 
 TEST(ExpRunner, MatchesDirectCoreRun) {
-  // Small bulk run through the engine...
-  const auto spec = exp::ScenarioSpec::from_json_text(R"({
+  // Each spec run through the engine must equal the same experiment built
+  // directly on src/core: the contract the scenario files rely on to
+  // reproduce the programs they replaced.
+  const auto engine = [](const char* json) {
+    auto result = exp::run_scenario(exp::ScenarioSpec::from_json_text(json));
+    EXPECT_TRUE(result.error.empty()) << result.error;
+    return result.metrics;
+  };
+  const auto expect_bulk_equal = [](const std::map<std::string, double>& m,
+                                    const core::BulkResult& direct) {
+    EXPECT_DOUBLE_EQ(m.at("bulk.goodput_mbps"), direct.goodput_bps / 1e6);
+    EXPECT_DOUBLE_EQ(m.at("bulk.retransmissions"),
+                     static_cast<double>(direct.retransmissions));
+    EXPECT_DOUBLE_EQ(m.at("bulk.rto_count"),
+                     static_cast<double>(direct.rto_count));
+  };
+
+  // Bulk, against the engine's own spec -> config mapping.
+  const char* bulk = R"({
     "workload": "bulk", "duration_s": 5, "seed": 11,
     "channels": [{"type": "embb"}, {"type": "urllc"}],
     "policy": "dchannel"
-  })");
-  const auto result = exp::run_scenario(spec);
-  ASSERT_TRUE(result.error.empty()) << result.error;
+  })";
+  const auto bulk_metrics = engine(bulk);
+  {
+    net::IdScope ids;
+    const auto cfg =
+        exp::build_scenario_config(exp::ScenarioSpec::from_json_text(bulk));
+    expect_bulk_equal(bulk_metrics,
+                      core::run_bulk(cfg, "cubic", sim::seconds(5)));
+  }
 
-  // ...must equal the same experiment built directly on src/core.
-  net::IdScope ids;
-  const auto cfg = exp::build_scenario_config(spec);
-  const auto direct = core::run_bulk(cfg, "cubic", sim::seconds(5));
-  EXPECT_DOUBLE_EQ(result.metrics.at("bulk.goodput_mbps"),
-                   direct.goodput_bps / 1e6);
-  EXPECT_DOUBLE_EQ(result.metrics.at("bulk.retransmissions"),
-                   static_cast<double>(direct.retransmissions));
+  // Bulk with a resequencer, against ScenarioConfig::fig1().
+  const auto reseq_metrics = engine(R"({
+    "workload": "bulk", "duration_s": 5, "seed": 42,
+    "channels": [{"type": "embb"}, {"type": "urllc"}],
+    "policy": "dchannel", "resequence_hold_ms": 40
+  })");
+  {
+    net::IdScope ids;
+    auto cfg = core::ScenarioConfig::fig1();
+    cfg.resequence_hold = sim::milliseconds(40);
+    expect_bulk_equal(reseq_metrics,
+                      core::run_bulk(cfg, "cubic", sim::seconds(5)));
+  }
+
+  // Video on a 5G driving trace, shorter than the trace horizon, against
+  // ScenarioConfig::traced() with default codec and receiver configs.
+  const auto video_metrics = engine(R"({
+    "workload": "video", "duration_s": 8, "seed": 42,
+    "channels": [{"type": "5g", "profile": "lowband-driving"},
+                 {"type": "urllc"}],
+    "policy": "msg-priority", "video": {"duration_s": 4}
+  })");
+  {
+    net::IdScope ids;
+    const auto direct = core::run_video(
+        core::ScenarioConfig::traced(trace::FiveGProfile::kLowbandDriving,
+                                     "msg-priority", sim::seconds(8), 42),
+        {}, {}, sim::seconds(4));
+    EXPECT_DOUBLE_EQ(video_metrics.at("video.latency_ms.p95"),
+                     direct.stats.latency_ms.percentile(95));
+    EXPECT_DOUBLE_EQ(video_metrics.at("video.latency_ms.max"),
+                     direct.stats.latency_ms.max());
+    EXPECT_DOUBLE_EQ(video_metrics.at("video.ssim.mean"),
+                     direct.stats.ssim.mean());
+    EXPECT_DOUBLE_EQ(video_metrics.at("video.frames_decoded"),
+                     static_cast<double>(direct.stats.frames_decoded));
+  }
 }
 
 TEST(ExpRunner, CapturesRunErrorsInsteadOfThrowing) {

@@ -406,7 +406,8 @@ TEST(FaultInjector, CountsBlackoutCost) {
                                fault::FaultDir::kUplink));
   fault::FaultInjector inj(s, net.channels(), plan);
   const auto flow = net::next_flow_id();
-  net.server().register_flow(flow, [](net::PacketPtr) {});
+  const net::FlowHandle sink =
+      net.server().register_flow(flow, [](net::PacketPtr) {});
   for (int i = 0; i < 300; ++i) {
     s.at(milliseconds(i), [&] {
       auto p = net::make_packet();

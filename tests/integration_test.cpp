@@ -196,7 +196,8 @@ TEST(Integration, AdaptiveRackToleratesCrossChannelReordering) {
   // wholesale; the sender's adaptive RACK window must absorb it without a
   // spurious-retransmission storm. (Interesting ablation: a receiver-side
   // resequencer with too small a hold *hides* reordering from RACK's
-  // adaptation and makes things worse — see bench/ablation_resequencer.)
+  // adaptation and makes things worse — see
+  // scenarios/ablation_resequencer.json.)
   sim::Simulator s;
   auto net = make_fig1_net(s, std::make_unique<steer::DChannelPolicy>(),
                            std::make_unique<steer::DChannelPolicy>(),

@@ -69,11 +69,40 @@ TEST(Node, RoutesToRegisteredFlow) {
   sim::Simulator s;
   Node n(s, "n");
   int got = 0;
-  n.register_flow(1, [&](PacketPtr) { ++got; });
+  const FlowHandle h = n.register_flow(1, [&](PacketPtr) { ++got; });
   auto p = make_packet();
   p->flow = 1;
   n.deliver(std::move(p));
   EXPECT_EQ(got, 1);
+}
+
+TEST(Node, HandleOwnsTheRegistration) {
+  sim::Simulator s;
+  Node n(s, "n");
+  int got = 0;
+  auto deliver_one = [&] {
+    auto p = make_packet();
+    p->flow = 1;
+    n.deliver(std::move(p));
+  };
+  FlowHandle handle;
+  {
+    FlowHandle first = n.register_flow(1, [&](PacketPtr) { ++got; });
+    handle = std::move(first);
+  }  // the moved-from handle dies here; the flow stays routed
+  deliver_one();
+  EXPECT_EQ(got, 1);
+  // Re-registering over a live handle for the same flow: releasing the
+  // old registration must not erase the new one.
+  handle = n.register_flow(1, [&](PacketPtr) { got += 10; });
+  deliver_one();
+  EXPECT_EQ(got, 11);
+  EXPECT_EQ(n.unroutable_packets(), 0);
+  // Dropping the handle unregisters: the next packet is unroutable.
+  handle.reset();
+  deliver_one();
+  EXPECT_EQ(got, 11);
+  EXPECT_EQ(n.unroutable_packets(), 1);
 }
 
 TEST(Node, UnknownFlowCounted) {
@@ -89,7 +118,7 @@ TEST(Node, DeduplicatesCopies) {
   sim::Simulator s;
   Node n(s, "n");
   int got = 0;
-  n.register_flow(1, [&](PacketPtr) { ++got; });
+  const FlowHandle h = n.register_flow(1, [&](PacketPtr) { ++got; });
   auto p = make_packet();
   p->flow = 1;
   p->dup_group = 12345;
@@ -121,7 +150,8 @@ TEST(Shim, StampsChosenChannelOnPacket) {
                           std::make_unique<steer::SingleChannelPolicy>(0),
                           s);
   std::uint8_t seen = 255;
-  net->server().register_flow(1, [&](PacketPtr p) { seen = p->channel; });
+  const FlowHandle h =
+      net->server().register_flow(1, [&](PacketPtr p) { seen = p->channel; });
   auto p = make_packet();
   p->flow = 1;
   p->size_bytes = 200;
@@ -187,7 +217,8 @@ TEST(Shim, DuplicatesDeliveredOnceEndToEnd) {
           steer::RedundantConfig{.mirror_all = true}),
       std::make_unique<steer::SingleChannelPolicy>(0), s);
   int got = 0;
-  net->server().register_flow(1, [&](PacketPtr) { ++got; });
+  const FlowHandle h =
+      net->server().register_flow(1, [&](PacketPtr) { ++got; });
   auto p = make_packet();
   p->flow = 1;
   p->size_bytes = 500;
@@ -206,8 +237,10 @@ TEST(Network, BidirectionalDelivery) {
                           s);
   bool up = false;
   bool down = false;
-  net->server().register_flow(1, [&](PacketPtr) { up = true; });
-  net->client().register_flow(2, [&](PacketPtr) { down = true; });
+  const FlowHandle hu =
+      net->server().register_flow(1, [&](PacketPtr) { up = true; });
+  const FlowHandle hd =
+      net->client().register_flow(2, [&](PacketPtr) { down = true; });
   auto pu = make_packet();
   pu->flow = 1;
   pu->size_bytes = 100;
@@ -227,7 +260,8 @@ TEST(Network, UrllcIsFasterForSmallPackets) {
                           std::make_unique<steer::SingleChannelPolicy>(0),
                           s);
   sim::Time arrival = -1;
-  net->server().register_flow(1, [&](PacketPtr) { arrival = s.now(); });
+  const FlowHandle h =
+      net->server().register_flow(1, [&](PacketPtr) { arrival = s.now(); });
   auto p = make_packet();
   p->flow = 1;
   p->size_bytes = 100;

@@ -14,7 +14,6 @@
 #include "net/packet.hpp"
 #include "obs/audit.hpp"
 #include "obs/json.hpp"
-#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -56,7 +55,8 @@ TEST(Tracer, DisablingAnotherTracerKeepsScopedRunRecording) {
   // unconditionally. A run executing inside a ScopedPacketTracer (the
   // sweep engine wraps every run in one) would silently stop recording
   // when anything disabled the global instance on the same thread —
-  // e.g. a bench ObsSession finishing, or an earlier run's teardown.
+  // e.g. a tool disabling the global tracer, or an earlier run's
+  // teardown.
   // Control: the same single event recorded with no interference.
   // (Set up first — enable() itself binds the thread's active().)
   PacketTracer undisturbed;
@@ -404,50 +404,6 @@ TEST(Metrics, SnapshotFlattensHistograms) {
   EXPECT_DOUBLE_EQ(snap.at("lat.mean"), 2.75);
   EXPECT_TRUE(snap.contains("lat.p95"));
   EXPECT_TRUE(obs::json::valid(reg.to_json()));
-}
-
-TEST(Manifest, RoundTripsThroughJson) {
-  obs::RunManifest m;
-  m.name = "fig2_video_steering";
-  m.seed = 42;
-  m.add_param("scheme", "dchannel \"quoted\"");
-  m.add_param("duration_s", "60");
-  m.wall_time_ms = 123.5;
-  m.trace_events = 100000;
-  m.metrics["shim.down.ch0.packets"] = 4200;
-  m.metrics["app.video.frame_latency_ms.p95"] = 78.25;
-
-  const std::string text = m.to_json();
-  ASSERT_TRUE(obs::json::valid(text));
-  const auto back = obs::RunManifest::from_json(text);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->name, m.name);
-  EXPECT_EQ(back->seed, 42u);
-  EXPECT_DOUBLE_EQ(back->wall_time_ms, 123.5);
-  EXPECT_EQ(back->trace_events, 100000u);
-  EXPECT_EQ(back->metrics, m.metrics);
-  ASSERT_EQ(back->params.size(), 2u);
-  // Param order may not survive (object keys re-sort); compare as sets.
-  std::map<std::string, std::string> in(m.params.begin(), m.params.end());
-  std::map<std::string, std::string> out(back->params.begin(),
-                                         back->params.end());
-  EXPECT_EQ(in, out);
-}
-
-TEST(Manifest, FileWriteReadRoundTrip) {
-  obs::RunManifest m;
-  m.name = "tmp_manifest_test";
-  m.seed = 7;
-  m.metrics["x"] = 1.5;
-  const std::string path = "tmp_manifest_test.manifest.json";
-  ASSERT_TRUE(m.write(path));
-  const auto back = obs::RunManifest::read(path);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->name, "tmp_manifest_test");
-  EXPECT_EQ(back->seed, 7u);
-  EXPECT_DOUBLE_EQ(back->metrics.at("x"), 1.5);
-  std::remove(path.c_str());
-  EXPECT_FALSE(obs::RunManifest::read(path).has_value());
 }
 
 TEST(DelayDecomposition, SplitsQueueingPropagationAndRetxWait) {

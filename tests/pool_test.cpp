@@ -143,7 +143,8 @@ obs::prof::AllocStats alloc_stats_for_run(bool pool) {
     net.add_channel(channel::urllc_profile());
     net.finalize();
     const auto flow = net::next_flow_id();
-    net.server().register_flow(flow, [](net::PacketPtr) {});
+    const net::FlowHandle sink =
+        net.server().register_flow(flow, [](net::PacketPtr) {});
     sim::Rng rng(11);
     for (int i = 0; i < 400; ++i) {
       s.at(static_cast<sim::Time>(rng.uniform(0, 1e9)), [&] {

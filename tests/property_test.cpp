@@ -37,9 +37,10 @@ TEST_P(ConservationTest, NoPacketDuplicatedOrVanishes) {
 
   const auto flow = net::next_flow_id();
   std::map<std::uint64_t, int> seen;  // packet id -> deliveries
-  net.server().register_flow(flow, [&](net::PacketPtr p) {
-    ++seen[p->id];
-  });
+  const net::FlowHandle sink =
+      net.server().register_flow(flow, [&](net::PacketPtr p) {
+        ++seen[p->id];
+      });
   sim::Rng rng(17);
   constexpr int kPackets = 2000;
   for (int i = 0; i < kPackets; ++i) {
@@ -91,11 +92,12 @@ TEST_P(FifoTest, PerChannelOrderPreserved) {
   const auto flow = net::next_flow_id();
   std::map<int, std::uint64_t> last_id_per_channel;
   bool fifo = true;
-  net.server().register_flow(flow, [&](net::PacketPtr p) {
-    auto& last = last_id_per_channel[p->channel];
-    if (p->id < last) fifo = false;
-    last = p->id;
-  });
+  const net::FlowHandle sink =
+      net.server().register_flow(flow, [&](net::PacketPtr p) {
+        auto& last = last_id_per_channel[p->channel];
+        if (p->id < last) fifo = false;
+        last = p->id;
+      });
   for (int i = 0; i < 3000; ++i) {
     s.at(milliseconds(i), [&] {
       auto p = net::make_packet();
@@ -259,12 +261,13 @@ TEST_P(FaultFuzzTest, ConservationFifoAndTerminationUnderFaults) {
   std::map<std::uint64_t, int> seen;
   std::map<int, std::uint64_t> last_id_per_channel;
   bool fifo = true;
-  net.server().register_flow(flow, [&](net::PacketPtr p) {
-    ++seen[p->id];
-    auto& last = last_id_per_channel[p->channel];
-    if (p->id < last) fifo = false;
-    last = p->id;
-  });
+  const net::FlowHandle sink =
+      net.server().register_flow(flow, [&](net::PacketPtr p) {
+        ++seen[p->id];
+        auto& last = last_id_per_channel[p->channel];
+        if (p->id < last) fifo = false;
+        last = p->id;
+      });
   sim::Rng rng(seed ^ 0xf00d);
   constexpr int kPackets = 1200;
   for (int i = 0; i < kPackets; ++i) {

@@ -103,7 +103,8 @@ TEST(PaperShape, HvcCcaRecovery) {
 // DChannel steering fails over within milliseconds of the outage end and
 // commits nothing into the dead link, while a single-channel baseline
 // blasts bytes into the blackout and needs RTO probes to come back.
-// (The full artifact-producing version is bench/outage_recovery.)
+// (The full artifact-producing versions are scenarios/outage_recovery.json
+// and scenarios/outage_recovery_single_channel.json.)
 TEST(PaperShape, OutageRecoveryGoldenNumbers) {
   const auto outage = [] {
     fault::FaultEvent e;

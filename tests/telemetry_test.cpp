@@ -4,11 +4,13 @@
 // report library behind hvc_report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "core/scenario.hpp"
 #include "exp/report.hpp"
 #include "exp/results.hpp"
 #include "exp/runner.hpp"
@@ -19,6 +21,7 @@
 #include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
+#include "transport/tcp.hpp"
 
 namespace hvc {
 namespace {
@@ -121,6 +124,30 @@ TEST(ObsTelemetry, ExportsOrderSeriesByName) {
   obs::json::Value v;
   EXPECT_TRUE(obs::json::parse(ts.to_chrome_trace(), &v));
   EXPECT_EQ(v.find("traceEvents")->array.size(), 2u);
+}
+
+TEST(ObsTelemetry, LinkQueueProbeSeesBulkBacklog) {
+  obs::TelemetrySampler ts;
+  obs::TelemetryConfig cfg;
+  cfg.period = sim::milliseconds(100);
+  cfg.groups = {"link"};
+  ts.enable(cfg);
+  {
+    // Scenario attaches the enabled sampler. The HVC-aware CCA holds ~1
+    // BDP of standing queue once ramped: a reliable backlog signal.
+    core::Scenario sc(core::ScenarioConfig::fig1());
+    const auto flows = transport::make_flow_pair();
+    transport::TcpSender snd(sc.server(), flows, transport::make_cca("hvc"));
+    transport::TcpReceiver rcv(sc.client(), flows);
+    snd.write(60'000'000);
+    sc.sim().run_until(sim::seconds(6));
+  }
+  ts.disable();
+  const auto samples = ts.samples("link.embb-down.queued_bytes");
+  EXPECT_GE(samples.size(), 20u);
+  double max_q = 0;
+  for (const auto& s : samples) max_q = std::max(max_q, s.value);
+  EXPECT_GT(max_q, 10'000.0);
 }
 
 // ---- SteeringAuditLog ----
@@ -281,6 +308,51 @@ TEST(ExpReport, ParseRejectsMalformedLinesWithLineNumber) {
   } catch (const exp::SpecError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
   }
+}
+
+TEST(ExpReport, SummaryPrintsIntegralValuesAsIntegers) {
+  EXPECT_EQ(exp::display_number(131780), "131780");
+  EXPECT_EQ(exp::display_number(20), "20");
+  EXPECT_EQ(exp::display_number(-0.0), "0");
+  EXPECT_EQ(exp::display_number(-1), "-1");
+  EXPECT_EQ(exp::display_number(53.98), "53.98");
+  EXPECT_EQ(exp::display_number(0.125), "0.125");
+
+  exp::Report report;
+  report.runs.emplace_back();
+  report.runs[0].name = "bulk";
+  report.runs[0].params = {{"policy", "dchannel"},
+                           {"resequence_hold_ms", "2e+01"}};
+  report.runs[0].metrics = {{"bulk.channel0.data_packets", 131780},
+                            {"bulk.goodput_mbps", 53.98},
+                            {"bulk.rto_count", 20}};
+  const std::string summary = report.render_summary();
+  EXPECT_NE(summary.find("run 0 bulk policy=dchannel resequence_hold_ms=20\n"),
+            std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find(" 131780\n"), std::string::npos) << summary;
+  EXPECT_NE(summary.find(" 20\n"), std::string::npos) << summary;
+  EXPECT_NE(summary.find(" 53.98\n"), std::string::npos) << summary;
+  EXPECT_EQ(summary.find("e+"), std::string::npos) << summary;
+}
+
+TEST(ExpReport, SummaryFlagsCensoredPageLoadTimes) {
+  exp::Report report;
+  report.runs.resize(2);
+  report.runs[0].name = "slow";
+  report.runs[0].metrics = {{"web.plt_ms.count", 150}, {"web.timeouts", 3}};
+  report.runs[1].index = 1;
+  report.runs[1].name = "fast";
+  report.runs[1].metrics = {{"web.plt_ms.count", 150}, {"web.timeouts", 0}};
+  const std::string summary = report.render_summary();
+  const std::size_t flag = summary.find(
+      "  censored: 3 of 150 loads hit the timeout and enter web.plt_ms.* at "
+      "the timeout value\n");
+  ASSERT_NE(flag, std::string::npos) << summary;
+  // The flag belongs to the run with timeouts, and only to it.
+  const std::size_t fast = summary.find("run 1 fast");
+  EXPECT_LT(flag, fast);
+  EXPECT_EQ(summary.find("censored", fast), std::string::npos) << summary;
 }
 
 TEST(ExpReport, EndToEndRunRendersReasonsAndTelemetry) {

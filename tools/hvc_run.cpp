@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/report.hpp"
 #include "exp/results.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
 
   for (const auto& [name, value] : result.metrics) {
     std::printf("  %-32s %s\n", name.c_str(),
-                obs::json::number(value).c_str());
+                exp::display_number(value).c_str());
   }
   std::printf("wall: %.0f ms\n", result.wall_ms);
 
