@@ -118,9 +118,16 @@ for preset in "${presets[@]}"; do
     # erase without an unlink is a heap use-after-free the next time the
     # sender walks the list. The transport suite drives the loss paths
     # (and audits the indexes throughout); under ASan a stale link traps.
+    # The span recorder caches pointers to its map nodes, and the span
+    # builder links open legs by their position in its leg buffer
+    # (asserted in range in this Debug build); the span and population
+    # suites drive both, so a stale pointer or index traps too.
     cmake --preset sanitize
-    cmake --build --preset sanitize -j "$(nproc)" --target transport_test
+    cmake --build --preset sanitize -j "$(nproc)" \
+      --target transport_test span_test pop_test
     build-sanitize/tests/transport_test
+    build-sanitize/tests/span_test
+    build-sanitize/tests/pop_test
     echo "diffsim oracle OK"
   elif [ "${preset}" = "lint" ]; then
     # Static analysis. Two gates:

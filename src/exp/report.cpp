@@ -308,15 +308,18 @@ std::string display_number(double v) {
   return obs::json::number(v);
 }
 
+std::string display_param(const std::string& value) {
+  Value num;
+  const bool numeric = obs::json::parse(value, &num) && num.is_number();
+  return numeric ? display_number(num.num) : value;
+}
+
 std::string Report::render_summary() const {
   std::string out = "== runs (" + std::to_string(runs.size()) + ") ==\n";
   for (const auto& r : runs) {
     out += "run " + std::to_string(r.index) + " " + r.name;
     for (const auto& [k, v] : r.params) {
-      // Numeric axis values are recorded in number()'s form ("2e+01").
-      Value num;
-      const bool numeric = obs::json::parse(v, &num) && num.is_number();
-      out += " " + k + "=" + (numeric ? display_number(num.num) : v);
+      out += " " + k + "=" + display_param(v);
     }
     out += "\n";
     if (!r.error.empty()) {

@@ -25,6 +25,11 @@ namespace hvc::exp {
 /// round-trip form. Display only; results files keep their bytes.
 [[nodiscard]] std::string display_number(double v);
 
+/// A sweep axis value for display. ExpandedRun::params and the results
+/// files hold numbers in number()'s form ("3e+04"); a numeric value
+/// prints through display_number() ("30000"), anything else unchanged.
+[[nodiscard]] std::string display_param(const std::string& value);
+
 /// One telemetry sample row (`{"t_us":…,"series":…,"v":…}`).
 struct ReportSample {
   double t_us = 0.0;

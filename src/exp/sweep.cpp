@@ -188,17 +188,29 @@ std::size_t SweepSpec::run_count() const {
 
 std::vector<ExpandedRun> expand(const SweepSpec& sweep) {
   const std::size_t total = sweep.run_count();
+  // Each axis value's display string, rendered once, not once per run.
+  std::vector<std::vector<std::string>> shown;
+  for (const SweepAxis& axis : sweep.axes) {
+    std::vector<std::string>& strs = shown.emplace_back();
+    for (const Value& value : axis.values) {
+      strs.push_back(param_string(axis.path, value));
+    }
+  }
   std::vector<ExpandedRun> runs;
   runs.reserve(total);
   std::vector<std::size_t> odo(sweep.axes.size(), 0);
+  // One working document for all runs. Every run overwrites every axis
+  // path in sorted order, and a path sorts after the paths that are its
+  // prefixes, so each subtree an axis replaces is rewritten before the
+  // axes inside it: each run parses base + its own values, as if it had
+  // copied the base.
+  Value doc = sweep.base;
   for (std::size_t i = 0; i < total; ++i) {
-    Value doc = sweep.base;
     ExpandedRun run;
     for (std::size_t a = 0; a < sweep.axes.size(); ++a) {
-      const Value& value = sweep.axes[a].values[odo[a]];
-      set_path(doc, sweep.axes[a].path, value);
-      run.params[sweep.axes[a].path] =
-          param_string(sweep.axes[a].path, value);
+      set_path(doc, sweep.axes[a].path, sweep.axes[a].values[odo[a]]);
+      run.params.emplace_hint(run.params.end(), sweep.axes[a].path,
+                              shown[a][odo[a]]);
     }
     try {
       run.spec = ScenarioSpec::from_json(doc);

@@ -1,6 +1,7 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -31,14 +32,69 @@ void SpanUnitBuilder::begin(const char* cohort, const char* metric,
   unit_.user = user;
   unit_.seq = seq_++;
   unit_.t0 = t0;
-  open_.clear();
+  clear_legs();
   active_ = true;
   in_stage_ = false;
+}
+
+void SpanUnitBuilder::clear_legs() {
+  open_.clear();
+  charges_.clear();
+  bucket_.fill(kNone);
+  crit_ = kNone;
+  stage_legs_ = 0;
+}
+
+std::int8_t* SpanUnitBuilder::find_open(std::uint32_t slot) {
+  std::int8_t* link = &bucket_[slot % kMaxOpenLegs];
+  while (*link != kNone) {
+    assert(static_cast<std::size_t>(*link) < open_.size());
+    OpenLeg& ol = open_[static_cast<std::size_t>(*link)];
+    if (ol.slot == slot) return link;
+    link = &ol.next;
+  }
+  return nullptr;
+}
+
+void SpanUnitBuilder::flush_stage() {
+  if (!in_stage_) return;
+  SpanStage& st = unit_.stages.back();
+  st.legs = stage_legs_;
+  if (crit_ == kNone) return;
+  const OpenLeg& ol = open_[static_cast<std::size_t>(crit_)];
+  SpanLeg& leg = st.crit;
+  leg.t0 = ol.t0;
+  leg.t1 = ol.t1;
+  leg.bytes = ol.bytes;
+  leg.slot = ol.slot;
+  leg.channel = ol.channel;
+  leg.reason = ol.reason;
+  leg.parts = {};
+  if (ol.charges != kNone) {
+    leg.parts = charges_[static_cast<std::size_t>(ol.charges)];
+  }
+  // Exact integer decomposition: measured charges first (clamped to
+  // the observed duration), serialization next, queueing = remainder.
+  std::int64_t cap = std::max<std::int64_t>(0, leg.t1 - leg.t0);
+  static constexpr SpanComp kCharged[] = {
+      SpanComp::kPropagation,     SpanComp::kRetransmission,
+      SpanComp::kReorderWait,     SpanComp::kSteeringWait,
+      SpanComp::kDecodeWait,
+  };
+  for (const SpanComp c : kCharged) {
+    auto& p = leg.parts[static_cast<std::size_t>(c)];
+    p = std::min(p, cap);
+    cap -= p;
+  }
+  const std::int64_t ser = std::clamp<std::int64_t>(ol.ser_hint_ns, 0, cap);
+  leg.parts[static_cast<std::size_t>(SpanComp::kSerialization)] = ser;
+  leg.parts[static_cast<std::size_t>(SpanComp::kQueueing)] = cap - ser;
 }
 
 void SpanUnitBuilder::begin_stage(sim::Time t0, std::int64_t prop_ns,
                                   const char* prop_channel) {
   if (!active_) return;
+  flush_stage();
   if (unit_.stages.size() >= kMaxStages) {
     ++truncated_;
     in_stage_ = false;
@@ -50,7 +106,7 @@ void SpanUnitBuilder::begin_stage(sim::Time t0, std::int64_t prop_ns,
   st.prop_ns = prop_ns;
   st.prop_channel = prop_channel;
   unit_.stages.push_back(st);
-  open_.clear();
+  clear_legs();
   in_stage_ = true;
 }
 
@@ -59,73 +115,58 @@ void SpanUnitBuilder::leg_open(std::uint32_t slot, sim::Time t0,
                                const char* reason,
                                std::int64_t ser_hint_ns) {
   if (!active_ || !in_stage_) return;
-  ++unit_.stages.back().legs;
+  ++stage_legs_;
   if (open_.size() >= kMaxOpenLegs) {
     ++truncated_;
     return;
   }
-  OpenLeg ol;
-  ol.leg.slot = slot;
-  ol.leg.t0 = t0;
-  ol.leg.t1 = t0;
-  ol.leg.bytes = bytes;
-  ol.leg.channel = channel;
-  ol.leg.reason = reason;
-  ol.ser_hint_ns = ser_hint_ns;
-  ol.open = true;
-  open_.push_back(ol);
+  // Append to the slot's bucket list, which stays in open order.
+  std::int8_t* link = &bucket_[slot % kMaxOpenLegs];
+  while (*link != kNone) link = &open_[static_cast<std::size_t>(*link)].next;
+  *link = static_cast<std::int8_t>(open_.size());
+  open_.push_back({t0, t0, bytes, ser_hint_ns, channel, reason, slot, kNone,
+                   kNone});
 }
 
 void SpanUnitBuilder::leg_charge(std::uint32_t slot, SpanComp comp,
                                  std::int64_t ns) {
   if (!active_ || !in_stage_ || ns <= 0) return;
-  for (OpenLeg& ol : open_) {
-    if (ol.open && ol.leg.slot == slot) {
-      ol.leg.parts[static_cast<std::size_t>(comp)] += ns;
-      return;
-    }
+  const std::int8_t* link = find_open(slot);
+  if (link == nullptr) return;
+  OpenLeg& ol = open_[static_cast<std::size_t>(*link)];
+  if (ol.charges == kNone) {
+    ol.charges = static_cast<std::int8_t>(charges_.size());
+    charges_.emplace_back();
   }
+  charges_[static_cast<std::size_t>(ol.charges)]
+          [static_cast<std::size_t>(comp)] += ns;
 }
 
 void SpanUnitBuilder::leg_close(std::uint32_t slot, sim::Time t1) {
   if (!active_ || !in_stage_) return;
-  for (OpenLeg& ol : open_) {
-    if (!ol.open || ol.leg.slot != slot) continue;
-    ol.open = false;
-    SpanLeg& leg = ol.leg;
-    leg.t1 = t1;
-    // Exact integer decomposition: measured charges first (clamped to
-    // the observed duration), serialization next, queueing = remainder.
-    std::int64_t cap = std::max<std::int64_t>(0, t1 - leg.t0);
-    static constexpr SpanComp kCharged[] = {
-        SpanComp::kPropagation,     SpanComp::kRetransmission,
-        SpanComp::kReorderWait,     SpanComp::kSteeringWait,
-        SpanComp::kDecodeWait,
-    };
-    for (const SpanComp c : kCharged) {
-      auto& p = leg.parts[static_cast<std::size_t>(c)];
-      p = std::min(p, cap);
-      cap -= p;
-    }
-    const std::int64_t ser =
-        std::clamp<std::int64_t>(ol.ser_hint_ns, 0, cap);
-    leg.parts[static_cast<std::size_t>(SpanComp::kSerialization)] = ser;
-    leg.parts[static_cast<std::size_t>(SpanComp::kQueueing)] = cap - ser;
-    unit_.stages.back().crit = leg;
+  std::int8_t* link = find_open(slot);
+  if (link == nullptr) {
+    ++truncated_;  // closed a leg the bounded recorder never held
     return;
   }
-  ++truncated_;  // closed a leg the bounded recorder never held
+  // The last leg to close is the stage's critical one.
+  crit_ = *link;
+  OpenLeg& ol = open_[static_cast<std::size_t>(*link)];
+  *link = ol.next;  // unlink: the leg is closed
+  ol.t1 = t1;
 }
 
 void SpanUnitBuilder::end_stage(sim::Time t1) {
   if (!active_ || !in_stage_) return;
+  flush_stage();
   unit_.stages.back().t1 = t1;
   in_stage_ = false;
-  open_.clear();
+  clear_legs();
 }
 
 SpanUnit SpanUnitBuilder::finish(sim::Time t1, std::int64_t total_ns,
                                  double value) {
+  flush_stage();
   unit_.t1 = t1;
   unit_.total_ns = total_ns;
   unit_.value = value;
@@ -156,19 +197,20 @@ SpanUnit SpanUnitBuilder::finish(sim::Time t1, std::int64_t total_ns,
   }
   active_ = false;
   in_stage_ = false;
-  open_.clear();
+  clear_legs();
   return std::move(unit_);
 }
 
 void SpanUnitBuilder::abort() {
   active_ = false;
   in_stage_ = false;
-  open_.clear();
+  clear_legs();
   unit_ = SpanUnit{};
 }
 
 std::size_t SpanUnitBuilder::memory_bytes() const {
   return sizeof(*this) + open_.capacity() * sizeof(OpenLeg) +
+         charges_.capacity() * sizeof(charges_[0]) +
          unit_.stages.capacity() * sizeof(SpanStage);
 }
 
@@ -176,6 +218,7 @@ std::size_t SpanUnitBuilder::memory_bytes() const {
 
 void SpanRecorder::enable(SpanConfig cfg) {
   cfg_ = cfg;
+  aliases_.clear();
   keys_.clear();
   offered_ = 0;
   aborted_ = 0;
@@ -189,15 +232,27 @@ void SpanRecorder::disable() {
   unbind();
 }
 
+SpanRecorder::Key& SpanRecorder::resolve(const SpanUnit& unit) {
+  for (const Alias& a : aliases_) {
+    if (a.cohort == unit.cohort && a.metric == unit.metric) return *a.key;
+  }
+  // First offer through this address pair: find or make the key by name
+  // (equal names at different addresses share one key).
+  std::string name = std::string(unit.cohort) + "." + unit.metric;
+  const auto [it, fresh] = keys_.try_emplace(
+      std::move(name), Key{{}, stats::QuantileCursor(cfg_.tail_quantile)});
+  if (fresh) {
+    it->second.ms.key_seed = sim::seed_mix(cfg_.seed, sim::fnv1a64(it->first));
+  }
+  aliases_.push_back({unit.cohort, unit.metric, &it->second});
+  return it->second;
+}
+
 void SpanRecorder::offer(SpanUnit&& unit) {
   if (!enabled_) return;
   ++offered_;
-  const std::string key =
-      std::string(unit.cohort) + "." + unit.metric;
-  MetricState& ms = keys_[key];
-  if (ms.offered == 0) {
-    ms.key_seed = sim::seed_mix(cfg_.seed, sim::fnv1a64(key));
-  }
+  Key& key = resolve(unit);
+  MetricState& ms = key.ms;
   const std::uint64_t n = ms.offered++;
   const double v = unit.value;
 
@@ -205,7 +260,7 @@ void SpanRecorder::offer(SpanUnit&& unit) {
   // is fed *after* the decision, so the threshold is a pure function of
   // the prior offers — deterministic for any -j / shard split.
   bool kept = false;
-  if (cfg_.tail_budget > 0 && !(v < ms.hist.percentile(cfg_.tail_quantile)) &&
+  if (cfg_.tail_budget > 0 && !(v < key.tail_at.value()) &&
       ms.hist.count() >= static_cast<std::uint64_t>(cfg_.warmup)) {
     if (ms.tail.size() < static_cast<std::size_t>(cfg_.tail_budget)) {
       ms.tail.push_back({std::move(unit), n, "tail"});
@@ -241,13 +296,13 @@ void SpanRecorder::offer(SpanUnit&& unit) {
     ms.reservoir.push_back({std::move(unit), n, "reservoir"});
   }
 
-  ms.hist.add(v);
+  key.tail_at.add(ms.hist, v);
 }
 
 std::uint64_t SpanRecorder::retained() const {
   std::uint64_t n = 0;
-  for (const auto& [key, ms] : keys_) {
-    n += ms.tail.size() + ms.reservoir.size();
+  for (const auto& [name, key] : keys_) {
+    n += key.ms.tail.size() + key.ms.reservoir.size();
   }
   return n;
 }
@@ -261,12 +316,16 @@ std::size_t unit_bytes(const SpanUnit& u) {
 }  // namespace
 
 std::size_t SpanRecorder::span_bytes() const {
-  std::size_t total = sizeof(*this);
-  for (const auto& [key, ms] : keys_) {
-    total += key.size() + sizeof(MetricState) +
+  // The recorder object without its lookup cache, then per key the name,
+  // the state and the bins (not the cursor), then every retained unit.
+  std::size_t total = sizeof(*this) - sizeof(aliases_);
+  for (const auto& [name, key] : keys_) {
+    total += name.size() + sizeof(MetricState) +
              stats::LogHistogram::memory_bytes();
-    for (const auto& k : ms.tail) total += sizeof(Kept) + unit_bytes(k.unit);
-    for (const auto& k : ms.reservoir) {
+    for (const auto& k : key.ms.tail) {
+      total += sizeof(Kept) + unit_bytes(k.unit);
+    }
+    for (const auto& k : key.ms.reservoir) {
       total += sizeof(Kept) + unit_bytes(k.unit);
     }
   }
@@ -305,10 +364,10 @@ std::string SpanRecorder::to_jsonl() const {
   std::uint64_t evicted = 0;
   std::uint64_t tail = 0;
   std::uint64_t reservoir = 0;
-  for (const auto& [key, ms] : keys_) {
-    evicted += ms.evicted;
-    tail += ms.tail.size();
-    reservoir += ms.reservoir.size();
+  for (const auto& [name, key] : keys_) {
+    evicted += key.ms.evicted;
+    tail += key.ms.tail.size();
+    reservoir += key.ms.reservoir.size();
   }
   out += ",\"evicted\":" + number(evicted);
   out += ",\"keys\":" + number(static_cast<std::uint64_t>(keys_.size()));
@@ -320,7 +379,8 @@ std::string SpanRecorder::to_jsonl() const {
   out += ",\"truncated\":" + number(truncated_);
   out += "}}\n";
 
-  for (const auto& [key, ms] : keys_) {
+  for (const auto& [key, state] : keys_) {
+    const MetricState& ms = state.ms;
     // Export in offer order: merge the two (already n-sorted) sets.
     std::vector<const Kept*> ordered;
     ordered.reserve(ms.tail.size() + ms.reservoir.size());

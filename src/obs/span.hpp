@@ -85,7 +85,9 @@ struct SpanStage {
   SpanLeg crit;                    ///< the blocking leg (valid if legs > 0)
 };
 
-/// A completed unit of work offered for retention.
+/// A completed unit of work offered for retention. `cohort` and
+/// `metric` are static strings: the recorder keys its lookup cache by
+/// their addresses.
 struct SpanUnit {
   const char* cohort = "";         ///< "web" | "video" | …
   const char* metric = "";         ///< "plt_ms" | "latency_ms" | …
@@ -100,10 +102,16 @@ struct SpanUnit {
 
 /// Bounded per-user flight recorder: builds one in-flight unit. Fixed
 /// caps on stages and open legs; overflow is counted, never allocated.
+/// leg_charge() and leg_close() act on the first still-open leg opened
+/// with their slot; an index by slot finds it without a scan. A stage's
+/// critical leg is split into components once, when the stage is
+/// written out, not on every close.
 class SpanUnitBuilder {
  public:
   static constexpr std::size_t kMaxStages = 32;
   static constexpr std::size_t kMaxOpenLegs = 64;
+
+  SpanUnitBuilder() { bucket_.fill(kNone); }
 
   [[nodiscard]] bool active() const { return active_; }
 
@@ -132,18 +140,45 @@ class SpanUnitBuilder {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
+  static constexpr std::int8_t kNone = -1;
+
+  /// A leg of the current stage. The full SpanLeg, with its component
+  /// split, is built only for the stage's critical leg, when the stage
+  /// is written out (flush_stage).
   struct OpenLeg {
-    SpanLeg leg;
+    sim::Time t0 = 0;
+    sim::Time t1 = 0;              ///< set on close
+    std::int64_t bytes = 0;
     std::int64_t ser_hint_ns = 0;
-    bool open = false;
+    const char* channel = "";
+    const char* reason = "";
+    std::uint32_t slot = 0;
+    std::int8_t next = kNone;      ///< next open leg in this leg's bucket
+    std::int8_t charges = kNone;   ///< its row of charges_, if charged
   };
 
-  SpanUnit unit_;
-  std::vector<OpenLeg> open_;      ///< current stage's in-flight legs
-  std::uint64_t seq_ = 0;
-  std::uint64_t truncated_ = 0;
+  /// The link that holds the first open leg with `slot`, or nullptr.
+  [[nodiscard]] std::int8_t* find_open(std::uint32_t slot);
+  /// Write the current stage's leg count and critical leg into it.
+  void flush_stage();
+  void clear_legs();
+
+  // The fields every leg call reads, kept together.
   bool active_ = false;
   bool in_stage_ = false;
+  std::int8_t crit_ = kNone;       ///< the stage's last closed leg
+  std::uint32_t stage_legs_ = 0;   ///< legs opened in this stage
+  /// Open legs by slot: bucket slot % kMaxOpenLegs heads a list of the
+  /// open legs whose slot falls in it, linked through OpenLeg::next in
+  /// open order. A closed leg is unlinked but keeps its place in open_,
+  /// so the 64-leg cap still counts every leg the stage opened.
+  std::array<std::int8_t, kMaxOpenLegs> bucket_;
+  std::vector<OpenLeg> open_;      ///< current stage's legs, in open order
+  /// Component charges of the legs that have any, one row per leg.
+  std::vector<std::array<std::int64_t, kSpanCompCount>> charges_;
+  SpanUnit unit_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t truncated_ = 0;
 };
 
 struct SpanConfig {
@@ -179,7 +214,8 @@ class SpanRecorder : public ThreadBinding<SpanRecorder> {
   [[nodiscard]] std::uint64_t offered() const { return offered_; }
   [[nodiscard]] std::uint64_t retained() const;
   /// Memory held by retained exemplars + per-key histograms — the
-  /// O(exemplars) accounting exported as city.span_bytes.
+  /// O(exemplars) accounting exported as city.span_bytes. Lookup caches
+  /// (the interned keys, the quantile cursors) are not counted.
   [[nodiscard]] std::size_t span_bytes() const;
 
   /// One meta line, then one line per retained exemplar, ordered by
@@ -200,13 +236,30 @@ class SpanRecorder : public ThreadBinding<SpanRecorder> {
     std::vector<Kept> tail;       ///< top-K by value
     std::vector<Kept> reservoir;  ///< oldest-out ring, insertion order
   };
+  /// One metric key: its state, and the cursor that keeps
+  /// hist.percentile(cfg.tail_quantile) current.
+  struct Key {
+    MetricState ms;
+    stats::QuantileCursor tail_at;
+  };
+  /// An interned (cohort, metric) address pair and the key it names.
+  struct Alias {
+    const char* cohort;
+    const char* metric;
+    Key* key;
+  };
+
+  [[nodiscard]] Key& resolve(const SpanUnit& unit);
 
   SpanConfig cfg_;
-  std::map<std::string, MetricState> keys_;
+  std::map<std::string, Key> keys_;
   std::uint64_t offered_ = 0;
   std::uint64_t aborted_ = 0;
   std::uint64_t truncated_ = 0;
   bool enabled_ = false;
+  /// Lookup cache, not exemplar or histogram memory: span_bytes() leaves
+  /// it out, as it leaves out each Key's cursor.
+  std::vector<Alias> aliases_;
 };
 
 /// RAII installer, same contract as ScopedSteeringAuditLog: an enabled

@@ -57,11 +57,43 @@ void PsLink::advance_to_now() {
   }
 }
 
-void PsLink::start(std::uint32_t user, std::uint32_t tag, double bytes) {
+void PsLink::enqueue(std::uint32_t user, std::uint32_t tag, double bytes) {
   advance_to_now();
-  heap_.push_back({vwork_ + std::max(bytes, 1.0), seq_++, user, tag});
-  std::push_heap(heap_.begin(), heap_.end(), later);
-  rearm();
+  const Xfer x{vwork_ + std::max(bytes, 1.0), seq_++, user, tag};
+  // Sift up from the new leaf.
+  std::size_t i = heap_.size();
+  heap_.push_back(x);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!Later{}(heap_[parent], x)) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = x;
+}
+
+PsLink::Xfer PsLink::pop_min() {
+  const Xfer min = heap_.front();
+  const Xfer last = heap_.back();
+  heap_.pop_back();
+  // Sift the old last leaf down from the root.
+  const std::size_t n = heap_.size();
+  if (n == 0) return min;
+  std::size_t i = 0;
+  while (true) {
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    std::size_t child = first;
+    const std::size_t end = std::min(first + kArity, n);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (Later{}(heap_[child], heap_[c])) child = c;
+    }
+    if (!Later{}(last, heap_[child])) break;
+    heap_[i] = heap_[child];
+    i = child;
+  }
+  heap_[i] = last;
+  return min;
 }
 
 void PsLink::pop_and_dispatch() {
@@ -72,9 +104,7 @@ void PsLink::pop_and_dispatch() {
   const double eps = 1e-9 * vwork_ + 1e-3;
   done_scratch_.clear();
   while (!heap_.empty() && heap_.front().v_end <= vwork_ + eps) {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    done_scratch_.push_back(heap_.back());
-    heap_.pop_back();
+    done_scratch_.push_back(pop_min());
   }
   rearm();
   // Dispatch after the heap is consistent: callbacks may start() new
@@ -99,6 +129,20 @@ void PsLink::rearm() {
 
 double PsLink::predicted_completion_s(double bytes) const {
   return bytes * (static_cast<double>(heap_.size()) + 1.0) / rate_;
+}
+
+// ---- PsStartBatch -----------------------------------------------------
+
+void PsStartBatch::start(PsLink& link, std::uint32_t user, std::uint32_t tag,
+                         double bytes) {
+  link.enqueue(user, tag, bytes);
+  std::erase(order_, &link);
+  order_.push_back(&link);
+}
+
+void PsStartBatch::rearm() {
+  for (PsLink* link : order_) link->rearm();
+  order_.clear();
 }
 
 // ---- CityEngine -------------------------------------------------------
@@ -240,8 +284,8 @@ void CityEngine::start_page(std::uint32_t u) {
     User& usr = users_.at(u);
     const WebArchetype& w = cfg_.population.web;
     usr.objs_in_flight = 1;
-    start_object(u, 0,
-                 usr.rng.uniform(w.html_min_bytes, w.html_max_bytes));
+    start_object(u, 0, usr.rng.uniform(w.html_min_bytes, w.html_max_bytes));
+    batch_.rearm();
   });
 }
 
@@ -256,6 +300,9 @@ void CityEngine::begin_level(std::uint32_t u) {
                  pareto(user.rng, web.object_xm_bytes, web.object_alpha,
                         web.object_cap_bytes));
   }
+  // One re-arm per link the level touched, not one per object: nothing
+  // else is scheduled between the starts.
+  batch_.rearm();
 }
 
 void CityEngine::start_object(std::uint32_t u, std::uint32_t slot,
@@ -316,7 +363,7 @@ void CityEngine::start_object(std::uint32_t u, std::uint32_t slot,
     }
     al->record(std::move(rec));
   }
-  link->start(u, tag, bytes);
+  batch_.start(*link, u, tag, bytes);
 }
 
 // ---- video archetype --------------------------------------------------

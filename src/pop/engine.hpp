@@ -14,12 +14,16 @@
 // PsLink uses the virtual-work formulation: V(t) advances at C/n(t)
 // bytes of *per-flow* service per second; a transfer of s bytes entering
 // at V₀ completes when V reaches V₀ + s. One re-armed timer fires at the
-// earliest completion; arrivals and completions advance V and re-arm.
+// earliest completion; arrivals and completions advance V and re-arm. A
+// web dependency level starts all its objects at one instant and then
+// re-arms each link it touched once (PsStartBatch, DESIGN.md §4.10).
 // The heap is ordered by (v_end, sequence) so completions are
-// deterministic, and every random draw comes from a per-user
-// counter-based splitmix64 stream (sim/seed.hpp) keyed by (scenario
-// seed, user slot) — draws can never be perturbed by event interleaving
-// or by another user's behaviour.
+// deterministic: the order is total, so any min-heap pops the same
+// sequence, and a 4-ary one does it with half the levels of a binary
+// heap over a cell's thousands of flows. Every random draw comes from a
+// per-user counter-based splitmix64 stream (sim/seed.hpp) keyed by
+// (scenario seed, user slot) — draws can never be perturbed by event
+// interleaving or by another user's behaviour.
 //
 // Statistics are streaming only (src/stats): per-cohort PLT / chunk
 // latency / throughput go into exact-integer moments + log-bin
@@ -84,7 +88,14 @@ class PsLink {
   void set_on_done(DoneFn fn) { on_done_ = std::move(fn); }
 
   /// Begin a transfer of `bytes` (> 0) for (user, tag).
-  void start(std::uint32_t user, std::uint32_t tag, double bytes);
+  void start(std::uint32_t user, std::uint32_t tag, double bytes) {
+    enqueue(user, tag, bytes);
+    rearm();
+  }
+  /// start() without the timer re-arm; PsStartBatch re-arms.
+  void enqueue(std::uint32_t user, std::uint32_t tag, double bytes);
+  /// Point the completion timer at the earliest completion.
+  void rearm();
 
   [[nodiscard]] std::size_t active() const { return heap_.size(); }
   [[nodiscard]] double rate_bytes_per_s() const { return rate_; }
@@ -101,22 +112,44 @@ class PsLink {
     std::uint32_t tag = 0;
   };
 
+  /// Heap order: a is later than b in (v_end, seq). seq is unique, so
+  /// the order is total.
+  struct Later {
+    bool operator()(const Xfer& a, const Xfer& b) const {
+      return a.v_end != b.v_end ? a.v_end > b.v_end : a.seq > b.seq;
+    }
+  };
+  static constexpr std::size_t kArity = 4;
+
   void advance_to_now();
   void pop_and_dispatch();
-  void rearm();
-  static bool later(const Xfer& a, const Xfer& b) {
-    return a.v_end != b.v_end ? a.v_end > b.v_end : a.seq > b.seq;
-  }
+  /// Remove and return the earliest transfer. Precondition: non-empty.
+  Xfer pop_min();
 
   sim::Simulator& sim_;
   double rate_;             ///< bytes per second
   DoneFn on_done_;
-  std::vector<Xfer> heap_;  ///< min-heap via std::push_heap(later)
+  std::vector<Xfer> heap_;  ///< kArity-ary min-heap under Later
   std::vector<Xfer> done_scratch_;
   double vwork_ = 0;        ///< cumulative per-flow service (bytes)
   sim::Time last_ = 0;
   std::uint64_t seq_ = 0;
   sim::Timer timer_;
+};
+
+/// Several PsLink starts at one sim instant, with one timer re-arm per
+/// link instead of one per start. rearm() re-arms the links in the
+/// order of their last start: the order a re-arm per start leaves their
+/// surviving timer events in. Exact only when nothing else is scheduled
+/// between the starts and rearm() (DESIGN.md §4.10).
+class PsStartBatch {
+ public:
+  void start(PsLink& link, std::uint32_t user, std::uint32_t tag,
+             double bytes);
+  void rearm();
+
+ private:
+  std::vector<PsLink*> order_;  ///< links started, by last start
 };
 
 /// The lazily-expanded population. Construct, start(), drive the
@@ -170,6 +203,8 @@ class CityEngine {
   void schedule_think(std::uint32_t u);
   void start_page(std::uint32_t u);
   void begin_level(std::uint32_t u);
+  /// Admit one web object and start it through batch_; the caller
+  /// re-arms the batch.
   void start_object(std::uint32_t u, std::uint32_t slot, double bytes);
   void schedule_chunk(std::uint32_t u);
   void start_chunk(std::uint32_t u);
@@ -186,6 +221,7 @@ class CityEngine {
   CityConfig cfg_;
   PsLink embb_;
   PsLink urllc_;
+  PsStartBatch batch_;  ///< a page level's object starts
   sim::SlotMap<User> users_;
   sim::CounterStream engine_rng_;
   std::uint64_t active_ = 0;

@@ -111,6 +111,10 @@ int LogHistogram::bin_index(double v) {
   return 1 + (e - 1 - kExpLo) * kSubBins + sub;
 }
 
+int LogHistogram::sample_bin(double v) {
+  return std::isfinite(v) ? bin_index(v) : 0;
+}
+
 double LogHistogram::bin_mid(int idx) {
   if (idx <= 0) return 0.0;
   if (idx >= kBins - 1) return std::ldexp(1.0, kExpHi);
@@ -124,8 +128,7 @@ double LogHistogram::bin_mid(int idx) {
 
 void LogHistogram::add_n(double v, std::uint64_t n) {
   if (n == 0) return;
-  if (!std::isfinite(v)) v = 0.0;  // lands in the underflow bin
-  counts_[static_cast<std::size_t>(bin_index(v))] += n;
+  counts_[static_cast<std::size_t>(sample_bin(v))] += n;
   n_ += n;
 }
 
@@ -137,19 +140,43 @@ void LogHistogram::merge(const LogHistogram& o) {
   n_ += o.n_;
 }
 
-double LogHistogram::percentile(double p) const {
-  if (n_ == 0) return 0.0;
+std::uint64_t LogHistogram::rank(double p, std::uint64_t n) {
   p = std::clamp(p, 0.0, 100.0);
   // Rank of the sample we want, 1-based: ceil(p/100 * n), at least 1.
-  const double exact = p / 100.0 * static_cast<double>(n_);
-  std::uint64_t rank = static_cast<std::uint64_t>(std::ceil(exact));
-  rank = std::clamp<std::uint64_t>(rank, 1, n_);
+  const double exact = p / 100.0 * static_cast<double>(n);
+  const auto r = static_cast<std::uint64_t>(std::ceil(exact));
+  return std::clamp<std::uint64_t>(r, 1, n);
+}
+
+double LogHistogram::percentile(double p) const {
+  if (n_ == 0) return 0.0;
+  const std::uint64_t want = rank(p, n_);
   std::uint64_t seen = 0;
   for (int i = 0; i < kBins; ++i) {
     seen += counts_[static_cast<std::size_t>(i)];
-    if (seen >= rank) return bin_mid(i);
+    if (seen >= want) return bin_mid(i);
   }
   return bin_mid(kBins - 1);
+}
+
+void QuantileCursor::add(LogHistogram& hist, double v) {
+  const int bin = LogHistogram::sample_bin(v);
+  auto& counts = hist.counts_;
+  counts[static_cast<std::size_t>(bin)] += 1;
+  ++hist.n_;
+  if (bin < bin_) ++below_;
+  // The answer is the first bin whose cumulative count reaches the rank:
+  // below_ < want <= below_ + counts[bin_]. The rank never falls, and a
+  // sample below the answer can pull the answer down, so walk either way.
+  const std::uint64_t want = LogHistogram::rank(p_, hist.n_);
+  while (below_ >= want) {
+    --bin_;
+    below_ -= counts[static_cast<std::size_t>(bin_)];
+  }
+  while (below_ + counts[static_cast<std::size_t>(bin_)] < want) {
+    below_ += counts[static_cast<std::size_t>(bin_)];
+    ++bin_;
+  }
 }
 
 std::string LogHistogram::to_json() const {

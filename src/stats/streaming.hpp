@@ -125,11 +125,39 @@ class LogHistogram {
   bool operator==(const LogHistogram&) const = default;
 
  private:
+  friend class QuantileCursor;
+
   [[nodiscard]] static int bin_index(double v);
+  /// The bin add() puts `v` in (non-finite samples go to underflow).
+  [[nodiscard]] static int sample_bin(double v);
   [[nodiscard]] static double bin_mid(int idx);
+  /// 1-based rank percentile(p) looks for among n > 0 samples.
+  [[nodiscard]] static std::uint64_t rank(double p, std::uint64_t n);
 
   std::uint64_t n_ = 0;
   std::vector<std::uint64_t> counts_;  ///< size kBins, fixed
+};
+
+/// The answer of LogHistogram::percentile(p), kept current as samples
+/// arrive. percentile() scans from bin 0 on every call; the cursor
+/// remembers the answer bin and the count below it, so one add moves it
+/// only across the bins between the old answer and the new one. Its
+/// value() equals percentile(p) after every add, as long as the
+/// histogram changes only through this cursor's add() (no merge, no
+/// direct add).
+class QuantileCursor {
+ public:
+  explicit QuantileCursor(double p) : p_(p) {}
+
+  /// hist.add(v), then move to the bin percentile(p) now returns.
+  void add(LogHistogram& hist, double v);
+  /// hist.percentile(p) for the histogram add() feeds (0 when empty).
+  [[nodiscard]] double value() const { return LogHistogram::bin_mid(bin_); }
+
+ private:
+  double p_;
+  int bin_ = 0;              ///< the bin percentile(p) returns
+  std::uint64_t below_ = 0;  ///< samples in bins [0, bin_)
 };
 
 /// Classic fixed-edge histogram (counts per [edge[i-1], edge[i]) bucket

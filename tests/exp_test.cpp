@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "core/scenario.hpp"
+#include "exp/report.hpp"
 #include "exp/results.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
@@ -244,6 +245,107 @@ TEST(ExpSweepSpec, InvalidCombinationsFailAtExpandTime) {
                exp::SpecError);
   EXPECT_THROW((void)exp::SweepSpec::from_json_text(R"({"name": "x"})"),
                exp::SpecError);
+}
+
+// expand() substitutes every run into one working document and renders
+// each axis value's display string once. The reference expands each grid
+// point on its own, as a one-run grid whose axes hold just that point's
+// values: that run starts from a fresh copy of the base, as every run
+// did before. Both must give the same spec bytes and params, run by run.
+void expect_expand_matches_per_run_copies(const std::string& sweep_json) {
+  const auto sweep = exp::SweepSpec::from_json_text(sweep_json);
+  const auto runs = exp::expand(sweep);
+  ASSERT_EQ(runs.size(), sweep.run_count());
+  ASSERT_GT(runs.size(), 1u);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    exp::SweepSpec point = sweep;
+    std::size_t rest = i;
+    for (std::size_t a = point.axes.size(); a-- > 0;) {  // last fastest
+      auto& values = point.axes[a].values;
+      const std::size_t n = values.size();
+      values = {values[rest % n]};
+      rest /= n;
+    }
+    const auto ref = exp::expand(point);
+    ASSERT_EQ(ref.size(), 1u);
+    EXPECT_EQ(runs[i].spec.to_json(), ref[0].spec.to_json()) << "run " << i;
+    EXPECT_EQ(runs[i].params, ref[0].params) << "run " << i;
+  }
+}
+
+TEST(ExpSweepSpec, ExpandMatchesPerRunCopiesOnTheCityGrid) {
+  expect_expand_matches_per_run_copies(R"({
+    "name": "city_cell",
+    "base": {
+      "name": "city_cell", "workload": "city", "duration_s": 60, "seed": 42,
+      "channels": [
+        {"type": "embb", "rate_mbps": 1000, "rtt_ms": 50},
+        {"type": "urllc", "rate_mbps": 20, "rtt_ms": 5}
+      ],
+      "city": {"users": 1000,
+               "churn": {"arrival_rate_per_s": 2, "mean_session_s": 120}},
+      "spans": {}
+    },
+    "axes": {
+      "city.users": [1000, 3000, 10000, 30000],
+      "policy": ["embb-only", "dchannel"]
+    }
+  })");
+}
+
+TEST(ExpSweepSpec, ExpandMatchesPerRunCopiesOnAPolicyObjectAxis) {
+  expect_expand_matches_per_run_copies(R"({
+    "base": {"workload": "bulk", "duration_s": 1},
+    "axes": {
+      "policy": ["embb-only",
+                 {"name": "dchannel", "preset": "web-tuned",
+                  "use_flow_priority": true},
+                 "min-delay"],
+      "seed": {"range": [0, 3]}
+    }
+  })");
+}
+
+TEST(ExpSweepSpec, ExpandMatchesPerRunCopiesWhenAnAxisCreatesAKey) {
+  // The base has no "web" block: the first run creates it.
+  expect_expand_matches_per_run_copies(R"({
+    "base": {"workload": "web", "duration_s": 1},
+    "axes": {"cca": ["cubic", "bbr"], "web.pages": [1, 2, 3]}
+  })");
+}
+
+TEST(ExpSweepSpec, ExpandMatchesPerRunCopiesOnNestedPaths) {
+  // "channels" replaces the whole array, then "channels.1.rate_mbps"
+  // writes into the array it just replaced.
+  expect_expand_matches_per_run_copies(R"({
+    "base": {"workload": "bulk", "duration_s": 1},
+    "axes": {
+      "channels": [
+        [{"type": "embb", "rate_mbps": 50}, {"type": "urllc"}],
+        [{"type": "embb"}, {"type": "urllc", "rate_mbps": 2, "rtt_ms": 3}]
+      ],
+      "channels.1.rate_mbps": [1, 4]
+    }
+  })");
+}
+
+TEST(ExpReport, DisplayParamPrintsIntegralAxisValuesAsIntegers) {
+  const auto runs = exp::expand(exp::SweepSpec::from_json_text(R"({
+    "base": {"workload": "city", "duration_s": 1},
+    "axes": {"city.users": [30000], "cca": ["cubic"],
+             "city.churn.mean_session_s": [0.5]}
+  })"));
+  ASSERT_EQ(runs.size(), 1u);
+  const auto& params = runs[0].params;
+  // The results files keep number()'s form; only the display changes.
+  EXPECT_EQ(params.at("city.users"), "3e+04");
+  EXPECT_EQ(exp::display_param(params.at("city.users")), "30000");
+  EXPECT_EQ(exp::display_param(params.at("city.churn.mean_session_s")),
+            "0.5");
+  EXPECT_EQ(exp::display_param(params.at("cca")), "cubic");
+  EXPECT_EQ(exp::display_param("embb-only"), "embb-only");
+  EXPECT_EQ(exp::display_param("-2e+01"), "-20");
+  EXPECT_EQ(exp::display_param("1e-05"), "1e-05");
 }
 
 // ---- Engine vs direct core run: equivalence ----

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/results.hpp"
@@ -14,6 +15,8 @@
 #include "exp/sweep.hpp"
 #include "pop/engine.hpp"
 #include "pop/spec.hpp"
+#include "sim/seed.hpp"
+#include "sim/simulator.hpp"
 
 namespace hvc {
 namespace {
@@ -87,6 +90,98 @@ TEST(CityEngine, NoUrllcPoolMeansNoAdmissions) {
   const pop::CityResult r = pop::run_city(cfg);
   EXPECT_EQ(r.urllc_admitted, 0u);
   EXPECT_GT(r.pages, 0u);
+}
+
+// ---- PsLink ----
+
+// Transfers that all start at one instant share the link equally, so
+// they complete in size order, equal sizes in start order: the heap's
+// (v_end, seq) order. A thousand transfers make the heap several levels
+// deep; sizes from a small alphabet make many ties.
+TEST(PsLink, CompletesInSizeOrderThenStartOrder) {
+  sim::Simulator sim;
+  pop::PsLink link(sim, 1e6);
+  std::vector<std::uint32_t> done;
+  link.set_on_done(
+      [&done](std::uint32_t, std::uint32_t tag) { done.push_back(tag); });
+  sim::CounterStream rng(0x5a5a);
+  std::vector<std::pair<double, std::uint32_t>> want;
+  for (std::uint32_t tag = 0; tag < 1'000; ++tag) {
+    const std::int64_t size = rng.uniform() < 0.5
+                                  ? 100 * rng.uniform_int(1, 8)
+                                  : rng.uniform_int(1, 5'000);
+    const auto bytes = static_cast<double>(size);
+    link.start(0, tag, bytes);
+    want.emplace_back(bytes, tag);
+  }
+  std::stable_sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  sim.run();
+  ASSERT_EQ(done.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(done[i], want[i].second) << "completion " << i;
+  }
+  EXPECT_EQ(link.active(), 0u);
+}
+
+
+using Dispatch = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// Users fetch levels of 2–8 equal-size objects over two PS links of
+/// equal rate. A level puts half its objects on each link, in a random
+/// order, so both links always hold the same flows and every completion
+/// on one link ties, to the nanosecond, with one on the other. The
+/// (user, tag) dispatch order then follows the order of the two links'
+/// timer events. A user's next level starts 1 ms after its last object
+/// lands. `batched` starts a level through a
+/// PsStartBatch, as CityEngine::begin_level does: one re-arm per link.
+/// Otherwise every object is a start() with its own re-arm.
+Dispatch run_tied_levels(bool batched) {
+  sim::Simulator sim;
+  pop::PsLink a(sim, 1e6);
+  pop::PsLink b(sim, 1e6);
+  constexpr std::uint32_t kUsers = 3;
+  std::vector<int> left(kUsers, 0);
+  sim::CounterStream rng(0x7135);
+  pop::PsStartBatch batch;
+  Dispatch log;
+  const auto level = [&](std::uint32_t u) {
+    const auto k = static_cast<int>(2 * rng.uniform_int(1, 4));
+    left[u] = k;
+    std::int64_t a_left = k / 2;
+    std::int64_t b_left = k / 2;
+    for (int i = 0; i < k; ++i) {
+      const bool on_a = rng.uniform_int(1, a_left + b_left) <= a_left;
+      (on_a ? a_left : b_left) -= 1;
+      pop::PsLink& link = on_a ? a : b;
+      const auto tag = static_cast<std::uint32_t>(i);
+      if (batched) {
+        batch.start(link, u, tag, 2'000.0);
+      } else {
+        link.start(u, tag, 2'000.0);
+      }
+    }
+    if (batched) batch.rearm();
+  };
+  const auto done = [&](std::uint32_t u, std::uint32_t tag) {
+    log.emplace_back(u, tag);
+    if (--left[u] == 0) sim.after(sim::milliseconds(1), [&, u] { level(u); });
+  };
+  a.set_on_done(done);
+  b.set_on_done(done);
+  for (std::uint32_t u = 0; u < kUsers; ++u) {
+    sim.at(0, [&, u] { level(u); });
+  }
+  sim.run_until(sim::seconds(20));
+  return log;
+}
+
+TEST(PsLink, BatchedLevelStartsDispatchLikeOneByOne) {
+  const Dispatch one_by_one = run_tied_levels(false);
+  const Dispatch batched = run_tied_levels(true);
+  ASSERT_GT(one_by_one.size(), 10'000u);
+  EXPECT_EQ(batched, one_by_one);
 }
 
 TEST(PopulationSpec, ValidateRejectsBadValues) {

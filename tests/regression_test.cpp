@@ -5,12 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "exp/results.hpp"
+#include "exp/spec.hpp"
+#include "exp/sweep.hpp"
 #include "net/node.hpp"
+#include "sim/seed.hpp"
 #include "steer/dchannel.hpp"
 #include "trace/gen5g.hpp"
 
@@ -264,6 +271,164 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// ---- City golden: exact results rows and span digests ----
+//
+// The transport golden's counterpart for the population engine. A 20 s,
+// 2000-user city grid under both policies, with spans on, must produce
+// exactly these results.jsonl rows and spans.jsonl bytes (FNV-1a 64 of
+// each file). The rows carry city.events, city.span_bytes and every
+// cohort statistic; the span files carry every retention decision. A
+// change that claims to leave city behaviour untouched (src/pop,
+// src/obs/span, src/stats, the event queue) must leave them unchanged; a
+// change that means to alter it re-captures them and says why.
+
+constexpr const char* kCityGoldenSweep = R"({
+  "name": "city_golden",
+  "base": {
+    "name": "city_golden", "workload": "city", "duration_s": 20, "seed": 5,
+    "channels": [
+      {"type": "embb", "rate_mbps": 200, "rtt_ms": 50},
+      {"type": "urllc", "rate_mbps": 5, "rtt_ms": 5}
+    ],
+    "city": {"users": 2000,
+             "churn": {"arrival_rate_per_s": 2, "mean_session_s": 30}},
+    "spans": {}
+  },
+  "axes": {"policy": ["embb-only", "dchannel"]}
+})";
+
+struct CityGolden {
+  std::string row;             ///< the run's results.jsonl line
+  std::uint64_t spans_fnv;     ///< sim::fnv1a64 of its spans.jsonl
+};
+
+const CityGolden kCityGoldens[] = {
+    {
+        R"({"run":0,"name":"city_golden","params":{"policy":"embb-only"})"
+        R"(,"metrics":{"city.arrivals":46)"
+        R"(,"city.background.xput_mbps.count":1.8e+02)"
+        R"(,"city.background.xput_mbps.max":6.3055267333984375)"
+        R"(,"city.background.xput_mbps.mean":0.3147719489203559)"
+        R"(,"city.background.xput_mbps.min":0.2317962646484375)"
+        R"(,"city.background.xput_mbps.p25":0.240234375)"
+        R"(,"city.background.xput_mbps.p5":0.232421875)"
+        R"(,"city.background.xput_mbps.p50":0.26171875)"
+        R"(,"city.background.xput_mbps.p75":0.30859375)"
+        R"(,"city.background.xput_mbps.p90":0.35546875)"
+        R"(,"city.background.xput_mbps.p95":0.37109375)"
+        R"(,"city.background.xput_mbps.p99":0.6015625)"
+        R"(,"city.background.xput_mbps.stddev":0.4506671787738787)"
+        R"(,"city.bg_transfers":1.8e+02,"city.chunks":1187)"
+        R"(,"city.departures":951,"city.events":28886)"
+        R"(,"city.jain.background":0.580842233999584)"
+        R"(,"city.jain.background.users":142)"
+        R"(,"city.jain.video":0.9427933357932361)"
+        R"(,"city.jain.video.users":433,"city.jain.web":0.8313106506830834)"
+        R"(,"city.jain.web.users":977,"city.pages":2568)"
+        R"(,"city.peak_active":2e+03,"city.span_bytes":53914)"
+        R"(,"city.spans_offered":3755,"city.spans_retained":46)"
+        R"(,"city.stats_bytes":46795,"city.urllc_admitted":0)"
+        R"(,"city.urllc_spill_rate":0,"city.urllc_spilled":0)"
+        R"(,"city.users":2e+03,"city.video.latency_ms.count":1187)"
+        R"(,"city.video.latency_ms.max":17347.557174682617)"
+        R"(,"city.video.latency_ms.mean":9983.225192024212)"
+        R"(,"city.video.latency_ms.min":186.15478515625)"
+        R"(,"city.video.latency_ms.p25":6336)"
+        R"(,"city.video.latency_ms.p5":4064)"
+        R"(,"city.video.latency_ms.p50":10368)"
+        R"(,"city.video.latency_ms.p75":13696)"
+        R"(,"city.video.latency_ms.p90":15488)"
+        R"(,"city.video.latency_ms.p95":1.6e+04)"
+        R"(,"city.video.latency_ms.p99":1.664e+04)"
+        R"(,"city.video.latency_ms.stddev":4033.4277344451716)"
+        R"(,"city.web.plt_ms.count":2568)"
+        R"(,"city.web.plt_ms.max":8541.371185302734)"
+        R"(,"city.web.plt_ms.mean":1456.3291448195032)"
+        R"(,"city.web.plt_ms.min":72.89546203613281)"
+        R"(,"city.web.plt_ms.p25":888,"city.web.plt_ms.p5":452)"
+        R"(,"city.web.plt_ms.p50":1.36e+03,"city.web.plt_ms.p75":1.84e+03)"
+        R"(,"city.web.plt_ms.p90":2336,"city.web.plt_ms.p95":2656)"
+        R"(,"city.web.plt_ms.p99":4928)"
+        R"(,"city.web.plt_ms.stddev":845.7265067712553})"
+        R"(,"obs":{"pop.arrivals":46,"pop.bg_transfers":1.8e+02)"
+        R"(,"pop.chunks":1187,"pop.departures":951,"pop.pages":2568)"
+        R"(,"pop.peak_active":2e+03,"pop.urllc_admitted":0)"
+        R"(,"pop.urllc_spilled":0}})",
+        0x99cc438b49d5c470ull},
+    {
+        R"({"run":1,"name":"city_golden","params":{"policy":"dchannel"})"
+        R"(,"metrics":{"city.arrivals":46)"
+        R"(,"city.background.xput_mbps.count":184)"
+        R"(,"city.background.xput_mbps.max":6.34442138671875)"
+        R"(,"city.background.xput_mbps.mean":0.3234647667926291)"
+        R"(,"city.background.xput_mbps.min":0.23919677734375)"
+        R"(,"city.background.xput_mbps.p25":0.248046875)"
+        R"(,"city.background.xput_mbps.p5":0.240234375)"
+        R"(,"city.background.xput_mbps.p50":0.26953125)"
+        R"(,"city.background.xput_mbps.p75":0.31640625)"
+        R"(,"city.background.xput_mbps.p90":0.37109375)"
+        R"(,"city.background.xput_mbps.p95":0.38671875)"
+        R"(,"city.background.xput_mbps.p99":0.6171875)"
+        R"(,"city.background.xput_mbps.stddev":0.4481690525100296)"
+        R"(,"city.bg_transfers":184,"city.chunks":1222)"
+        R"(,"city.departures":951,"city.events":29229)"
+        R"(,"city.jain.background":0.5974475207793921)"
+        R"(,"city.jain.background.users":145)"
+        R"(,"city.jain.video":0.942160457764135,"city.jain.video.users":433)"
+        R"(,"city.jain.web":0.8285809107334071,"city.jain.web.users":979)"
+        R"(,"city.pages":2595,"city.peak_active":2e+03)"
+        R"(,"city.span_bytes":53578,"city.spans_offered":3817)"
+        R"(,"city.spans_retained":48,"city.stats_bytes":46795)"
+        R"(,"city.urllc_admitted":6704)"
+        R"(,"city.urllc_spill_rate":0.39087770307105213)"
+        R"(,"city.urllc_spilled":4302,"city.users":2e+03)"
+        R"(,"city.video.latency_ms.count":1222)"
+        R"(,"city.video.latency_ms.max":16869.458892822266)"
+        R"(,"city.video.latency_ms.mean":9865.812584485242)"
+        R"(,"city.video.latency_ms.min":185.81446838378906)"
+        R"(,"city.video.latency_ms.p25":6208)"
+        R"(,"city.video.latency_ms.p5":3936)"
+        R"(,"city.video.latency_ms.p50":10112)"
+        R"(,"city.video.latency_ms.p75":1.344e+04)"
+        R"(,"city.video.latency_ms.p90":15232)"
+        R"(,"city.video.latency_ms.p95":15744)"
+        R"(,"city.video.latency_ms.p99":1.664e+04)"
+        R"(,"city.video.latency_ms.stddev":4003.782516202074)"
+        R"(,"city.web.plt_ms.count":2595)"
+        R"(,"city.web.plt_ms.max":8283.87973022461)"
+        R"(,"city.web.plt_ms.mean":1408.3841514925507)"
+        R"(,"city.web.plt_ms.min":72.89546203613281)"
+        R"(,"city.web.plt_ms.p25":856,"city.web.plt_ms.p5":436)"
+        R"(,"city.web.plt_ms.p50":1296,"city.web.plt_ms.p75":1776)"
+        R"(,"city.web.plt_ms.p90":2208,"city.web.plt_ms.p95":2592)"
+        R"(,"city.web.plt_ms.p99":4.8e+03)"
+        R"(,"city.web.plt_ms.stddev":824.2556199968227})"
+        R"(,"obs":{"pop.arrivals":46,"pop.bg_transfers":184)"
+        R"(,"pop.chunks":1222,"pop.departures":951,"pop.pages":2595)"
+        R"(,"pop.peak_active":2e+03,"pop.urllc_admitted":6704)"
+        R"(,"pop.urllc_spilled":4302}})",
+        0xdda0fefe23545600ull},
+};
+
+TEST(CityGolden, ResultsRowsAndSpanDigestsAreExact) {
+  const std::string prefix = ::testing::TempDir() + "hvc_city_golden";
+  const auto results = exp::run_sweep(
+      exp::SweepSpec::from_json_text(kCityGoldenSweep), 1, nullptr, prefix);
+  ASSERT_EQ(results.size(), std::size(kCityGoldens));
+  std::istringstream rows(exp::to_jsonl(results));
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    std::string row;
+    ASSERT_TRUE(std::getline(rows, row));
+    const std::string spans = exp::read_file(
+        prefix + ".run" + std::to_string(i) + ".spans.jsonl");
+    SCOPED_TRACE(::testing::Message()
+                 << "run " << i << " actual spans fnv 0x" << std::hex
+                 << sim::fnv1a64(spans) << ", row:\n" << row);
+    EXPECT_EQ(row, kCityGoldens[i].row);
+    EXPECT_EQ(sim::fnv1a64(spans), kCityGoldens[i].spans_fnv);
+  }
+}
 
 }  // namespace
 }  // namespace hvc

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "exp/spec.hpp"
 #include "exp/sweep.hpp"
 #include "obs/span.hpp"
+#include "sim/seed.hpp"
 
 namespace hvc {
 namespace {
@@ -111,6 +113,256 @@ TEST(SpanBuilder, StageOverflowIsCountedNotAllocated) {
   const obs::SpanUnit u = b.finish(n, n, static_cast<double>(n));
   EXPECT_EQ(u.stages.size(), obs::SpanUnitBuilder::kMaxStages);
   EXPECT_EQ(b.truncated(), 8u);
+}
+
+/// The builder as it was before open legs were indexed by slot: every
+/// charge and close scans the stage's legs for the first open one with
+/// the slot. The reference for the model test below.
+class LinearScanBuilder {
+ public:
+  void begin(const char* cohort, const char* metric, std::uint32_t user,
+             sim::Time t0) {
+    unit_ = obs::SpanUnit{};
+    unit_.cohort = cohort;
+    unit_.metric = metric;
+    unit_.user = user;
+    unit_.seq = seq_++;
+    unit_.t0 = t0;
+    open_.clear();
+    active_ = true;
+    in_stage_ = false;
+  }
+  void begin_stage(sim::Time t0, std::int64_t prop_ns, const char* ch) {
+    if (!active_) return;
+    if (unit_.stages.size() >= obs::SpanUnitBuilder::kMaxStages) {
+      ++truncated_;
+      in_stage_ = false;
+      return;
+    }
+    obs::SpanStage st;
+    st.t0 = t0;
+    st.t1 = t0;
+    st.prop_ns = prop_ns;
+    st.prop_channel = ch;
+    unit_.stages.push_back(st);
+    open_.clear();
+    in_stage_ = true;
+  }
+  void leg_open(std::uint32_t slot, sim::Time t0, std::int64_t bytes,
+                const char* ch, const char* reason, std::int64_t hint) {
+    if (!active_ || !in_stage_) return;
+    ++unit_.stages.back().legs;
+    if (open_.size() >= obs::SpanUnitBuilder::kMaxOpenLegs) {
+      ++truncated_;
+      return;
+    }
+    OpenLeg ol;
+    ol.leg.slot = slot;
+    ol.leg.t0 = t0;
+    ol.leg.t1 = t0;
+    ol.leg.bytes = bytes;
+    ol.leg.channel = ch;
+    ol.leg.reason = reason;
+    ol.ser_hint_ns = hint;
+    ol.open = true;
+    open_.push_back(ol);
+  }
+  void leg_charge(std::uint32_t slot, obs::SpanComp comp, std::int64_t ns) {
+    if (!active_ || !in_stage_ || ns <= 0) return;
+    for (OpenLeg& ol : open_) {
+      if (ol.open && ol.leg.slot == slot) {
+        ol.leg.parts[static_cast<std::size_t>(comp)] += ns;
+        return;
+      }
+    }
+  }
+  void leg_close(std::uint32_t slot, sim::Time t1) {
+    if (!active_ || !in_stage_) return;
+    for (OpenLeg& ol : open_) {
+      if (!ol.open || ol.leg.slot != slot) continue;
+      ol.open = false;
+      obs::SpanLeg& leg = ol.leg;
+      leg.t1 = t1;
+      std::int64_t cap = std::max<std::int64_t>(0, t1 - leg.t0);
+      for (const obs::SpanComp c :
+           {obs::SpanComp::kPropagation, obs::SpanComp::kRetransmission,
+            obs::SpanComp::kReorderWait, obs::SpanComp::kSteeringWait,
+            obs::SpanComp::kDecodeWait}) {
+        auto& p = leg.parts[static_cast<std::size_t>(c)];
+        p = std::min(p, cap);
+        cap -= p;
+      }
+      const std::int64_t ser =
+          std::clamp<std::int64_t>(ol.ser_hint_ns, 0, cap);
+      leg.parts[static_cast<std::size_t>(obs::SpanComp::kSerialization)] =
+          ser;
+      leg.parts[static_cast<std::size_t>(obs::SpanComp::kQueueing)] =
+          cap - ser;
+      unit_.stages.back().crit = leg;
+      return;
+    }
+    ++truncated_;
+  }
+  void end_stage(sim::Time t1) {
+    if (!active_ || !in_stage_) return;
+    unit_.stages.back().t1 = t1;
+    in_stage_ = false;
+    open_.clear();
+  }
+  obs::SpanUnit finish(sim::Time t1, std::int64_t total_ns, double value) {
+    unit_.t1 = t1;
+    unit_.total_ns = total_ns;
+    unit_.value = value;
+    std::int64_t parts = 0;
+    obs::SpanStage* last_crit = nullptr;
+    for (obs::SpanStage& st : unit_.stages) {
+      parts += st.prop_ns;
+      if (st.legs > 0) {
+        last_crit = &st;
+        for (const std::int64_t p : st.crit.parts) parts += p;
+      }
+    }
+    const std::int64_t slack = total_ns - parts;
+    if (slack != 0 && last_crit != nullptr) {
+      auto& q = last_crit->crit.parts[static_cast<std::size_t>(
+          obs::SpanComp::kQueueing)];
+      auto& s = last_crit->crit.parts[static_cast<std::size_t>(
+          obs::SpanComp::kSerialization)];
+      q += slack;
+      if (q < 0) {
+        s = std::max<std::int64_t>(0, s + q);
+        q = 0;
+      }
+    }
+    active_ = false;
+    in_stage_ = false;
+    open_.clear();
+    return std::move(unit_);
+  }
+  void abort() {
+    active_ = false;
+    in_stage_ = false;
+    open_.clear();
+    unit_ = obs::SpanUnit{};
+  }
+  [[nodiscard]] std::uint64_t truncated() const { return truncated_; }
+
+ private:
+  struct OpenLeg {
+    obs::SpanLeg leg;
+    std::int64_t ser_hint_ns = 0;
+    bool open = false;
+  };
+  obs::SpanUnit unit_;
+  std::vector<OpenLeg> open_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t truncated_ = 0;
+  bool active_ = false;
+  bool in_stage_ = false;
+};
+
+/// Every field of a unit, stage and critical leg, as text.
+std::string describe(const obs::SpanUnit& u) {
+  std::ostringstream os;
+  os << u.cohort << '.' << u.metric << " user " << u.user << " seq "
+     << u.seq << " [" << u.t0 << ',' << u.t1 << "] total " << u.total_ns
+     << " v " << u.value << '\n';
+  for (const auto& st : u.stages) {
+    os << "  stage [" << st.t0 << ',' << st.t1 << "] prop " << st.prop_ns
+       << ' ' << st.prop_channel << " legs " << st.legs;
+    const obs::SpanLeg& c = st.crit;
+    os << " crit slot " << c.slot << " [" << c.t0 << ',' << c.t1 << "] "
+       << c.bytes << ' ' << c.channel << ' ' << c.reason << " parts";
+    for (const std::int64_t p : c.parts) os << ' ' << p;
+    os << '\n';
+  }
+  return os.str();
+}
+
+// The slot index against the linear scan it replaced, on random call
+// sequences: slots drawn from a small alphabet (duplicates, out of
+// order), slots >= 64 that share buckets with small ones, stages that
+// open more than 64 legs, closes and charges of slots never opened, calls
+// outside a stage, and aborted units. Every unit and the truncated()
+// count must come out the same.
+TEST(SpanBuilder, SlotIndexMatchesLinearScanModel) {
+  obs::SpanUnitBuilder fast;
+  LinearScanBuilder model;
+  sim::CounterStream rng(0x5107);
+  const auto draw_slot = [&rng]() -> std::uint32_t {
+    const double r = rng.uniform();
+    if (r < 0.6) return static_cast<std::uint32_t>(rng.uniform_int(0, 7));
+    if (r < 0.8) {  // same buckets as 0..7
+      return static_cast<std::uint32_t>(64 * rng.uniform_int(1, 3) +
+                                        rng.uniform_int(0, 7));
+    }
+    return static_cast<std::uint32_t>(rng.uniform_int(0, 300));
+  };
+  constexpr obs::SpanComp kComps[] = {
+      obs::SpanComp::kPropagation, obs::SpanComp::kRetransmission,
+      obs::SpanComp::kSteeringWait, obs::SpanComp::kDecodeWait};
+  int units = 0;
+  int over_cap_stages = 0;
+  for (int unit = 0; unit < 3'000; ++unit) {
+    sim::Time now = rng.uniform_int(0, 1'000'000);
+    fast.begin("t", "ms", static_cast<std::uint32_t>(unit), now);
+    model.begin("t", "ms", static_cast<std::uint32_t>(unit), now);
+    const auto stages = rng.uniform_int(0, 36);
+    for (std::int64_t st = 0; st < stages; ++st) {
+      const std::int64_t prop = rng.uniform_int(0, 5'000);
+      fast.begin_stage(now, prop, "embb");
+      model.begin_stage(now, prop, "embb");
+      const bool wide = rng.uniform() < 0.05;
+      const std::int64_t ops = wide ? rng.uniform_int(130, 200)
+                                    : rng.uniform_int(0, 24);
+      std::int64_t opens = 0;
+      for (std::int64_t op = 0; op < ops; ++op) {
+        now += rng.uniform_int(0, 1'000);
+        const std::uint32_t slot = draw_slot();
+        const double r = rng.uniform();
+        if (r < (wide ? 0.7 : 0.45)) {
+          const std::int64_t bytes = rng.uniform_int(1, 100'000);
+          const std::int64_t hint = rng.uniform_int(0, 3'000);
+          fast.leg_open(slot, now, bytes, "urllc", "t:o", hint);
+          model.leg_open(slot, now, bytes, "urllc", "t:o", hint);
+          ++opens;
+        } else if (r < 0.75) {
+          const auto last = static_cast<std::int64_t>(std::size(kComps)) - 1;
+          const obs::SpanComp c = kComps[rng.uniform_int(0, last)];
+          const std::int64_t ns = rng.uniform_int(-100, 2'000);
+          fast.leg_charge(slot, c, ns);
+          model.leg_charge(slot, c, ns);
+        } else {
+          fast.leg_close(slot, now);
+          model.leg_close(slot, now);
+        }
+      }
+      if (opens > 64) ++over_cap_stages;
+      if (rng.uniform() < 0.9) {  // else: the next stage opens unclosed
+        fast.end_stage(now);
+        model.end_stage(now);
+        // Calls between stages are ignored by both.
+        fast.leg_open(1, now, 1, "embb", "t:x", 0);
+        model.leg_open(1, now, 1, "embb", "t:x", 0);
+        fast.leg_close(1, now);
+        model.leg_close(1, now);
+      }
+    }
+    if (rng.uniform() < 0.1) {
+      fast.abort();
+      model.abort();
+      continue;
+    }
+    const obs::SpanUnit got = fast.finish(now, now, 1.0);
+    const obs::SpanUnit want = model.finish(now, now, 1.0);
+    ASSERT_EQ(describe(got), describe(want)) << "unit " << unit;
+    ASSERT_EQ(fast.truncated(), model.truncated()) << "unit " << unit;
+    ++units;
+  }
+  EXPECT_EQ(fast.truncated(), model.truncated());
+  EXPECT_GT(units, 2'000);
+  EXPECT_GT(over_cap_stages, 50);
+  EXPECT_GT(fast.truncated(), 1'000u);
 }
 
 // ---- SpanRecorder retention ----

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -111,6 +112,57 @@ TEST(LogHistogram, MemoryIsFixed) {
   EXPECT_EQ(LogHistogram::memory_bytes(),
             static_cast<std::size_t>(LogHistogram::kBins) *
                 sizeof(std::uint64_t));
+}
+
+// QuantileCursor against percentile(), in lockstep: after every add the
+// cursor must name the bin a full scan from bin 0 finds. The walk mixes
+// a latency-shaped bulk with zeros, negatives, NaN, infinities and
+// values below 2^-20 (all underflow), values at or past 2^40 (overflow),
+// and a regime shift halfway that moves the bulk up three decades, so
+// the cursor walks both ways and across long runs of empty bins.
+TEST(QuantileCursor, MatchesPercentileAfterEveryAdd) {
+  constexpr double kQuantiles[] = {0.0, 50.0, 95.0, 99.9, 100.0};
+  constexpr std::size_t kQ = std::size(kQuantiles);
+  constexpr int kAdds = 250'000;
+  std::vector<LogHistogram> hists(kQ);
+  std::vector<QuantileCursor> cursors;
+  for (const double p : kQuantiles) cursors.emplace_back(p);
+  for (std::size_t q = 0; q < kQ; ++q) {
+    ASSERT_EQ(cursors[q].value(), hists[q].percentile(kQuantiles[q]));
+  }
+
+  sim::CounterStream rng(0xC025);
+  for (int i = 0; i < kAdds; ++i) {
+    const double scale = i < kAdds / 2 ? 1.0 : 1000.0;
+    const double r = rng.uniform();
+    double v = 0.0;
+    if (r < 0.01) {
+      v = 0.0;
+    } else if (r < 0.02) {
+      v = -rng.uniform(0.0, 100.0);
+    } else if (r < 0.025) {
+      v = std::numeric_limits<double>::quiet_NaN();
+    } else if (r < 0.03) {
+      v = rng.uniform() < 0.5 ? std::numeric_limits<double>::infinity()
+                              : -std::numeric_limits<double>::infinity();
+    } else if (r < 0.035) {
+      v = std::ldexp(1.0 + rng.uniform(), static_cast<int>(
+                                              rng.uniform_int(40, 60)));
+    } else if (r < 0.04) {
+      v = std::ldexp(rng.uniform(), -21);
+    } else {
+      const double u = rng.uniform();
+      v = scale * (r < 0.9 ? 20.0 + 160.0 * u : 200.0 * std::exp(4.6 * u));
+    }
+    for (std::size_t q = 0; q < kQ; ++q) {
+      cursors[q].add(hists[q], v);
+      ASSERT_EQ(cursors[q].value(), hists[q].percentile(kQuantiles[q]))
+          << "p" << kQuantiles[q] << " after add " << i << " (" << v << ")";
+    }
+  }
+  EXPECT_EQ(hists[0].count(), static_cast<std::uint64_t>(kAdds));
+  EXPECT_GT(hists[0].underflow(), 5'000u);
+  EXPECT_GT(hists[0].overflow(), 1'000u);
 }
 
 /// Feed `samples` round-robin into `shards` accumulators of type T.

@@ -177,7 +177,8 @@ int main(int argc, char** argv) {
       if (i % shard_count != shard_index) continue;
       std::fprintf(stderr, "  run %zu:", i);
       for (const auto& [k, v] : grid[i].params) {
-        std::fprintf(stderr, " %s=%s", k.c_str(), v.c_str());
+        std::fprintf(stderr, " %s=%s", k.c_str(),
+                     exp::display_param(v).c_str());
       }
       std::fprintf(stderr, "\n");
     }
