@@ -122,12 +122,19 @@ for preset in "${presets[@]}"; do
     # builder links open legs by their position in its leg buffer
     # (asserted in range in this Debug build); the span and population
     # suites drive both, so a stale pointer or index traps too.
+    # Capacity traces are runs addressed by index arithmetic (products
+    # of span and slot index, 128-bit where they could overflow); the
+    # trace, TSN and channel suites run it under UBSan's overflow checks.
     cmake --preset sanitize
     cmake --build --preset sanitize -j "$(nproc)" \
-      --target transport_test span_test pop_test
+      --target transport_test span_test pop_test trace_test tsn_test \
+      channel_test
     build-sanitize/tests/transport_test
     build-sanitize/tests/span_test
     build-sanitize/tests/pop_test
+    build-sanitize/tests/trace_test
+    build-sanitize/tests/tsn_test
+    build-sanitize/tests/channel_test
     echo "diffsim oracle OK"
   elif [ "${preset}" = "lint" ]; then
     # Static analysis. Two gates:

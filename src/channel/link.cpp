@@ -13,7 +13,8 @@ using sim::Time;
 Link::Link(sim::Simulator& sim, LinkConfig cfg)
     : sim_(sim),
       cfg_(std::move(cfg)),
-      loss_(cfg_.loss, sim::Rng(cfg_.loss_seed)) {
+      loss_(cfg_.loss, sim::Rng(cfg_.loss_seed)),
+      cursor_(cfg_.capacity) {
   avg_rate_bps_ = cfg_.capacity.average_rate_bps();
   auto& reg = obs::MetricsRegistry::current();
   const std::string prefix = "link." + cfg_.name + ".";
@@ -110,32 +111,13 @@ void Link::fault_set_episode_loss(const LossConfig& cfg, std::uint64_t seed) {
 
 void Link::schedule_service() {
   if (service_scheduled_ || queue_.empty() || fault_down_) return;
-  const Time next = next_opportunity_after(sim_.now());
+  const Time next = cursor_.next_after(sim_.now());
   if (next == sim::kTimeNever) return;  // dead link
   service_scheduled_ = true;
   service_event_ = sim_.at(next, [this] {
     service_scheduled_ = false;
     on_opportunity();
   });
-}
-
-// Same answer as cfg_.capacity.next_opportunity(t) — first opportunity
-// strictly after t — but via a cursor that only moves forward, since
-// schedule_service() queries at nondecreasing times. Amortized O(1) per
-// service where the trace's binary search pays O(log n) every call.
-Time Link::next_opportunity_after(Time t) {
-  const std::vector<Time>& opps = cfg_.capacity.opportunities();
-  if (opps.empty()) return sim::kTimeNever;
-  const Duration period = cfg_.capacity.period();
-  const Time base = (t / period) * period;
-  if (base != opp_cycle_base_) {
-    // New cycle (or, defensively, time moved backwards): rehome.
-    opp_cycle_base_ = base;
-    opp_idx_ = 0;
-  }
-  while (opp_idx_ < opps.size() && base + opps[opp_idx_] <= t) ++opp_idx_;
-  if (opp_idx_ == opps.size()) return base + period + opps.front();
-  return base + opps[opp_idx_];
 }
 
 void Link::on_opportunity() {

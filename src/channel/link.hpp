@@ -156,7 +156,6 @@ class Link {
     }
   }
   void schedule_service();
-  [[nodiscard]] sim::Time next_opportunity_after(sim::Time t);
   void on_opportunity();
   void deliver(net::PacketPtr p);
 
@@ -176,11 +175,10 @@ class Link {
   // cache. The fault setters invalidate it (same-timestamp safety).
   mutable sim::Time recent_rate_at_ = -1;
   mutable double recent_rate_bps_ = 0.0;
-  // Monotonic cursor over the capacity trace: schedule_service() asks
-  // for the next opportunity at nondecreasing sim times, so a cursor
-  // beats the trace's binary search. (next_opportunity_after: link.cpp)
-  std::size_t opp_idx_ = 0;
-  sim::Time opp_cycle_base_ = 0;
+  // Forward cursor over the capacity trace: schedule_service() asks for
+  // the next opportunity at nondecreasing sim times, so stepping beats
+  // the trace's binary search.
+  trace::OpportunityCursor cursor_;
   double fault_rate_acc_ = 0.0;
   sim::Duration fault_extra_delay_ = 0;
   std::optional<LossModel> episode_loss_;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 namespace hvc::exp {
 
@@ -11,8 +12,16 @@ namespace {
 
 using obs::json::Value;
 
-[[noreturn]] void fail(const std::string& path, const std::string& msg) {
-  throw SpecError(path + ": " + msg);
+[[noreturn]] void fail(std::string_view path, const std::string& msg) {
+  throw SpecError(std::string(path) + ": " + msg);
+}
+
+/// "path.key": built only on the way to an error.
+std::string join(std::string_view path, std::string_view key) {
+  std::string out(path);
+  out += '.';
+  out += key;
+  return out;
 }
 
 const char* kind_name(Value::Kind k) {
@@ -28,73 +37,74 @@ const char* kind_name(Value::Kind k) {
 }
 
 /// Strict-mode guard: every key in `obj` must be in `allowed`.
-void check_keys(const Value& obj, const std::string& path,
-                std::initializer_list<const char*> allowed) {
+void check_keys(const Value& obj, std::string_view path,
+                std::initializer_list<std::string_view> allowed) {
   for (const auto& [key, unused] : obj.object) {
     bool known = false;
-    for (const char* a : allowed) {
+    for (const std::string_view a : allowed) {
       if (key == a) {
         known = true;
         break;
       }
     }
-    if (!known) fail(path.empty() ? key : path + "." + key, "unknown key");
+    if (!known) fail(path.empty() ? key : join(path, key), "unknown key");
   }
 }
 
-const Value& require_object(const Value& v, const std::string& path) {
+const Value& require_object(const Value& v, std::string_view path) {
   if (!v.is_object()) {
     fail(path, std::string("expected an object, got ") + kind_name(v.kind));
   }
   return v;
 }
 
-double get_number(const Value& obj, const std::string& path,
-                  const std::string& key, double dflt) {
+double get_number(const Value& obj, std::string_view path,
+                  std::string_view key, double dflt) {
   const Value* v = obj.find(key);
   if (v == nullptr) return dflt;
   if (!v->is_number()) {
-    fail(path + "." + key,
+    fail(join(path, key),
          std::string("expected a number, got ") + kind_name(v->kind));
   }
   return v->num;
 }
 
-std::int64_t get_int(const Value& obj, const std::string& path,
-                     const std::string& key, std::int64_t dflt) {
+std::int64_t get_int(const Value& obj, std::string_view path,
+                     std::string_view key, std::int64_t dflt) {
   const double d = get_number(obj, path, key, static_cast<double>(dflt));
   const auto i = static_cast<std::int64_t>(d);
-  if (static_cast<double>(i) != d) fail(path + "." + key, "expected an integer");
+  if (static_cast<double>(i) != d) fail(join(path, key), "expected an integer");
   return i;
 }
 
-bool get_bool(const Value& obj, const std::string& path,
-              const std::string& key, bool dflt) {
+bool get_bool(const Value& obj, std::string_view path, std::string_view key,
+              bool dflt) {
   const Value* v = obj.find(key);
   if (v == nullptr) return dflt;
   if (v->kind != Value::Kind::kBool) {
-    fail(path + "." + key,
+    fail(join(path, key),
          std::string("expected true/false, got ") + kind_name(v->kind));
   }
   return v->boolean;
 }
 
-std::string get_string(const Value& obj, const std::string& path,
-                       const std::string& key, std::string dflt) {
+std::string get_string(const Value& obj, std::string_view path,
+                       std::string_view key, std::string dflt) {
   const Value* v = obj.find(key);
   if (v == nullptr) return dflt;
   if (!v->is_string()) {
-    fail(path + "." + key,
+    fail(join(path, key),
          std::string("expected a string, got ") + kind_name(v->kind));
   }
   return v->str;
 }
 
-void require_positive(double v, const std::string& path) {
-  if (!(v > 0)) fail(path, "must be > 0");
+/// Fails with "path.key: must be > 0" unless v > 0.
+void require_positive(double v, std::string_view path, std::string_view key) {
+  if (!(v > 0)) fail(join(path, key), "must be > 0");
 }
 
-ChannelSpec parse_channel(const Value& v, const std::string& path) {
+ChannelSpec parse_channel(const Value& v, std::string_view path) {
   require_object(v, path);
   check_keys(v, path,
              {"type", "profile", "rtt_ms", "rate_mbps", "duration_s", "seed"});
@@ -103,7 +113,7 @@ ChannelSpec parse_channel(const Value& v, const std::string& path) {
   static const std::set<std::string> kTypes = {
       "embb", "urllc", "5g", "tsn", "wifi", "cisp", "fiber", "leo"};
   if (!kTypes.contains(c.type)) {
-    fail(path + ".type", "unknown channel type '" + c.type +
+    fail(join(path, "type"), "unknown channel type '" + c.type +
                              "' (embb|urllc|5g|tsn|wifi|cisp|fiber|leo)");
   }
   c.profile = get_string(v, path, "profile", c.profile);
@@ -111,13 +121,13 @@ ChannelSpec parse_channel(const Value& v, const std::string& path) {
     static const std::set<std::string> kProfiles = {
         "lowband-stationary", "lowband-driving", "mmwave-driving"};
     if (!kProfiles.contains(c.profile)) {
-      fail(path + ".profile",
+      fail(join(path, "profile"),
            "5g channels need profile: lowband-stationary|lowband-driving|"
            "mmwave-driving (got '" +
                c.profile + "')");
     }
   } else if (!c.profile.empty()) {
-    fail(path + ".profile", "only valid for type \"5g\"");
+    fail(join(path, "profile"), "only valid for type \"5g\"");
   }
   c.rtt_ms = get_number(v, path, "rtt_ms", c.rtt_ms);
   c.rate_mbps = get_number(v, path, "rate_mbps", c.rate_mbps);
@@ -126,7 +136,7 @@ ChannelSpec parse_channel(const Value& v, const std::string& path) {
   return c;
 }
 
-PolicySpec parse_policy(const Value& v, const std::string& path) {
+PolicySpec parse_policy(const Value& v, std::string_view path) {
   PolicySpec p;
   if (v.is_string()) {
     p.name = v.str;
@@ -139,7 +149,7 @@ PolicySpec parse_policy(const Value& v, const std::string& path) {
     p.preset = get_string(v, path, "preset", p.preset);
     if (!p.preset.empty() && p.preset != "aggressive" &&
         p.preset != "web-tuned") {
-      fail(path + ".preset", "expected aggressive|web-tuned");
+      fail(join(path, "preset"), "expected aggressive|web-tuned");
     }
     p.cost_factor = get_number(v, path, "cost_factor", p.cost_factor);
     p.min_margin_ms = get_number(v, path, "min_margin_ms", p.min_margin_ms);
@@ -149,13 +159,13 @@ PolicySpec parse_policy(const Value& v, const std::string& path) {
     p.queue_risk = get_number(v, path, "queue_risk", p.queue_risk);
     if (const Value* b = v.find("accelerate_control")) {
       if (b->kind != Value::Kind::kBool) {
-        fail(path + ".accelerate_control", "expected true/false");
+        fail(join(path, "accelerate_control"), "expected true/false");
       }
       p.accelerate_control = b->boolean ? 1 : 0;
     }
     if (const Value* b = v.find("use_flow_priority")) {
       if (b->kind != Value::Kind::kBool) {
-        fail(path + ".use_flow_priority", "expected true/false");
+        fail(join(path, "use_flow_priority"), "expected true/false");
       }
       p.use_flow_priority = b->boolean ? 1 : 0;
     }
@@ -168,7 +178,7 @@ PolicySpec parse_policy(const Value& v, const std::string& path) {
       "dchannel",  "dchannel+prio", "msg-priority", "redundant",
       "cost-aware", "flow-binding"};
   if (!kPolicies.contains(p.name)) {
-    fail(path + (v.is_object() ? ".name" : ""),
+    fail(v.is_object() ? join(path, "name") : std::string(path),
          "unknown steering policy '" + p.name + "'");
   }
   const bool has_dchannel_knobs =
@@ -182,7 +192,7 @@ PolicySpec parse_policy(const Value& v, const std::string& path) {
   return p;
 }
 
-WebSpec parse_web(const Value& v, const std::string& path) {
+WebSpec parse_web(const Value& v, std::string_view path) {
   require_object(v, path);
   check_keys(v, path,
              {"pages", "landing_fraction", "corpus_seed", "loads_per_page",
@@ -190,16 +200,16 @@ WebSpec parse_web(const Value& v, const std::string& path) {
               "bg_flow_priority", "per_load_timeout_s"});
   WebSpec w;
   w.pages = static_cast<int>(get_int(v, path, "pages", w.pages));
-  if (w.pages <= 0) fail(path + ".pages", "must be > 0");
+  if (w.pages <= 0) fail(join(path, "pages"), "must be > 0");
   w.landing_fraction =
       get_number(v, path, "landing_fraction", w.landing_fraction);
   if (w.landing_fraction < 0 || w.landing_fraction > 1) {
-    fail(path + ".landing_fraction", "must be in [0, 1]");
+    fail(join(path, "landing_fraction"), "must be in [0, 1]");
   }
   w.corpus_seed = get_int(v, path, "corpus_seed", w.corpus_seed);
   w.loads_per_page =
       static_cast<int>(get_int(v, path, "loads_per_page", w.loads_per_page));
-  if (w.loads_per_page <= 0) fail(path + ".loads_per_page", "must be > 0");
+  if (w.loads_per_page <= 0) fail(join(path, "loads_per_page"), "must be > 0");
   w.background_flows =
       get_bool(v, path, "background_flows", w.background_flows);
   w.bg_upload_bytes = get_int(v, path, "bg_upload_bytes", w.bg_upload_bytes);
@@ -209,11 +219,11 @@ WebSpec parse_web(const Value& v, const std::string& path) {
       static_cast<int>(get_int(v, path, "bg_flow_priority", w.bg_flow_priority));
   w.per_load_timeout_s =
       get_number(v, path, "per_load_timeout_s", w.per_load_timeout_s);
-  require_positive(w.per_load_timeout_s, path + ".per_load_timeout_s");
+  require_positive(w.per_load_timeout_s, path, "per_load_timeout_s");
   return w;
 }
 
-VideoSpec parse_video(const Value& v, const std::string& path) {
+VideoSpec parse_video(const Value& v, std::string_view path) {
   require_object(v, path);
   check_keys(v, path,
              {"duration_s", "drain_s", "fps", "layer_kbps",
@@ -222,18 +232,18 @@ VideoSpec parse_video(const Value& v, const std::string& path) {
   VideoSpec s;
   s.duration_s = get_number(v, path, "duration_s", s.duration_s);
   s.drain_s = get_number(v, path, "drain_s", s.drain_s);
-  if (s.drain_s < 0) fail(path + ".drain_s", "must be >= 0");
+  if (s.drain_s < 0) fail(join(path, "drain_s"), "must be >= 0");
   s.fps = static_cast<int>(get_int(v, path, "fps", s.fps));
-  if (s.fps <= 0) fail(path + ".fps", "must be > 0");
+  if (s.fps <= 0) fail(join(path, "fps"), "must be > 0");
   if (const Value* arr = v.find("layer_kbps")) {
     if (!arr->is_array() || arr->array.empty()) {
-      fail(path + ".layer_kbps", "expected a non-empty array of numbers");
+      fail(join(path, "layer_kbps"), "expected a non-empty array of numbers");
     }
     s.layer_kbps.clear();
     for (std::size_t i = 0; i < arr->array.size(); ++i) {
       const Value& e = arr->array[i];
       if (!e.is_number() || e.num <= 0) {
-        fail(path + ".layer_kbps." + std::to_string(i),
+        fail(join(join(path, "layer_kbps"), std::to_string(i)),
              "expected a positive number");
       }
       s.layer_kbps.push_back(e.num);
@@ -241,9 +251,11 @@ VideoSpec parse_video(const Value& v, const std::string& path) {
   }
   s.keyframe_interval = static_cast<int>(
       get_int(v, path, "keyframe_interval", s.keyframe_interval));
-  if (s.keyframe_interval <= 0) fail(path + ".keyframe_interval", "must be > 0");
+  if (s.keyframe_interval <= 0) {
+    fail(join(path, "keyframe_interval"), "must be > 0");
+  }
   s.decode_wait_ms = get_number(v, path, "decode_wait_ms", s.decode_wait_ms);
-  if (s.decode_wait_ms < 0) fail(path + ".decode_wait_ms", "must be >= 0");
+  if (s.decode_wait_ms < 0) fail(join(path, "decode_wait_ms"), "must be >= 0");
   s.lookahead_frames = static_cast<int>(
       get_int(v, path, "lookahead_frames", s.lookahead_frames));
   s.encoder_seed = get_int(v, path, "encoder_seed", s.encoder_seed);
@@ -251,7 +263,7 @@ VideoSpec parse_video(const Value& v, const std::string& path) {
   return s;
 }
 
-FaultSpec parse_fault(const Value& v, const std::string& path,
+FaultSpec parse_fault(const Value& v, std::string_view path,
                       std::size_t num_channels) {
   require_object(v, path);
   check_keys(v, path,
@@ -264,33 +276,33 @@ FaultSpec parse_fault(const Value& v, const std::string& path,
   static const std::set<std::string> kKinds = {
       "outage", "rate_cliff", "ge_burst", "delay_spike", "flap"};
   if (!kKinds.contains(f.kind)) {
-    fail(path + ".kind",
+    fail(join(path, "kind"),
          "unknown fault kind '" + f.kind +
              "' (outage|rate_cliff|ge_burst|delay_spike|flap)");
   }
   f.channel = get_int(v, path, "channel", f.channel);
   if (f.channel < 0 ||
       f.channel >= static_cast<std::int64_t>(num_channels)) {
-    fail(path + ".channel",
+    fail(join(path, "channel"),
          "out of range (scenario has " + std::to_string(num_channels) +
              " channels)");
   }
   f.direction = get_string(v, path, "direction", f.direction);
   if (f.direction != "down" && f.direction != "up" &&
       f.direction != "both") {
-    fail(path + ".direction", "expected down|up|both");
+    fail(join(path, "direction"), "expected down|up|both");
   }
   f.start_s = get_number(v, path, "start_s", f.start_s);
-  if (f.start_s < 0) fail(path + ".start_s", "must be >= 0");
+  if (f.start_s < 0) fail(join(path, "start_s"), "must be >= 0");
   f.duration_s = get_number(v, path, "duration_s", f.duration_s);
-  require_positive(f.duration_s, path + ".duration_s");
+  require_positive(f.duration_s, path, "duration_s");
 
   // Kind-specific knobs may only appear for their kind: a spec that sets
   // rate_scale on an outage is almost certainly a typo'd kind.
   const auto only_for = [&](const char* key, bool allowed,
                             const char* owner) {
     if (v.find(key) != nullptr && !allowed) {
-      fail(path + "." + key,
+      fail(join(path, key),
            std::string("only valid for kind \"") + owner + "\"");
     }
   };
@@ -305,17 +317,17 @@ FaultSpec parse_fault(const Value& v, const std::string& path,
   only_for("period_s", flap, "flap");
   only_for("up_fraction", flap, "flap");
   if (v.find("seed") != nullptr && !ge && !flap) {
-    fail(path + ".seed", "only valid for kinds \"ge_burst\" and \"flap\"");
+    fail(join(path, "seed"), "only valid for kinds \"ge_burst\" and \"flap\"");
   }
 
   f.rate_scale = get_number(v, path, "rate_scale", f.rate_scale);
   if (f.kind == "rate_cliff" &&
       (f.rate_scale <= 0 || f.rate_scale >= 1)) {
-    fail(path + ".rate_scale", "must be in (0, 1)");
+    fail(join(path, "rate_scale"), "must be in (0, 1)");
   }
   f.extra_delay_ms = get_number(v, path, "extra_delay_ms", f.extra_delay_ms);
   if (f.kind == "delay_spike") {
-    require_positive(f.extra_delay_ms, path + ".extra_delay_ms");
+    require_positive(f.extra_delay_ms, path, "extra_delay_ms");
   }
   f.p_good_to_bad = get_number(v, path, "p_good_to_bad", f.p_good_to_bad);
   f.p_bad_to_good = get_number(v, path, "p_bad_to_good", f.p_bad_to_good);
@@ -323,7 +335,7 @@ FaultSpec parse_fault(const Value& v, const std::string& path,
   f.loss_in_good = get_number(v, path, "loss_in_good", f.loss_in_good);
   if (ge) {
     const auto prob = [&](double p, const char* key) {
-      if (p < 0 || p > 1) fail(path + "." + key, "must be in [0, 1]");
+      if (p < 0 || p > 1) fail(join(path, key), "must be in [0, 1]");
     };
     prob(f.p_good_to_bad, "p_good_to_bad");
     prob(f.p_bad_to_good, "p_bad_to_good");
@@ -334,12 +346,12 @@ FaultSpec parse_fault(const Value& v, const std::string& path,
     }
   }
   f.seed = get_int(v, path, "seed", f.seed);
-  if (f.seed < -1) fail(path + ".seed", "must be >= 0 (or -1 for default)");
+  if (f.seed < -1) fail(join(path, "seed"), "must be >= 0 (or -1 for default)");
   f.period_s = get_number(v, path, "period_s", f.period_s);
-  if (flap) require_positive(f.period_s, path + ".period_s");
+  if (flap) require_positive(f.period_s, path, "period_s");
   f.up_fraction = get_number(v, path, "up_fraction", f.up_fraction);
   if (flap && (f.up_fraction <= 0 || f.up_fraction >= 1)) {
-    fail(path + ".up_fraction", "must be in (0, 1)");
+    fail(join(path, "up_fraction"), "must be in (0, 1)");
   }
   return f;
 }
@@ -348,7 +360,7 @@ FaultSpec parse_fault(const Value& v, const std::string& path,
 /// paths: same-family windows (outage/flap both toggle availability) may
 /// not overlap on the same channel + direction.
 void check_fault_overlaps(const std::vector<FaultSpec>& faults,
-                          const std::string& path) {
+                          std::string_view path) {
   const auto fault_family = [](const std::string& kind) {
     return (kind == "outage" || kind == "flap") ? std::string("availability")
                                                 : kind;
@@ -365,24 +377,24 @@ void check_fault_overlaps(const std::vector<FaultSpec>& faults,
       if (fault_family(a.kind) != fault_family(b.kind)) continue;
       if (b.start_s < a.start_s + a.duration_s &&
           a.start_s < b.start_s + b.duration_s) {
-        fail(path + "." + std::to_string(i),
-             "overlaps " + path + "." + std::to_string(j) + " (" + a.kind +
+        fail(join(path, std::to_string(i)),
+             "overlaps " + join(path, std::to_string(j)) + " (" + a.kind +
                  " on channel " + std::to_string(a.channel) + ")");
       }
     }
   }
 }
 
-CitySpec parse_city(const Value& v, const std::string& path) {
+CitySpec parse_city(const Value& v, std::string_view path) {
   require_object(v, path);
   check_keys(v, path,
              {"users", "mix", "web", "video", "background", "churn", "steer"});
   CitySpec c;
   pop::PopulationSpec& p = c.population;
   p.users = get_int(v, path, "users", p.users);
-  if (p.users < 0) fail(path + ".users", "must be >= 0");
+  if (p.users < 0) fail(join(path, "users"), "must be >= 0");
   if (const Value* m = v.find("mix")) {
-    const std::string mp = path + ".mix";
+    const std::string mp = join(path, "mix");
     require_object(*m, mp);
     check_keys(*m, mp, {"web", "video", "background"});
     p.mix.web = get_number(*m, mp, "web", p.mix.web);
@@ -396,14 +408,14 @@ CitySpec parse_city(const Value& v, const std::string& path) {
     }
   }
   if (const Value* w = v.find("web")) {
-    const std::string wp = path + ".web";
+    const std::string wp = join(path, "web");
     require_object(*w, wp);
     check_keys(*w, wp,
                {"think_time_s", "min_levels", "max_levels", "min_objects",
                 "max_objects", "html_min_bytes", "html_max_bytes",
                 "object_xm_bytes", "object_alpha", "object_cap_bytes"});
     p.web.think_time_s = get_number(*w, wp, "think_time_s", p.web.think_time_s);
-    require_positive(p.web.think_time_s, wp + ".think_time_s");
+    require_positive(p.web.think_time_s, wp, "think_time_s");
     p.web.min_levels =
         static_cast<int>(get_int(*w, wp, "min_levels", p.web.min_levels));
     p.web.max_levels =
@@ -428,9 +440,9 @@ CitySpec parse_city(const Value& v, const std::string& path) {
     }
     p.web.object_xm_bytes =
         get_number(*w, wp, "object_xm_bytes", p.web.object_xm_bytes);
-    require_positive(p.web.object_xm_bytes, wp + ".object_xm_bytes");
+    require_positive(p.web.object_xm_bytes, wp, "object_xm_bytes");
     p.web.object_alpha = get_number(*w, wp, "object_alpha", p.web.object_alpha);
-    require_positive(p.web.object_alpha, wp + ".object_alpha");
+    require_positive(p.web.object_alpha, wp, "object_alpha");
     p.web.object_cap_bytes =
         get_number(*w, wp, "object_cap_bytes", p.web.object_cap_bytes);
     if (p.web.object_cap_bytes < p.web.object_xm_bytes) {
@@ -438,26 +450,26 @@ CitySpec parse_city(const Value& v, const std::string& path) {
     }
   }
   if (const Value* vid = v.find("video")) {
-    const std::string vp = path + ".video";
+    const std::string vp = join(path, "video");
     require_object(*vid, vp);
     check_keys(*vid, vp, {"chunk_s", "kbps"});
     p.video.chunk_s = get_number(*vid, vp, "chunk_s", p.video.chunk_s);
-    require_positive(p.video.chunk_s, vp + ".chunk_s");
+    require_positive(p.video.chunk_s, vp, "chunk_s");
     p.video.kbps = get_number(*vid, vp, "kbps", p.video.kbps);
-    require_positive(p.video.kbps, vp + ".kbps");
+    require_positive(p.video.kbps, vp, "kbps");
   }
   if (const Value* bg = v.find("background")) {
-    const std::string bp = path + ".background";
+    const std::string bp = join(path, "background");
     require_object(*bg, bp);
     check_keys(*bg, bp, {"period_s", "xm_bytes", "alpha", "cap_bytes"});
     p.background.period_s = get_number(*bg, bp, "period_s",
                                        p.background.period_s);
-    require_positive(p.background.period_s, bp + ".period_s");
+    require_positive(p.background.period_s, bp, "period_s");
     p.background.xm_bytes =
         get_number(*bg, bp, "xm_bytes", p.background.xm_bytes);
-    require_positive(p.background.xm_bytes, bp + ".xm_bytes");
+    require_positive(p.background.xm_bytes, bp, "xm_bytes");
     p.background.alpha = get_number(*bg, bp, "alpha", p.background.alpha);
-    require_positive(p.background.alpha, bp + ".alpha");
+    require_positive(p.background.alpha, bp, "alpha");
     p.background.cap_bytes =
         get_number(*bg, bp, "cap_bytes", p.background.cap_bytes);
     if (p.background.cap_bytes < p.background.xm_bytes) {
@@ -465,7 +477,7 @@ CitySpec parse_city(const Value& v, const std::string& path) {
     }
   }
   if (const Value* ch = v.find("churn")) {
-    const std::string cp = path + ".churn";
+    const std::string cp = join(path, "churn");
     require_object(*ch, cp);
     check_keys(*ch, cp, {"arrival_rate_per_s", "mean_session_s"});
     p.churn.arrival_rate_per_s =
@@ -480,13 +492,13 @@ CitySpec parse_city(const Value& v, const std::string& path) {
     }
   }
   if (const Value* st = v.find("steer")) {
-    const std::string sp = path + ".steer";
+    const std::string sp = join(path, "steer");
     require_object(*st, sp);
     check_keys(*st, sp, {"enabled", "delay_bound_ms", "max_bytes"});
     p.steer.enabled = get_bool(*st, sp, "enabled", p.steer.enabled);
     p.steer.delay_bound_ms =
         get_number(*st, sp, "delay_bound_ms", p.steer.delay_bound_ms);
-    require_positive(p.steer.delay_bound_ms, sp + ".delay_bound_ms");
+    require_positive(p.steer.delay_bound_ms, sp, "delay_bound_ms");
     p.steer.max_bytes = get_number(*st, sp, "max_bytes", p.steer.max_bytes);
     if (p.steer.max_bytes < 0) fail(sp + ".max_bytes", "must be >= 0");
   }
@@ -500,7 +512,7 @@ CitySpec parse_city(const Value& v, const std::string& path) {
   return c;
 }
 
-TelemetrySpec parse_telemetry(const Value& v, const std::string& path) {
+TelemetrySpec parse_telemetry(const Value& v, std::string_view path) {
   require_object(v, path);
   check_keys(v, path,
              {"enabled", "period_ms", "series", "audit", "max_samples",
@@ -508,17 +520,17 @@ TelemetrySpec parse_telemetry(const Value& v, const std::string& path) {
   TelemetrySpec t;
   t.enabled = get_bool(v, path, "enabled", true);  // presence = opt-in
   t.period_ms = get_number(v, path, "period_ms", t.period_ms);
-  require_positive(t.period_ms, path + ".period_ms");
+  require_positive(t.period_ms, path, "period_ms");
   if (const Value* arr = v.find("series")) {
     if (!arr->is_array()) {
-      fail(path + ".series", "expected an array of probe-group names");
+      fail(join(path, "series"), "expected an array of probe-group names");
     }
     static const std::set<std::string> kGroups = {
         "channel", "link", "steer", "transport", "fault", "pop"};
     for (std::size_t i = 0; i < arr->array.size(); ++i) {
       const Value& e = arr->array[i];
       if (!e.is_string() || !kGroups.contains(e.str)) {
-        fail(path + ".series." + std::to_string(i),
+        fail(join(join(path, "series"), std::to_string(i)),
              "expected channel|link|steer|transport|fault|pop");
       }
       t.series.push_back(e.str);
@@ -526,16 +538,16 @@ TelemetrySpec parse_telemetry(const Value& v, const std::string& path) {
   }
   t.audit = get_bool(v, path, "audit", t.audit);
   t.max_samples = get_int(v, path, "max_samples", t.max_samples);
-  if (t.max_samples <= 0) fail(path + ".max_samples", "must be > 0");
+  if (t.max_samples <= 0) fail(join(path, "max_samples"), "must be > 0");
   t.max_series = get_int(v, path, "max_series", t.max_series);
-  if (t.max_series <= 0) fail(path + ".max_series", "must be > 0");
+  if (t.max_series <= 0) fail(join(path, "max_series"), "must be > 0");
   t.audit_capacity = get_int(v, path, "audit_capacity", t.audit_capacity);
-  if (t.audit_capacity <= 0) fail(path + ".audit_capacity", "must be > 0");
+  if (t.audit_capacity <= 0) fail(join(path, "audit_capacity"), "must be > 0");
   t.out_prefix = get_string(v, path, "out_prefix", t.out_prefix);
   return t;
 }
 
-SpansSpec parse_spans(const Value& v, const std::string& path) {
+SpansSpec parse_spans(const Value& v, std::string_view path) {
   require_object(v, path);
   check_keys(v, path,
              {"enabled", "tail_quantile", "tail_budget", "reservoir_budget",
@@ -544,22 +556,22 @@ SpansSpec parse_spans(const Value& v, const std::string& path) {
   s.enabled = get_bool(v, path, "enabled", true);  // presence = opt-in
   s.tail_quantile = get_number(v, path, "tail_quantile", s.tail_quantile);
   if (s.tail_quantile < 0 || s.tail_quantile > 100) {
-    fail(path + ".tail_quantile", "must be in [0, 100]");
+    fail(join(path, "tail_quantile"), "must be in [0, 100]");
   }
   s.tail_budget = get_int(v, path, "tail_budget", s.tail_budget);
-  if (s.tail_budget < 0) fail(path + ".tail_budget", "must be >= 0");
+  if (s.tail_budget < 0) fail(join(path, "tail_budget"), "must be >= 0");
   s.reservoir_budget =
       get_int(v, path, "reservoir_budget", s.reservoir_budget);
   if (s.reservoir_budget < 0) {
-    fail(path + ".reservoir_budget", "must be >= 0");
+    fail(join(path, "reservoir_budget"), "must be >= 0");
   }
   s.reservoir_period =
       get_int(v, path, "reservoir_period", s.reservoir_period);
   if (s.reservoir_period <= 0) {
-    fail(path + ".reservoir_period", "must be > 0");
+    fail(join(path, "reservoir_period"), "must be > 0");
   }
   s.warmup = get_int(v, path, "warmup", s.warmup);
-  if (s.warmup < 0) fail(path + ".warmup", "must be >= 0");
+  if (s.warmup < 0) fail(join(path, "warmup"), "must be >= 0");
   return s;
 }
 
@@ -615,7 +627,7 @@ ScenarioSpec ScenarioSpec::from_json(const obs::json::Value& v) {
          "expected bulk|video|web|city (got '" + s.workload + "')");
   }
   s.duration_s = get_number(v, "", "duration_s", s.duration_s);
-  require_positive(s.duration_s, "duration_s");
+  if (!(s.duration_s > 0)) fail("duration_s", "must be > 0");
   const std::int64_t seed = get_int(v, "", "seed", static_cast<std::int64_t>(s.seed));
   if (seed < 0) fail("seed", "must be >= 0");
   s.seed = static_cast<std::uint64_t>(seed);

@@ -178,6 +178,7 @@ struct PooledAllocator {
     }
   }
   void deallocate(T* p, std::size_t n) noexcept {
+    HVC_PROF_SCOPE(obs::prof::Hook::kPacketFree);
     obs::prof::hook_free(n * sizeof(T));
     if constexpr (alignof(T) <= alignof(std::max_align_t)) {
       BlockPool::instance().deallocate(p);

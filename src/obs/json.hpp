@@ -7,8 +7,11 @@
 #pragma once
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -46,7 +49,7 @@ inline std::string quote(std::string_view s) {
 /// Shortest round-trippable representation of a double that is still
 /// valid JSON (no "nan"/"inf": they are clamped to null-like 0).
 inline std::string number(double v) {
-  if (!(v == v) || v > 1.7e308 || v < -1.7e308) return "0";
+  if (!std::isfinite(v)) return "0";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   // Trim to the shortest form that parses back exactly.
@@ -72,21 +75,21 @@ struct Value {
   double num = 0.0;
   std::string str;
   std::vector<Value> array;
-  std::map<std::string, Value> object;
+  std::map<std::string, Value, std::less<>> object;
 
   [[nodiscard]] bool is_object() const { return kind == Kind::kObject; }
   [[nodiscard]] bool is_array() const { return kind == Kind::kArray; }
   [[nodiscard]] bool is_number() const { return kind == Kind::kNumber; }
   [[nodiscard]] bool is_string() const { return kind == Kind::kString; }
-  [[nodiscard]] const Value* find(const std::string& key) const {
+  [[nodiscard]] const Value* find(std::string_view key) const {
     const auto it = object.find(key);
     return it == object.end() ? nullptr : &it->second;
   }
-  [[nodiscard]] double number_or(const std::string& key, double dflt) const {
+  [[nodiscard]] double number_or(std::string_view key, double dflt) const {
     const Value* v = find(key);
     return v != nullptr && v->is_number() ? v->num : dflt;
   }
-  [[nodiscard]] std::string string_or(const std::string& key,
+  [[nodiscard]] std::string string_or(std::string_view key,
                                       std::string dflt) const {
     const Value* v = find(key);
     return v != nullptr && v->is_string() ? v->str : dflt;
@@ -196,8 +199,20 @@ class Parser {
       eat_digits();
     }
     if (!digits) return false;
-    const std::string tok(text_.substr(start, pos_ - start));
-    return std::sscanf(tok.c_str(), "%lf", out) == 1;
+    // The whole token must convert. from_chars takes no leading '+'.
+    std::string_view tok = text_.substr(start, pos_ - start);
+    if (tok.front() == '+') tok.remove_prefix(1);
+    const char* const end = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
+    if (ptr != end) return false;
+    if (ec == std::errc::result_out_of_range) {
+      // from_chars reports overflow and underflow alike. strtod tells them
+      // apart on the token it already accepted: overflow (+-inf) is a
+      // syntax error; underflow parses to +-0 or a subnormal, as before.
+      *out = std::strtod(std::string(tok).c_str(), nullptr);
+      return !std::isinf(*out);
+    }
+    return ec == std::errc();
   }
 
   bool parse_value(Value* out) {

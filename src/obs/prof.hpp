@@ -48,7 +48,7 @@ enum class Hook : std::uint8_t {
   kEventPush,        ///< sim::EventQueue::push
   kEventPop,         ///< sim::EventQueue::pop (== events executed)
   kPacketAlloc,      ///< net::make_packet / clone_packet
-  kPacketFree,       ///< packet object deallocation (tracking allocator)
+  kPacketFree,       ///< packet deallocation (the tracking allocators)
   kLinkServe,        ///< channel::Link::on_opportunity (service discipline)
   kSteer,            ///< net::Shim::send (policy dispatch + audit/trace)
   kTelemetrySample,  ///< obs::TelemetrySampler::sample (one tick)
@@ -168,22 +168,19 @@ inline void record(Hook h, std::uint64_t cycle_delta) {
   s.cycles += cycle_delta;
 }
 
+// The allocator hooks count bytes only. The packet hooks' calls and
+// cycles come from the scoped timers in make_packet/clone_packet and in
+// the allocators' deallocate, so each packet counts once.
 inline void count_alloc(std::uint64_t bytes) {
   AllocStats& a = thread_stats().alloc;
   ++a.allocs;
   a.alloc_bytes += bytes;
-  HookStats& s =
-      thread_stats().hooks[static_cast<std::size_t>(Hook::kPacketAlloc)];
-  ++s.calls;
 }
 
 inline void count_free(std::uint64_t bytes) {
   AllocStats& a = thread_stats().alloc;
   ++a.frees;
   a.free_bytes += bytes;
-  HookStats& s =
-      thread_stats().hooks[static_cast<std::size_t>(Hook::kPacketFree)];
-  ++s.calls;
 }
 
 // ---- RAII scoped timer ---------------------------------------------------
@@ -285,6 +282,9 @@ struct TrackingAllocator {
     return std::allocator<T>{}.allocate(n);
   }
   void deallocate(T* p, std::size_t n) noexcept {
+#if HVC_PROF_ENABLED
+    const ScopedTimer timer(Hook::kPacketFree);
+#endif
     hook_free(n * sizeof(T));
     std::allocator<T>{}.deallocate(p, n);
   }

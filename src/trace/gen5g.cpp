@@ -29,7 +29,10 @@ CapacityTrace generate_markov_trace(const MarkovRateModel& model,
   Time now = 0;
   Time state_until = 0;
   double byte_credit = 0.0;
-  std::vector<Time> opps;
+  std::vector<OpportunityRun> runs;
+  if (duration > 0 && model.step > 0) {
+    runs.reserve(static_cast<std::size_t>(duration / model.step) + 1);
+  }
 
   auto draw_dwell = [&](const RateState& s) -> Duration {
     auto d = static_cast<Duration>(
@@ -70,14 +73,18 @@ CapacityTrace generate_markov_trace(const MarkovRateModel& model,
                                              static_cast<double>(mtu)) -
                    static_cast<std::int64_t>(before /
                                              static_cast<double>(mtu));
-    for (std::int64_t i = 0; i < n; ++i) {
-      const Time at =
-          now + model.step * (i + 1) / (n + 1);  // spaced within the step
-      if (at < duration) opps.push_back(at);
+    if (n > 0) {
+      // The step's i-th opportunity (i = 1..n) sits at
+      // now + step * i / (n + 1): one run, spaced within the step.
+      OpportunityRun run{.start = now, .span = model.step, .slots = n + 1,
+                         .first = 1, .count = n};
+      // Only the step that crosses `duration` loses opportunities.
+      if (now + model.step > duration) run.count = run.count_upto(duration - 1);
+      runs.push_back(run);
     }
     now += model.step;
   }
-  return CapacityTrace::from_opportunities(std::move(opps), duration, mtu);
+  return CapacityTrace::from_runs(std::move(runs), duration, mtu);
 }
 
 const char* to_string(FiveGProfile p) {

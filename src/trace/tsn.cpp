@@ -6,19 +6,16 @@ namespace hvc::trace {
 
 namespace {
 
-/// Emit delivery opportunities at `rate`/`mtu` granularity within
-/// [from, to) of a cycle, replicated across enough cycles to make the
-/// trace's loop period exactly one cycle.
-std::vector<sim::Time> window_opportunities(sim::Duration from,
-                                            sim::Duration to,
-                                            sim::RateBps rate,
-                                            std::int64_t mtu) {
-  std::vector<sim::Time> opps;
+/// A trace looping every `cycle`: one opportunity per MTU transmission
+/// time at `rate`, from `from` on, while each transmission ends by `to`.
+CapacityTrace window_trace(sim::Duration from, sim::Duration to,
+                           sim::RateBps rate, std::int64_t mtu,
+                           sim::Duration cycle) {
   const sim::Duration gap = sim::transmission_time(mtu, rate);
-  for (sim::Time at = from; at + gap <= to; at += gap) {
-    opps.push_back(at);
-  }
-  return opps;
+  const std::int64_t n = to - from >= gap ? (to - from) / gap : 0;
+  return CapacityTrace::from_runs(
+      {{.start = from, .span = gap, .slots = 1, .first = 0, .count = n}},
+      cycle, mtu);
 }
 
 void validate(const TsnSchedule& s) {
@@ -28,6 +25,9 @@ void validate(const TsnSchedule& s) {
     throw std::invalid_argument("tsn: window/guard exceed cycle");
   }
   if (s.medium_rate <= 0) throw std::invalid_argument("tsn: rate <= 0");
+  if (s.tsn_mtu <= 0 || s.best_effort_mtu <= 0) {
+    throw std::invalid_argument("tsn: mtu <= 0");
+  }
 }
 
 }  // namespace
@@ -35,20 +35,16 @@ void validate(const TsnSchedule& s) {
 CapacityTrace tsn_slice_trace(const TsnSchedule& s) {
   validate(s);
   // Protected window occupies [guard, guard + tsn_window) of each cycle.
-  auto opps = window_opportunities(s.guard, s.guard + s.tsn_window,
-                                   s.medium_rate, s.tsn_mtu);
-  return CapacityTrace::from_opportunities(std::move(opps), s.cycle,
-                                           s.tsn_mtu);
+  return window_trace(s.guard, s.guard + s.tsn_window, s.medium_rate,
+                      s.tsn_mtu, s.cycle);
 }
 
 CapacityTrace best_effort_slice_trace(const TsnSchedule& s) {
   validate(s);
   // Best effort gets [window end, cycle - guard): the trailing guard
   // protects the *next* cycle's TSN window.
-  auto opps = window_opportunities(s.guard + s.tsn_window, s.cycle - s.guard,
-                                   s.medium_rate, s.best_effort_mtu);
-  return CapacityTrace::from_opportunities(std::move(opps), s.cycle,
-                                           s.best_effort_mtu);
+  return window_trace(s.guard + s.tsn_window, s.cycle - s.guard,
+                      s.medium_rate, s.best_effort_mtu, s.cycle);
 }
 
 }  // namespace hvc::trace

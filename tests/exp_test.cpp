@@ -5,11 +5,14 @@
 // so the tsan stage of scripts/check.sh can select exactly them.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "core/scenario.hpp"
 #include "exp/report.hpp"
@@ -19,6 +22,7 @@
 #include "exp/sweep.hpp"
 #include "net/node.hpp"
 #include "obs/metrics.hpp"
+#include "sim/seed.hpp"
 #include "sim/units.hpp"
 #include "trace/gen5g.hpp"
 
@@ -150,6 +154,123 @@ TEST(ExpSpec, ErrorsCarryJsonPaths) {
   } catch (const exp::SpecError& e) {
     EXPECT_NE(std::string(e.what()).find("web.pages"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(ExpSpec, ErrorMessagesNameTheFullPath) {
+  // The exact text of one error per kind of path the parser builds; the
+  // paths are assembled only once a field is known to be bad.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"duration_s": 0})",
+       "duration_s: must be > 0"},
+      {R"({"duration_s": "x"})",
+       ".duration_s: expected a number, got string"},
+      {R"({"web": {"per_load_timeout_s": 0}})",
+       "web.per_load_timeout_s: must be > 0"},
+      {R"({"web": {"pages": 1.5}})",
+       "web.pages: expected an integer"},
+      {R"({"video": {"layer_kbps": [1, -2]}})",
+       "video.layer_kbps.1: expected a positive number"},
+      {R"({"policy": {"name": "dchannel", "preset": "x"}})",
+       "policy.preset: expected aggressive|web-tuned"},
+      {R"({"policy": {"name": "nope"}})",
+       "policy.name: unknown steering policy 'nope'"},
+      {R"({"policy": {"name": "min-delay", "cost_factor": 2}})",
+       "policy: policy parameters are only valid for the dchannel family"},
+      {R"({"channels": [{"type": "embb", "rtt": 3}]})",
+       "channels.0.rtt: unknown key"},
+      {R"({"faults": [{"kind": "outage", "channel": 0, "duration_s": 0}]})",
+       "faults.0.duration_s: must be > 0"},
+      {R"({"faults": [{"kind": "outage", "channel": 0, "start_s": 1,)"
+       R"( "duration_s": 2}, {"kind": "flap", "channel": 0, "start_s": 2,)"
+       R"( "duration_s": 2}]})",
+       "faults.1: overlaps faults.0 (outage on channel 0)"},
+      {R"({"workload": "city", "city": {"web": {"think_time_s": 0}}})",
+       "city.web.think_time_s: must be > 0"},
+      {R"({"workload": "city", "city": {"mix": {"web": -1}}})",
+       "city.mix: weights must be >= 0"},
+      {R"({"telemetry": {"series": ["x"]}})",
+       "telemetry.series.0: expected channel|link|steer|transport|fault|pop"},
+      {R"({"telemetry": {"period_ms": 0}})",
+       "telemetry.period_ms: must be > 0"},
+      {R"({"bulk": {"duration_s": "x"}})",
+       "bulk.duration_s: expected a number, got string"},
+      {R"({"spans": {"tail_budget": -1}})",
+       "spans.tail_budget: must be >= 0"},
+  };
+  for (const auto& [spec, message] : cases) {
+    try {
+      (void)exp::ScenarioSpec::from_json_text(spec);
+      ADD_FAILURE() << "expected SpecError for " << spec;
+    } catch (const exp::SpecError& e) {
+      EXPECT_STREQ(e.what(), message) << spec;
+    }
+  }
+}
+
+TEST(ExpSpec, NumbersMustConvertWhollyAndFinitely) {
+  // 1e400 overflows a double: a syntax error, not an infinite duration.
+  EXPECT_THROW(
+      (void)exp::ScenarioSpec::from_json_text("{\"duration_s\": 1e400}"),
+      exp::SpecError);
+  // A token converts whole or not at all: "1e" is not 1, "3e+" is not 3.
+  EXPECT_THROW((void)exp::ScenarioSpec::from_json_text("{\"duration_s\": 1e}"),
+               exp::SpecError);
+  EXPECT_THROW((void)exp::ScenarioSpec::from_json_text("{\"seed\": 3e+}"),
+               exp::SpecError);
+  // Underflow still reads as 0, which a positive-only field rejects.
+  try {
+    (void)exp::ScenarioSpec::from_json_text("{\"duration_s\": 1e-400}");
+    ADD_FAILURE() << "expected SpecError";
+  } catch (const exp::SpecError& e) {
+    EXPECT_STREQ(e.what(), "duration_s: must be > 0");
+  }
+  EXPECT_DOUBLE_EQ(
+      exp::ScenarioSpec::from_json_text("{\"duration_s\": 25e-1}").duration_s,
+      2.5);
+}
+
+// FNV-1a 64 and length of each committed scenario file's to_json() (one
+// line per expanded run for a sweep), captured with the sscanf-based
+// number reader: the from_chars reader must read every committed number
+// to the same double.
+struct SpecDigest {
+  const char* file;
+  std::size_t bytes;
+  std::uint64_t fnv;
+};
+
+const SpecDigest kSpecDigests[] = {
+    {"ablation_policy_zoo.json", 3839, 0xf0f457df3ee2cc43ull},
+    {"ablation_resequencer.json", 1137, 0x459db55f7a45f095ull},
+    {"city_cell.json", 6524, 0xdd2485567f2c3bbdull},
+    {"city_cell_smoke.json", 1644, 0x3814da06963ace93ull},
+    {"fig1a_cca_sweep.json", 2004, 0x3c59c5e9744ef925ull},
+    {"fig2_video.json", 2501, 0xd7e4670de76b89b3ull},
+    {"fig2_video_telemetry.json", 484, 0xbd7795dc6458e13aull},
+    {"outage_recovery.json", 370, 0x11502832c893025cull},
+    {"outage_recovery_single_channel.json", 269, 0xfa40b2ee7950ac18ull},
+    {"table1_sweep.json", 11192, 0x1e4bb8f07bc2e735ull},
+    {"table1_web_plt.json", 2843, 0x41d19d44b040f40aull},
+};
+
+TEST(ExpSpec, CommittedScenarioFilesReadAsBefore) {
+  for (const SpecDigest& d : kSpecDigests) {
+    SCOPED_TRACE(d.file);
+    const std::string text =
+        exp::read_file(std::string(HVC_SCENARIO_DIR) + "/" + d.file);
+    obs::json::Value v;
+    ASSERT_TRUE(obs::json::parse(text, &v));
+    std::string all;
+    if (v.find("base") != nullptr) {
+      for (const auto& run : exp::expand(exp::SweepSpec::from_json(v))) {
+        all += run.spec.to_json() + "\n";
+      }
+    } else {
+      all = exp::ScenarioSpec::from_json(v).to_json() + "\n";
+    }
+    EXPECT_EQ(all.size(), d.bytes);
+    EXPECT_EQ(sim::fnv1a64(all), d.fnv);
   }
 }
 

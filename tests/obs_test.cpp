@@ -4,6 +4,11 @@
 // trace determinism across identical runs.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +24,7 @@
 #include "obs/telemetry.hpp"
 #include "obs/tracer.hpp"
 #include "sim/logger.hpp"
+#include "sim/rng.hpp"
 #include "steer/dchannel.hpp"
 #include "transport/tcp.hpp"
 
@@ -126,6 +132,57 @@ TEST(Tracer, ClearDropsEventsButStaysEnabled) {
   EXPECT_EQ(tr.total_recorded(), 0u);
   EXPECT_EQ(tr.snapshot().size(), 0u);
   EXPECT_TRUE(tr.enabled());
+}
+
+TEST(ObsJson, NumberTokensConvertWhollyOrNotAtAll) {
+  obs::json::Value v;
+  // Overflow is a syntax error, not +-inf.
+  EXPECT_FALSE(obs::json::parse("1e400", &v));
+  EXPECT_FALSE(obs::json::parse("[-1e400]", &v));
+  // The whole token must convert: "1e" is not 1 and "3e+" is not 3.
+  EXPECT_FALSE(obs::json::parse("1e", &v));
+  EXPECT_FALSE(obs::json::parse("3e+", &v));
+  EXPECT_FALSE(obs::json::parse("{\"a\": 2.5E-}", &v));
+  // Underflow reads as a zero of the token's sign, as it always did.
+  ASSERT_TRUE(obs::json::parse("1e-400", &v));
+  EXPECT_EQ(v.num, 0.0);
+  EXPECT_FALSE(std::signbit(v.num));
+  ASSERT_TRUE(obs::json::parse("-1e-400", &v));
+  EXPECT_EQ(v.num, 0.0);
+  EXPECT_TRUE(std::signbit(v.num));
+  // The smallest subnormal and the largest double are in range.
+  ASSERT_TRUE(obs::json::parse("4.9406564584124654e-324", &v));
+  EXPECT_EQ(v.num, std::numeric_limits<double>::denorm_min());
+  ASSERT_TRUE(obs::json::parse("-1.7976931348623157e+308", &v));
+  EXPECT_EQ(v.num, -DBL_MAX);
+  // A leading '+' was accepted before and still is.
+  ASSERT_TRUE(obs::json::parse("+5", &v));
+  EXPECT_EQ(v.num, 5.0);
+}
+
+TEST(ObsJson, NumberRoundTripsThroughParse) {
+  std::vector<double> values = {
+      0.0,     -0.0,     1.0,      -1.0,    0.1,     1e300,
+      DBL_MAX, -DBL_MAX, DBL_MIN,  -DBL_MIN, 123456789012345678.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min()};
+  sim::Rng rng(2024);
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    double d = 0;
+    std::memcpy(&d, &bits, sizeof d);  // any exponent
+    if (std::isfinite(d)) values.push_back(d);
+    const std::uint64_t sub = bits & 0x800FFFFFFFFFFFFFULL;  // subnormal
+    std::memcpy(&d, &sub, sizeof d);
+    values.push_back(d);
+  }
+  for (const double x : values) {
+    const std::string text = obs::json::number(x);
+    obs::json::Value v;
+    ASSERT_TRUE(obs::json::parse(text, &v)) << text;
+    EXPECT_EQ(v.num, x) << text;
+    EXPECT_EQ(std::signbit(v.num), std::signbit(x)) << text;
+  }
 }
 
 TEST(Tracer, JsonlLinesAreEachValidJsonObjects) {

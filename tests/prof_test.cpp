@@ -100,11 +100,25 @@ TEST_F(ProfTest, MakePacketRoutesThroughTrackingAllocator) {
   EXPECT_EQ(a.frees, 2u);
   EXPECT_EQ(a.alloc_bytes, a.free_bytes);
   EXPECT_GE(a.alloc_bytes, 2 * sizeof(net::Packet));
-  // The counting hooks also bump the packet hook call counters.
+  // One call per packet on each hook: the scoped timer in
+  // make_packet/clone_packet and the one in the allocator's deallocate.
   EXPECT_EQ(prof::stats(prof::Hook::kPacketFree).calls, 2u);
-  // kPacketAlloc counts both the allocator hook and the scoped timer in
-  // make_packet/clone_packet.
-  EXPECT_EQ(prof::stats(prof::Hook::kPacketAlloc).calls, 4u);
+  EXPECT_EQ(prof::stats(prof::Hook::kPacketAlloc).calls, 2u);
+}
+
+TEST_F(ProfTest, PacketHooksCountEachPacketOnceAndTimeFrees) {
+  prof::enable();
+  for (int i = 0; i < 128; ++i) {
+    auto p = net::make_packet();
+  }
+  prof::disable();
+  // 128 calls, so the 1-in-64 sample times calls 0 and 64 of each hook.
+  EXPECT_EQ(prof::stats(prof::Hook::kPacketAlloc).calls, 128u);
+  EXPECT_EQ(prof::stats(prof::Hook::kPacketFree).calls, 128u);
+  EXPECT_GT(prof::stats(prof::Hook::kPacketAlloc).cycles, 0u);
+  EXPECT_GT(prof::stats(prof::Hook::kPacketFree).cycles, 0u);
+  EXPECT_EQ(prof::alloc_stats().allocs, 128u);
+  EXPECT_EQ(prof::alloc_stats().frees, 128u);
 }
 #endif  // HVC_PROF_ENABLED — with hooks compiled out nothing is counted
 

@@ -12,8 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "channel/profile.hpp"
 #include "core/scenario.hpp"
 #include "exp/results.hpp"
+#include "exp/runner.hpp"
 #include "exp/spec.hpp"
 #include "exp/sweep.hpp"
 #include "net/node.hpp"
@@ -427,6 +429,236 @@ TEST(CityGolden, ResultsRowsAndSpanDigestsAreExact) {
                  << sim::fnv1a64(spans) << ", row:\n" << row);
     EXPECT_EQ(row, kCityGoldens[i].row);
     EXPECT_EQ(sim::fnv1a64(spans), kCityGoldens[i].spans_fnv);
+  }
+}
+
+// ---- Trace golden: every generated opportunity, and two traced runs ----
+//
+// The capacity traces behind Fig. 2 and Table 1 (each 5G profile, down
+// and up) and the LEO channel, pinned as a count and an FNV-1a 64 digest
+// of every opportunity time (its 8 bytes, low byte first). 7.0035 s is
+// not a multiple of the 10 ms Markov step, so the last step is cut. The
+// values were captured when every opportunity had its own vector entry;
+// a change to how traces are stored must leave them unchanged. Two short
+// runs on those traces pin what links, steering snapshots and the
+// transports then do with them: their exact results rows.
+
+std::uint64_t opportunity_digest(const trace::CapacityTrace& t) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const sim::Time at : t.opportunities()) {
+    const auto v = static_cast<std::uint64_t>(at);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct TraceDigest {
+  const char* profile;  ///< a 5g profile name, or "leo"
+  double duration_s;
+  std::uint64_t seed;
+  std::size_t down_count;
+  std::uint64_t down_fnv;
+  std::size_t up_count;
+  std::uint64_t up_fnv;
+};
+
+const TraceDigest kTraceDigests[] = {
+    {"lowband-stationary", 60, 1, 280949, 0x031175520e89d640ull, 70843,
+     0x12e90e81c2289ab4ull},
+    {"lowband-stationary", 7.0035, 43, 33620, 0x6b0022586be93687ull, 8316,
+     0x11f93ec0652ec777ull},
+    {"lowband-driving", 60, 1, 160993, 0x2d730b817dc3d609ull, 50084,
+     0xc311a79d970d2e66ull},
+    {"lowband-driving", 7.0035, 43, 17948, 0xf28d74d927bda998ull, 3804,
+     0xb995da0eb207b95dull},
+    {"mmwave-driving", 60, 1, 1747577, 0x57c2c0a4521b621dull, 521511,
+     0xd1d3e3b9f26552d4ull},
+    {"mmwave-driving", 7.0035, 43, 152438, 0xc75acb0b608ca379ull, 19845,
+     0x5e1c207248b7f704ull},
+    {"leo", 60, 1, 861557, 0x07bba909db4c4d78ull, 852244,
+     0x9c8010c897b85300ull},
+    {"leo", 7.0035, 43, 103919, 0xd9da16b829fd4500ull, 93554,
+     0xe469bad0e1cb1eb5ull},
+};
+
+TEST(TraceGolden, GeneratedOpportunitiesAreExact) {
+  for (const TraceDigest& g : kTraceDigests) {
+    const std::string profile = g.profile;
+    const sim::Duration d = sim::seconds_f(g.duration_s);
+    channel::ChannelProfile p;
+    if (profile == "leo") {
+      p = channel::leo_profile(g.seed, d);
+    } else {
+      const trace::FiveGProfile fp =
+          profile == "lowband-stationary"
+              ? trace::FiveGProfile::kLowbandStationary
+          : profile == "lowband-driving" ? trace::FiveGProfile::kLowbandDriving
+                                         : trace::FiveGProfile::kMmWaveDriving;
+      p = channel::embb_trace_profile(fp, d, g.seed);
+    }
+    const trace::CapacityTrace& down = p.capacity_down;
+    const trace::CapacityTrace& up = p.capacity_up;
+    SCOPED_TRACE(::testing::Message()
+                 << profile << " " << g.duration_s << " s seed " << g.seed
+                 << ": actual down " << down.opportunities_per_period()
+                 << " 0x" << std::hex << opportunity_digest(down) << std::dec
+                 << ", up " << up.opportunities_per_period() << " 0x"
+                 << std::hex << opportunity_digest(up));
+    EXPECT_EQ(down.opportunities_per_period(), g.down_count);
+    EXPECT_EQ(opportunity_digest(down), g.down_fnv);
+    EXPECT_EQ(up.opportunities_per_period(), g.up_count);
+    EXPECT_EQ(opportunity_digest(up), g.up_fnv);
+  }
+}
+
+constexpr const char* kTraceGoldenWeb = R"({
+  "name": "trace_golden_web", "workload": "web", "duration_s": 30,
+  "seed": 7, "cca": "cubic",
+  "channels": [{"type": "5g", "profile": "lowband-driving"},
+               {"type": "urllc"}],
+  "policy": {"name": "dchannel", "preset": "web-tuned",
+             "use_flow_priority": true},
+  "web": {"pages": 4, "corpus_seed": 2023, "loads_per_page": 2,
+          "bg_upload_bytes": 5000, "bg_download_bytes": 10000}
+})";
+
+constexpr const char* kTraceGoldenVideo = R"({
+  "name": "trace_golden_video", "workload": "video", "duration_s": 20.005,
+  "seed": 7,
+  "channels": [{"type": "5g", "profile": "mmwave-driving"},
+               {"type": "urllc"}],
+  "policy": "msg-priority",
+  "video": {"duration_s": 10, "fps": 30, "layer_kbps": [400, 4100, 7500]}
+})";
+
+const char* const kTraceGoldenRows[] = {
+        R"({"run":0,"name":"trace_golden_web","params":{})"
+        R"(,"metrics":{"web.per_page_mean_ms":910.7772755000001)"
+        R"(,"web.plt_ms.count":8,"web.plt_ms.max":2145.975418)"
+        R"(,"web.plt_ms.mean":910.7772755,"web.plt_ms.min":313.821617)"
+        R"(,"web.plt_ms.p25":474.742265,"web.plt_ms.p5":365.78000075)"
+        R"(,"web.plt_ms.p50":621.10923,"web.plt_ms.p75":1202.07860725)"
+        R"(,"web.plt_ms.p90":1736.0643492999998)"
+        R"(,"web.plt_ms.p95":1941.0198836499997)"
+        R"(,"web.plt_ms.p99":2104.9843111299997,"web.timeouts":0})"
+        R"(,"obs":{"app.web.objects_loaded":3.6e+02)"
+        R"(,"app.web.pages_loaded":8,"app.web.plt_ms.count":8)"
+        R"(,"app.web.plt_ms.max":2145.975418)"
+        R"(,"app.web.plt_ms.mean":910.7772755)"
+        R"(,"app.web.plt_ms.p50":621.10923)"
+        R"(,"app.web.plt_ms.p95":1941.0198836499997)"
+        R"(,"app.web.plt_ms.p99":2104.9843111299997)"
+        R"(,"link.embb-lowband-driving-down.delivered_bytes":11189895)"
+        R"(,"link.embb-lowband-driving-down.delivered_packets":8839)"
+        R"(,"link.embb-lowband-driving-down.dropped_queue":0)"
+        R"(,"link.embb-lowband-driving-down.dropped_wire":0)"
+        R"(,"link.embb-lowband-driving-up.delivered_bytes":1.702e+06)"
+        R"(,"link.embb-lowband-driving-up.delivered_packets":2445)"
+        R"(,"link.embb-lowband-driving-up.dropped_queue":0)"
+        R"(,"link.embb-lowband-driving-up.dropped_wire":0)"
+        R"(,"link.urllc-down.delivered_bytes":933206)"
+        R"(,"link.urllc-down.delivered_packets":1165)"
+        R"(,"link.urllc-down.dropped_queue":0)"
+        R"(,"link.urllc-down.dropped_wire":0)"
+        R"(,"link.urllc-up.delivered_bytes":4.1544e+05)"
+        R"(,"link.urllc-up.delivered_packets":7556)"
+        R"(,"link.urllc-up.dropped_queue":0,"link.urllc-up.dropped_wire":0)"
+        R"(,"node.client.duplicates_suppressed":0)"
+        R"(,"node.client.unroutable":0)"
+        R"(,"node.server.duplicates_suppressed":0)"
+        R"(,"node.server.unroutable":0,"shim.down.ch0.bytes":11189975)"
+        R"(,"shim.down.ch0.packets":8841,"shim.down.ch1.bytes":933206)"
+        R"(,"shim.down.ch1.packets":1165,"shim.down.duplicates":0)"
+        R"(,"shim.up.ch0.bytes":1.702e+06,"shim.up.ch0.packets":2445)"
+        R"(,"shim.up.ch1.bytes":4.1544e+05,"shim.up.ch1.packets":7556)"
+        R"(,"shim.up.duplicates":0)"
+        R"(,"steer.dchannel+flowprio.down.decisions.ch0":8841)"
+        R"(,"steer.dchannel+flowprio.down.decisions.ch1":1165)"
+        R"(,"steer.dchannel+flowprio.up.decisions.ch0":2445)"
+        R"(,"steer.dchannel+flowprio.up.decisions.ch1":7556)"
+        R"(,"transport.tcp.packets_sent":9964)"
+        R"(,"transport.tcp.retransmissions":236,"transport.tcp.rto_count":0)"
+        R"(,"transport.tcp.spurious_loss_marks":18}})",
+        R"({"run":0,"name":"trace_golden_video","params":{})"
+        R"(,"metrics":{"video.decoded_at_layer0":0)"
+        R"(,"video.decoded_at_layer1":83,"video.decoded_at_layer2":0)"
+        R"(,"video.decoded_at_layer3":218,"video.frames_concealed":24)"
+        R"(,"video.frames_decoded":301,"video.latency_ms.count":301)"
+        R"(,"video.latency_ms.max":79.5001)"
+        R"(,"video.latency_ms.mean":69.60636229235882)"
+        R"(,"video.latency_ms.min":65.500093)"
+        R"(,"video.latency_ms.p25":68.500017)"
+        R"(,"video.latency_ms.p5":67.166681)"
+        R"(,"video.latency_ms.p50":69.500031)"
+        R"(,"video.latency_ms.p75":70.500056)"
+        R"(,"video.latency_ms.p90":71.500091)"
+        R"(,"video.latency_ms.p95":72.166764)"
+        R"(,"video.latency_ms.p99":76.50006,"video.ssim.count":301)"
+        R"(,"video.ssim.max":0.9870844246437918)"
+        R"(,"video.ssim.mean":0.9461040615451628)"
+        R"(,"video.ssim.min":0.8605861546576394)"
+        R"(,"video.ssim.p25":0.8907001293157011)"
+        R"(,"video.ssim.p5":0.8731159018868402)"
+        R"(,"video.ssim.p50":0.9690380423937475)"
+        R"(,"video.ssim.p75":0.9730496309998167)"
+        R"(,"video.ssim.p90":0.9772419950850671)"
+        R"(,"video.ssim.p95":0.9807538744738551)"
+        R"(,"video.ssim.p99":0.9836198504811855})"
+        R"(,"obs":{"app.video.frame_latency_ms.count":301)"
+        R"(,"app.video.frame_latency_ms.max":79.5001)"
+        R"(,"app.video.frame_latency_ms.mean":69.60636229235882)"
+        R"(,"app.video.frame_latency_ms.p50":69.500031)"
+        R"(,"app.video.frame_latency_ms.p95":72.166764)"
+        R"(,"app.video.frame_latency_ms.p99":76.50006)"
+        R"(,"app.video.frames_concealed":24,"app.video.frames_decoded":301)"
+        R"(,"app.video.ssim.count":301)"
+        R"(,"app.video.ssim.max":0.9870844246437918)"
+        R"(,"app.video.ssim.mean":0.9461040615451628)"
+        R"(,"app.video.ssim.p50":0.9690380423937475)"
+        R"(,"app.video.ssim.p95":0.9807538744738551)"
+        R"(,"app.video.ssim.p99":0.9836198504811855)"
+        R"(,"link.embb-mmwave-driving-down.delivered_bytes":15857078)"
+        R"(,"link.embb-mmwave-driving-down.delivered_packets":10874)"
+        R"(,"link.embb-mmwave-driving-down.dropped_queue":0)"
+        R"(,"link.embb-mmwave-driving-down.dropped_wire":0)"
+        R"(,"link.embb-mmwave-driving-up.delivered_bytes":0)"
+        R"(,"link.embb-mmwave-driving-up.delivered_packets":0)"
+        R"(,"link.embb-mmwave-driving-up.dropped_queue":0)"
+        R"(,"link.embb-mmwave-driving-up.dropped_wire":0)"
+        R"(,"link.urllc-down.delivered_bytes":555708)"
+        R"(,"link.urllc-down.delivered_packets":543)"
+        R"(,"link.urllc-down.dropped_queue":0)"
+        R"(,"link.urllc-down.dropped_wire":0)"
+        R"(,"link.urllc-up.delivered_bytes":0)"
+        R"(,"link.urllc-up.delivered_packets":0)"
+        R"(,"link.urllc-up.dropped_queue":0,"link.urllc-up.dropped_wire":0)"
+        R"(,"node.client.duplicates_suppressed":0)"
+        R"(,"node.client.unroutable":0)"
+        R"(,"node.server.duplicates_suppressed":0)"
+        R"(,"node.server.unroutable":0,"shim.down.ch0.bytes":15857078)"
+        R"(,"shim.down.ch0.packets":10874,"shim.down.ch1.bytes":555708)"
+        R"(,"shim.down.ch1.packets":543,"shim.down.duplicates":0)"
+        R"(,"shim.up.ch0.bytes":0,"shim.up.ch0.packets":0)"
+        R"(,"shim.up.ch1.bytes":0,"shim.up.ch1.packets":0)"
+        R"(,"shim.up.duplicates":0)"
+        R"(,"steer.msg-priority.down.decisions.ch0":10874)"
+        R"(,"steer.msg-priority.down.decisions.ch1":543)"
+        R"(,"steer.msg-priority.up.decisions.ch0":0)"
+        R"(,"steer.msg-priority.up.decisions.ch1":0}})",
+};
+
+TEST(TraceGolden, TracedRunRowsAreExact) {
+  const char* specs[] = {kTraceGoldenWeb, kTraceGoldenVideo};
+  for (std::size_t i = 0; i < std::size(specs); ++i) {
+    const exp::RunResult r =
+        exp::run_scenario(exp::ScenarioSpec::from_json_text(specs[i]));
+    std::string row = exp::to_jsonl({r});
+    ASSERT_FALSE(row.empty());
+    row.pop_back();  // the trailing newline
+    EXPECT_EQ(row, kTraceGoldenRows[i]);
   }
 }
 
