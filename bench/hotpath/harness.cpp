@@ -4,8 +4,7 @@
 #include <cstdio>
 #include <map>
 
-#include "net/node.hpp"
-#include "obs/metrics.hpp"
+#include "exp/runner.hpp"
 #include "obs/prof.hpp"
 #include "obs/summary.hpp"
 #include "sim/stats.hpp"
@@ -25,14 +24,12 @@ bool prof_compiled_in() { return HVC_PROF_ENABLED != 0; }
 
 namespace {
 
-/// One measured repeat: run `body(scale)` in an isolated metrics/id scope
+/// One measured repeat: run `body(scale)` under a fresh exp::RunIsolation
 /// with freshly reset prof counters, and fold the timings into the
 /// per-key repeat summaries.
 void run_repeat(const BenchDef& def, std::uint64_t scale,
                 std::map<std::string, sim::Summary>* keys) {
-  obs::MetricsRegistry local;  // repeats never see each other's metrics
-  obs::ScopedMetricsRegistry scoped(local);
-  net::IdScope ids;  // nor each other's packet/flow id sequences
+  exp::RunIsolation iso;  // repeats never see each other's state
   prof::reset();
   prof::enable();
   const std::uint64_t t0 = prof::now_ns();
@@ -69,9 +66,7 @@ void run_repeat(const BenchDef& def, std::uint64_t scale,
 /// Warmup repeat: same isolation, results discarded. Profiling stays off
 /// so warmup only heats caches/branch predictors and the CPU governor.
 void run_warmup(const BenchDef& def, std::uint64_t scale) {
-  obs::MetricsRegistry local;
-  obs::ScopedMetricsRegistry scoped(local);
-  net::IdScope ids;
+  exp::RunIsolation iso;
   prof::reset();
   prof::enable();  // bodies may derive their item count from hook counters
   (void)def.body(scale);

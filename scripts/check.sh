@@ -34,10 +34,13 @@ for preset in "${presets[@]}"; do
   elif [ "${preset}" = "report" ]; then
     # End-to-end report smoke covering every hvc_report mode:
     #  1. hvc_run + telemetry/audit/trace -> default render, --trace,
-    #     --merged (Chrome trace with telemetry + audit + lifecycle).
-    #  2. hvc_sweep over a bulk ablation grid -> the default render has
+    #     --merged (Chrome trace with telemetry + audit + lifecycle); the
+    #     lifecycle trace names its tracks after the channels.
+    #  2. hvc_run over outage recovery, whose audit ring wraps -> the
+    #     decision-reasons heading says how many records were overwritten.
+    #  3. hvc_sweep over a bulk ablation grid -> the default render has
     #     a bulk.goodput_mbps line for every run.
-    #  3. hvc_sweep over the city smoke (spans enabled) -> cohort and
+    #  4. hvc_sweep over the city smoke (spans enabled) -> cohort and
     #     capacity tables, --capacity JSON export, and --explain (the
     #     critical-path waterfall; every unit must pass its exact-sum
     #     check against the measured PLT/chunk latency).
@@ -53,6 +56,13 @@ for preset in "${presets[@]}"; do
     grep -q "dchannel:small-object" "${out}/report.txt"
     grep -q "== telemetry ==" "${out}/report.txt"
     test -s "${out}/f2t.merged.json"
+    grep -q '"name":"urllc down"' "${out}/f2t.lifecycle.json"
+
+    build/tools/hvc_run scenarios/outage_recovery.json \
+      --out "${out}/outage" >/dev/null
+    build/tools/hvc_report "${out}/outage" >"${out}/outage_report.txt"
+    grep -Eq '^== decision reasons \(audit, 65536 records, [0-9]+ older records overwritten\) ==$' \
+      "${out}/outage_report.txt"
 
     build/tools/hvc_sweep scenarios/ablation_resequencer.json -j 2 \
       --out "${out}/reseq" >/dev/null

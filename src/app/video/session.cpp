@@ -147,9 +147,7 @@ void VideoReceiver::decode(int frame) {
   reg.counter("app.video.frames_decoded").inc();
   if (usable < arrived) reg.counter("app.video.frames_concealed").inc();
   reg.histogram("app.video.frame_latency_ms").add(sim::to_millis(rec.latency));
-  reg.histogram("app.video.ssim",
-                {0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.98, 1.0})
-      .add(rec.ssim);
+  reg.histogram("app.video.ssim").add(rec.ssim);
   if (on_frame_) on_frame_(rec);
 
   // Garbage-collect old frame state.

@@ -26,14 +26,6 @@ Channel::Channel(sim::Simulator& sim, ChannelProfile profile)
       up_(sim, make_link_config(profile_, Direction::kUplink,
                                 profile_.loss_seed * 2 + 2)) {}
 
-double Channel::cost_accrued() const {
-  const double mb =
-      static_cast<double>(down_.stats().delivered_bytes +
-                          up_.stats().delivered_bytes) /
-      1e6;
-  return mb * profile_.cost_per_megabyte;
-}
-
 std::size_t HvcSet::add(ChannelProfile profile) {
   // Decorrelate loss processes across channels of a set.
   profile.loss_seed += 7919 * channels_.size();
@@ -43,41 +35,10 @@ std::size_t HvcSet::add(ChannelProfile profile) {
   const auto ch8 = static_cast<std::uint8_t>(index);
   channels_.back()->downlink().set_trace_ids(ch8, obs::kDirDown);
   channels_.back()->uplink().set_trace_ids(ch8, obs::kDirUp);
-  obs::PacketTracer::current().set_channel_name(index,
-                                                 channels_.back()->name());
+  if (auto* tr = obs::PacketTracer::active()) {
+    tr->set_channel_name(index, channels_.back()->name());
+  }
   return index;
-}
-
-std::size_t HvcSet::first_reliable() const {
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    if (channels_[i]->profile().reliable) return i;
-  }
-  return channels_.size();
-}
-
-std::size_t HvcSet::lowest_latency() const {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < channels_.size(); ++i) {
-    if (channels_[i]->profile().owd < channels_[best]->profile().owd) {
-      best = i;
-    }
-  }
-  return best;
-}
-
-std::size_t HvcSet::highest_bandwidth(Direction d) const {
-  std::size_t best = 0;
-  double best_rate = -1.0;
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    const auto& cap = d == Direction::kDownlink
-                          ? channels_[i]->profile().capacity_down
-                          : channels_[i]->profile().capacity_up;
-    if (cap.average_rate_bps() > best_rate) {
-      best_rate = cap.average_rate_bps();
-      best = i;
-    }
-  }
-  return best;
 }
 
 }  // namespace hvc::channel

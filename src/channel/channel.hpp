@@ -32,9 +32,6 @@ class Channel {
   [[nodiscard]] const ChannelProfile& profile() const { return profile_; }
   [[nodiscard]] const std::string& name() const { return profile_.name; }
 
-  /// Total monetary cost accrued so far on both directions.
-  [[nodiscard]] double cost_accrued() const;
-
  private:
   ChannelProfile profile_;
   Link down_;
@@ -56,15 +53,6 @@ class HvcSet {
   [[nodiscard]] const Channel& at(std::size_t i) const {
     return *channels_.at(i);
   }
-
-  /// Index of the first channel flagged `reliable`, or size() if none.
-  [[nodiscard]] std::size_t first_reliable() const;
-
-  /// Index of the channel with the lowest base RTT.
-  [[nodiscard]] std::size_t lowest_latency() const;
-
-  /// Index of the channel with the highest average rate (given direction).
-  [[nodiscard]] std::size_t highest_bandwidth(Direction d) const;
 
  private:
   sim::Simulator* sim_;

@@ -191,9 +191,14 @@ std::vector<ReportSample> Report::parse_telemetry(
   return out;
 }
 
-std::vector<ReportAuditRow> Report::parse_audit(std::string_view jsonl) {
+std::vector<ReportAuditRow> Report::parse_audit(
+    std::string_view jsonl, std::map<std::string, double>* meta) {
   std::vector<ReportAuditRow> out;
   for (const Value& v : parse_lines(jsonl, "audit.jsonl")) {
+    if (const Value* m = v.find("meta")) {
+      if (meta != nullptr) *meta = number_map(*m);
+      continue;
+    }
     ReportAuditRow r;
     r.t_us = v.number_or("t_us", 0);
     r.pkt = static_cast<std::uint64_t>(v.number_or("pkt", 0));
@@ -274,7 +279,7 @@ Report Report::load(const std::string& prefix,
     rep.telemetry = parse_telemetry(telemetry, &rep.telemetry_meta);
   }
   const std::string audit = read_if_exists(prefix + ".audit.jsonl");
-  if (!audit.empty()) rep.audit = parse_audit(audit);
+  if (!audit.empty()) rep.audit = parse_audit(audit, &rep.audit_meta);
   // Spans: a single run writes <prefix>.spans.jsonl; a sweep writes one
   // artifact per run as <prefix>.run<i>.spans.jsonl. Load whichever
   // exists, tagging sweep exemplars with their run index.
@@ -379,7 +384,13 @@ std::string Report::render_decisions() const {
   }
   if (!audit.empty()) {
     out += "== decision reasons (audit, " + std::to_string(audit.size()) +
-           " records) ==\n";
+           " records";
+    const auto overwritten = audit_meta.find("overwritten");
+    if (overwritten != audit_meta.end()) {
+      out += ", " + display_number(overwritten->second) +
+             " older records overwritten";
+    }
+    out += ") ==\n";
     // policy/dir -> reason -> count
     std::map<std::string, std::map<std::string, std::size_t>> reasons;
     std::map<std::string, std::size_t> totals;

@@ -94,6 +94,7 @@ struct Report {
   std::vector<ReportSample> telemetry;  ///< from <prefix>.telemetry.jsonl
   std::map<std::string, double> telemetry_meta;  ///< the meta line's fields
   std::vector<ReportAuditRow> audit;    ///< from <prefix>.audit.jsonl
+  std::map<std::string, double> audit_meta;  ///< meta line (wrapped ring)
   std::vector<ReportSpanUnit> spans;    ///< from <prefix>[.runN].spans.jsonl
   std::map<std::string, double> spans_meta;      ///< the meta line's fields
   std::string lifecycle_trace;          ///< raw Chrome trace JSON, optional
@@ -109,7 +110,8 @@ struct Report {
   static std::vector<RunResult> parse_results(std::string_view jsonl);
   static std::vector<ReportSample> parse_telemetry(
       std::string_view jsonl, std::map<std::string, double>* meta);
-  static std::vector<ReportAuditRow> parse_audit(std::string_view jsonl);
+  static std::vector<ReportAuditRow> parse_audit(
+      std::string_view jsonl, std::map<std::string, double>* meta);
   static std::vector<ReportSpanUnit> parse_spans(
       std::string_view jsonl, std::map<std::string, double>* meta);
 
@@ -123,7 +125,8 @@ struct Report {
 
   /// Steering behaviour: per-channel decision shares (from the runs' obs
   /// counters) and, when an audit log is present, decision-reason shares
-  /// per policy.
+  /// per policy; when its ring wrapped, the heading says how many older
+  /// records were overwritten.
   [[nodiscard]] std::string render_decisions() const;
 
   /// Per-series telemetry statistics (count, mean, p50, p99, min, max).

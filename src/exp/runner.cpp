@@ -6,13 +6,7 @@
 #include "channel/profile.hpp"
 #include "exp/results.hpp"
 #include "fault/fault.hpp"
-#include "net/node.hpp"
-#include "obs/audit.hpp"
-#include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/span.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/tracer.hpp"
 #include "pop/engine.hpp"
 #include "sim/units.hpp"
 #include "steer/dchannel.hpp"
@@ -360,25 +354,14 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   RunResult result;
   result.name = spec.name;
 
-  // The isolation contract (see header): everything the simulation can
-  // touch through a process-global access path gets a per-run,
-  // per-thread replacement for the duration of the run. The recorders
-  // are enabled only *after* their scoped installers are in place —
-  // enable() points the thread-local active() at the run-local object,
-  // and the scope's destructor is what guarantees it never outlives it.
-  obs::MetricsRegistry registry;
-  obs::ScopedMetricsRegistry metrics_scope(registry);
-  obs::PacketTracer tracer;  // default-constructed: disabled
-  obs::ScopedPacketTracer tracer_scope(tracer);
-  obs::TelemetrySampler sampler;
-  obs::ScopedTelemetrySampler sampler_scope(sampler);
-  obs::SteeringAuditLog audit;
-  obs::ScopedSteeringAuditLog audit_scope(audit);
-  obs::SpanRecorder spans;
-  obs::ScopedSpanRecorder spans_scope(spans);
-  net::IdScope id_scope;
+  // The isolation contract (see header). The recorders are enabled only
+  // *after* their scopes are in place — enable() points the thread-local
+  // active() at the run-local object, and the scope's destructor is what
+  // guarantees it never outlives it. The tracer is enabled before the
+  // topology exists, so channel::HvcSet::add names its tracks.
+  RunIsolation iso;
 
-  if (!opts.trace_path.empty()) tracer.enable();
+  if (!opts.trace_path.empty()) iso.tracer.enable();
   if (spec.spans.enabled) {
     obs::SpanConfig sc;
     sc.tail_quantile = spec.spans.tail_quantile;
@@ -387,7 +370,7 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
     sc.reservoir_period = spec.spans.reservoir_period;
     sc.warmup = spec.spans.warmup;
     sc.seed = spec.seed;
-    spans.enable(sc);
+    iso.spans.enable(sc);
   }
   if (spec.telemetry.enabled) {
     obs::TelemetryConfig tc;
@@ -396,9 +379,10 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
         static_cast<std::size_t>(spec.telemetry.max_samples);
     tc.max_series = static_cast<std::size_t>(spec.telemetry.max_series);
     tc.groups = spec.telemetry.series;
-    sampler.enable(tc);
+    iso.sampler.enable(tc);
     if (spec.telemetry.audit) {
-      audit.enable(static_cast<std::size_t>(spec.telemetry.audit_capacity));
+      iso.audit.enable(
+          static_cast<std::size_t>(spec.telemetry.audit_capacity));
     }
   }
 
@@ -414,7 +398,7 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
       const core::ScenarioConfig cfg = build_scenario_config(spec);
       run_workload(spec, cfg, result.metrics);
     }
-    result.obs = registry.snapshot();
+    result.obs = iso.registry.snapshot();
   } catch (const std::exception& e) {
     result.metrics.clear();
     result.obs.clear();
@@ -431,16 +415,16 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
       prefix += ".run" + std::to_string(opts.run_index);
     }
     if (!opts.trace_path.empty()) {
-      write_file(opts.trace_path, tracer.to_chrome_trace());
+      write_file(opts.trace_path, iso.tracer.to_chrome_trace());
     }
-    if (sampler.enabled()) {
-      write_file(prefix + ".telemetry.jsonl", sampler.to_jsonl());
+    if (iso.sampler.enabled()) {
+      write_file(prefix + ".telemetry.jsonl", iso.sampler.to_jsonl());
     }
-    if (audit.enabled()) {
-      write_file(prefix + ".audit.jsonl", audit.to_jsonl());
+    if (iso.audit.enabled()) {
+      write_file(prefix + ".audit.jsonl", iso.audit.to_jsonl());
     }
-    if (spans.enabled()) {
-      write_file(prefix + ".spans.jsonl", spans.to_jsonl());
+    if (iso.spans.enabled()) {
+      write_file(prefix + ".spans.jsonl", iso.spans.to_jsonl());
     }
   }
   return result;

@@ -1,14 +1,13 @@
 // One isolated experiment run: ScenarioSpec in, metric bundle out.
 //
 // run_scenario() owns the isolation contract that makes the sweep engine
-// (sweep.hpp) safe to parallelize: each call installs a fresh
-// obs::MetricsRegistry and a disabled obs::PacketTracer as the calling
-// thread's current instances, zeroes the thread's flow/packet id counters
-// (net::IdScope), builds a private sim::Simulator via the core::run_*
-// helpers, and tears all of it down before returning. Nothing escapes
-// into process-global state, so any number of runs can execute on
-// different threads concurrently and a run's results depend only on its
-// spec.
+// (sweep.hpp) safe to parallelize: each call installs a RunIsolation (a
+// fresh registry and fresh, disabled recorders as the calling thread's
+// bindings, and zeroed flow/packet id counters), builds a private
+// sim::Simulator via the core::run_* helpers, and tears all of it down
+// before returning. Nothing escapes into process-global state, so any
+// number of runs can execute on different threads concurrently and a
+// run's results depend only on its spec.
 #pragma once
 
 #include <cstddef>
@@ -17,8 +16,35 @@
 
 #include "core/scenario.hpp"
 #include "exp/spec.hpp"
+#include "net/node.hpp"
+#include "obs/audit.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
+#include "obs/telemetry.hpp"
+#include "obs/tracer.hpp"
 
 namespace hvc::exp {
+
+/// What one run installs on its thread, in installation order: the
+/// registry and each recorder, every one followed by the scope that binds
+/// it (obs/binding.hpp), then fresh flow/packet id counters. The
+/// recorders start disabled, so their scopes mask any outer binding;
+/// enable() one to record into it until the isolation ends. Members die
+/// in reverse, so each scope restores the previous binding before its
+/// recorder goes.
+struct RunIsolation {
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry registry_scope{registry};
+  obs::PacketTracer tracer;
+  obs::ScopedPacketTracer tracer_scope{tracer};
+  obs::TelemetrySampler sampler;
+  obs::ScopedTelemetrySampler sampler_scope{sampler};
+  obs::SteeringAuditLog audit;
+  obs::ScopedSteeringAuditLog audit_scope{audit};
+  obs::SpanRecorder spans;
+  obs::ScopedSpanRecorder spans_scope{spans};
+  net::IdScope ids;
+};
 
 struct RunResult {
   std::size_t index = 0;     ///< position in the sweep grid (0 for hvc_run)

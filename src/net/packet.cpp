@@ -15,8 +15,8 @@ thread_local std::uint64_t g_next_packet_id = 1;
 
 PacketPtr make_packet() {
   HVC_PROF_SCOPE(obs::prof::Hook::kPacketAlloc);
-  // PooledAllocator keeps TrackingAllocator's prof accounting while
-  // recycling the fused object+control-block allocation (see pool.hpp).
+  // PooledAllocator reports the bytes to the prof hooks while recycling
+  // the fused object+control-block allocation (see pool.hpp).
   auto p = std::allocate_shared<Packet>(PooledAllocator<Packet>{});
   p->id = g_next_packet_id++;
   return p;

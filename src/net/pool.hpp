@@ -22,8 +22,8 @@
 //     a heap use-after-free would. The freelist link lives in the
 //     header, which stays unpoisoned.
 //  4. PooledAllocator reports every allocate/deallocate through
-//     prof::hook_alloc / hook_free with the same byte counts as
-//     obs::prof::TrackingAllocator, so prof.alloc.* (and the
+//     prof::hook_alloc / hook_free with the requested byte count, whether
+//     the pool or the heap serves it, so prof.alloc.* (and the
 //     packet-alloc hook counters) are identical pool-on and pool-off.
 #pragma once
 
@@ -159,8 +159,8 @@ class BlockPool {
   Header* free_ = nullptr;
 };
 
-/// Allocator facade over BlockPool with TrackingAllocator-identical
-/// prof accounting. Drop-in for std::allocate_shared in make_packet.
+/// Allocator facade over BlockPool that reports each allocation's bytes to
+/// the prof hooks. Drop-in for std::allocate_shared in make_packet.
 template <class T>
 struct PooledAllocator {
   using value_type = T;

@@ -69,6 +69,13 @@ const char* dir_name(std::uint8_t d) {
 std::string SteeringAuditLog::to_jsonl() const {
   std::string out;
   char buf[256];
+  if (total_ > ring_.size()) {
+    std::snprintf(buf, sizeof(buf),
+                  "{\"meta\":{\"capacity\":%zu,\"recorded\":%" PRIu64
+                  ",\"overwritten\":%" PRIu64 "}}\n",
+                  ring_.size(), total_, total_ - ring_.size());
+    out += buf;
+  }
   for (const AuditRecord& r : snapshot()) {
     std::snprintf(buf, sizeof(buf),
                   "{\"t_us\":%.3f,\"pkt\":%" PRIu64 ",\"flow\":%" PRIu64

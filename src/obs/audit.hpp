@@ -7,7 +7,7 @@
 // answers "why did the policy send it there", which is the question every
 // §3 debugging session starts with. Same design contract as the tracer:
 // one thread-local active() pointer checked in the shim (zero cost when
-// off), a bounded ring with a true total for truncation reporting, and
+// off), a bounded ring whose export flags any truncation, and
 // sim-time-only records so exports are byte-identical across sweep
 // parallelism.
 #pragma once
@@ -80,6 +80,9 @@ class SteeringAuditLog : public ThreadBinding<SteeringAuditLog> {
   ///   {"t_us":…,"pkt":…,"flow":…,"dir":"up","type":"ack","prio":0,
   ///    "bytes":52,"policy":"dchannel","ch":1,"reason":"dchannel:control",
   ///    "channels":[{"q":2960,"d_ms":50.4},{"q":0,"d_ms":5.2}]}
+  /// When the ring wrapped, a first line in telemetry's meta shape says
+  /// how many records the retained ones are the newest of:
+  ///   {"meta":{"capacity":65536,"recorded":…,"overwritten":…}}
   [[nodiscard]] std::string to_jsonl() const;
 
  private:

@@ -1,7 +1,7 @@
 // The thread-local binding protocol behind every per-run recorder's
-// static accessor: PacketTracer::active()/current(),
-// SteeringAuditLog::active(), TelemetrySampler::active(),
-// SpanRecorder::active() and MetricsRegistry::current().
+// static accessor: PacketTracer::active(), SteeringAuditLog::active(),
+// TelemetrySampler::active(), SpanRecorder::active() and
+// MetricsRegistry::current(). Each class owns exactly one slot.
 //
 // Each accessor reads one constant-initialized thread_local slot, so a hot
 // path pays one TLS load to learn whether (and where) to record, and
@@ -10,8 +10,8 @@
 //
 //   bind        enable() makes the instance the thread's binding.
 //   unbind      disable() clears the slot, but only while it holds this
-//               instance: disabling one recorder (say the global tracer
-//               at bench teardown) must never unbind another that a run
+//               instance: disabling one recorder (say an earlier run's
+//               at its teardown) must never unbind another that a run
 //               scope installed.
 //   destroy     an instance that dies while bound clears the slot, so a
 //               binding can never dangle, even when a throwing run skips
@@ -19,17 +19,19 @@
 //   scope       ScopedBinding installs an instance for a lexical scope
 //               and restores the previous binding on exit. Scope first,
 //               then enable(), binds until the scope ends: that is the
-//               order exp::run_scenario uses.
+//               order exp::run_scenario (exp::RunIsolation) uses.
 //
-// A class opts in by deriving from ThreadBinding<Self, Slot> once per
-// slot it owns. The two slot kinds differ only in what a scope installs:
+// A class opts in by deriving from ThreadBinding<Self, Slot>, and its
+// Scoped* installer is a ScopedBinding<Self, Slot> alias. The two slot
+// kinds differ only in what a scope installs:
 //
-//   ActiveSlot   the hot-path slot. A scope installs the instance only if
-//                it is enabled; a disabled one masks any outer binding
-//                (nullptr), which gives every sweep run a clean slate.
-//   CurrentSlot  the cold-path slot (topology names, registry lookups). A
-//                scope installs the instance unconditionally; the class's
-//                accessor falls back to a process-global instance when
+//   ActiveSlot   the recorders' hot-path slot. A scope installs the
+//                instance only if it is enabled; a disabled one masks any
+//                outer binding (nullptr), which gives every sweep run a
+//                clean slate.
+//   CurrentSlot  the registry's cold-path slot (instrument lookups). A
+//                scope installs the instance unconditionally;
+//                MetricsRegistry::current() falls back to global() when
 //                the slot is empty.
 #pragma once
 

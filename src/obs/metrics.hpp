@@ -20,7 +20,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/binding.hpp"
 #include "sim/stats.hpp"
@@ -47,36 +46,6 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Fixed-bucket histogram: bucket i counts samples in [edges[i-1],
-/// edges[i]), with an implicit overflow bucket for v >= edges.back().
-/// A sim::Summary rides along so exact moments/percentiles stay available
-/// (samples are retained there, as everywhere else in the repo).
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_edges);
-
-  void add(double v);
-
-  [[nodiscard]] const std::vector<double>& edges() const { return edges_; }
-  /// counts().size() == edges().size() + 1 (last bucket = overflow).
-  [[nodiscard]] const std::vector<std::int64_t>& counts() const {
-    return counts_;
-  }
-  [[nodiscard]] std::int64_t count() const {
-    return static_cast<std::int64_t>(summary_.count());
-  }
-  [[nodiscard]] const sim::Summary& summary() const { return summary_; }
-  void reset();
-
-  /// A log-spaced default for latency-in-ms style metrics (0.1 .. 10^5).
-  static std::vector<double> default_latency_edges();
-
- private:
-  std::vector<double> edges_;
-  std::vector<std::int64_t> counts_;
-  sim::Summary summary_;
-};
-
 class MetricsRegistry : public ThreadBinding<MetricsRegistry, CurrentSlot> {
  public:
   MetricsRegistry() = default;
@@ -92,49 +61,27 @@ class MetricsRegistry : public ThreadBinding<MetricsRegistry, CurrentSlot> {
   static MetricsRegistry& current();
 
   /// Find-or-create. Returned references are stable for the registry's
-  /// lifetime; same name always yields the same instrument.
+  /// lifetime; same name always yields the same instrument. A histogram
+  /// is a retained-sample sim::Summary.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> upper_edges = {});
+  sim::Summary& histogram(const std::string& name);
 
   /// Flattened snapshot: counters and gauges by name; histograms expand
-  /// into <name>.count / .mean / .p50 / .p95 / .p99 / .max.
+  /// into <name>.count / .mean / .p50 / .p95 / .p99 / .max. Tools export
+  /// it with snapshot_to_csv or as a run's "obs" object.
   [[nodiscard]] std::map<std::string, double> snapshot() const;
-
-  /// Full JSON export (counters, gauges, histograms with buckets).
-  [[nodiscard]] std::string to_json() const;
-
-  /// CSV export of the flattened snapshot: a `metric,value` header then
-  /// one sorted row per metric. Same formatter the sweep engine uses for
-  /// aggregated results (see snapshot_to_csv), so single-run and sweep
-  /// outputs stay diff-able.
-  [[nodiscard]] std::string to_csv() const;
 
   /// Zero all values but keep every registration (pointers stay valid).
   void reset_values();
 
-  [[nodiscard]] const std::map<std::string, std::unique_ptr<Counter>>&
-  counters() const {
-    return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, std::unique_ptr<Gauge>>&
-  gauges() const {
-    return gauges_;
-  }
-  [[nodiscard]] const std::map<std::string, std::unique_ptr<Histogram>>&
-  histograms() const {
-    return histograms_;
-  }
-
  private:
-  // Ordered maps: every iteration (snapshot, to_json, to_csv) is then
-  // export-safe by construction. Find-or-create runs once per module at
-  // construction time, never on per-packet paths, so the O(log n) lookup
-  // is irrelevant.
+  // Ordered maps: snapshot() is then export-safe by construction.
+  // Find-or-create runs once per module at construction time, never on
+  // per-packet paths, so the O(log n) lookup is irrelevant.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::unique_ptr<sim::Summary>> histograms_;
 };
 
 /// RAII: installs a registry as the calling thread's

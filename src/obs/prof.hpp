@@ -14,8 +14,8 @@
 //      (pinned by tests/prof_test.cpp).
 //   2. Zero overhead when compiled out. With the CMake option
 //      `-DHVC_PROF=OFF` the HVC_PROF_* hook macros expand to `((void)0)`
-//      and the tracking allocator degrades to std::allocator — the hot
-//      paths carry no trace of the profiler.
+//      and hook_alloc/hook_free to nothing — the hot paths carry no
+//      trace of the profiler.
 //   3. Near-zero overhead when compiled in but disabled (the default at
 //      runtime): one relaxed atomic load per hook.
 //   4. Sweep-safe. All accumulation is thread-local, so the concurrent
@@ -33,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <ctime>
-#include <memory>
 #include <string>
 
 #ifndef HVC_PROF_ENABLED
@@ -48,7 +47,7 @@ enum class Hook : std::uint8_t {
   kEventPush,        ///< sim::EventQueue::push
   kEventPop,         ///< sim::EventQueue::pop (== events executed)
   kPacketAlloc,      ///< net::make_packet / clone_packet
-  kPacketFree,       ///< packet deallocation (the tracking allocators)
+  kPacketFree,       ///< packet deallocation (net::PooledAllocator)
   kLinkServe,        ///< channel::Link::on_opportunity (service discipline)
   kSteer,            ///< net::Shim::send (policy dispatch + audit/trace)
   kTelemetrySample,  ///< obs::TelemetrySampler::sample (one tick)
@@ -170,7 +169,7 @@ inline void record(Hook h, std::uint64_t cycle_delta) {
 
 // The allocator hooks count bytes only. The packet hooks' calls and
 // cycles come from the scoped timers in make_packet/clone_packet and in
-// the allocators' deallocate, so each packet counts once.
+// PooledAllocator::deallocate, so each packet counts once.
 inline void count_alloc(std::uint64_t bytes) {
   AllocStats& a = thread_stats().alloc;
   ++a.allocs;
@@ -222,31 +221,6 @@ class ScopedTimer {
   bool timed_ = false;
 };
 
-/// Items-over-host-time meter (events/sec, packets/sec) for harness and
-/// progress displays. Reads now_ns(); never use the value in sim logic.
-class ThroughputMeter {
- public:
-  ThroughputMeter() : start_ns_(now_ns()) {}
-
-  void add(std::uint64_t items) { items_ += items; }
-  [[nodiscard]] std::uint64_t items() const { return items_; }
-  [[nodiscard]] double elapsed_s() const {
-    return static_cast<double>(now_ns() - start_ns_) * 1e-9;
-  }
-  [[nodiscard]] double per_sec() const {
-    const double s = elapsed_s();
-    return s > 0.0 ? static_cast<double>(items_) / s : 0.0;
-  }
-  void restart() {
-    start_ns_ = now_ns();
-    items_ = 0;
-  }
-
- private:
-  std::uint64_t start_ns_;
-  std::uint64_t items_ = 0;
-};
-
 // ---- Counting hooks (compile out with HVC_PROF=OFF) ---------------------
 
 inline void hook_alloc(std::uint64_t bytes) {
@@ -264,36 +238,6 @@ inline void hook_free(std::uint64_t bytes) {
   (void)bytes;
 #endif
 }
-
-/// Allocator that routes byte counts through hook_alloc/hook_free; used
-/// by net::make_packet via std::allocate_shared so packet object (and
-/// control block) allocations show up in prof.alloc.* without touching
-/// the Packet type. Stateless — interchangeable with std::allocator.
-template <class T>
-struct TrackingAllocator {
-  using value_type = T;
-
-  TrackingAllocator() noexcept = default;
-  template <class U>
-  TrackingAllocator(const TrackingAllocator<U>& /*other*/) noexcept {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    hook_alloc(n * sizeof(T));
-    return std::allocator<T>{}.allocate(n);
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-#if HVC_PROF_ENABLED
-    const ScopedTimer timer(Hook::kPacketFree);
-#endif
-    hook_free(n * sizeof(T));
-    std::allocator<T>{}.deallocate(p, n);
-  }
-
-  template <class U>
-  bool operator==(const TrackingAllocator<U>& /*other*/) const noexcept {
-    return true;
-  }
-};
 
 }  // namespace hvc::obs::prof
 

@@ -1,13 +1,12 @@
 // The one place retained-sample summaries (sim::Summary) are flattened
 // into named scalar stats. Consumers:
-//   * MetricsRegistry::snapshot() — histogram expansion in every bench
-//     manifest (<name>.count/.mean/.p50/.p95/.p99/.max),
+//   * MetricsRegistry::snapshot() — each registry histogram (a
+//     sim::Summary) becomes <name>.count/.mean/.p50/.p95/.p99/.max in a
+//     run's "obs" results,
 //   * obs::PerfManifest / bench/hotpath — repeat statistics
-//     (median + IQR) for the BENCH_*.json perf trajectory,
-//   * bench table helpers — percentile rows.
-// Before this header, the registry snapshot and the bench harness each
-// re-derived mean/percentile expansions by hand; keep any new flattening
-// here so the stat names stay consistent across exports.
+//     (median + IQR) for the BENCH_*.json perf trajectory.
+// Keep any new flattening here so the stat names stay consistent across
+// exports.
 #pragma once
 
 #include <cstdint>

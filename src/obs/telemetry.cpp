@@ -158,51 +158,6 @@ std::string TelemetrySampler::to_jsonl() const {
   return out;
 }
 
-std::string TelemetrySampler::to_csv() const {
-  std::vector<std::size_t> order(series_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return series_[a].name < series_[b].name;
-  });
-  std::string out = "t_ms,series,value\n";
-  for (const std::size_t i : order) {
-    for (const Sample& s : series_samples(series_[i])) {
-      out += json::number(sim::to_millis(s.at));
-      out += ',';
-      out += series_[i].name;  // dot-separated metric names need no escape
-      out += ',';
-      out += json::number(s.value);
-      out += '\n';
-    }
-  }
-  return out;
-}
-
-std::string TelemetrySampler::to_chrome_trace() const {
-  std::vector<std::size_t> order(series_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return series_[a].name < series_[b].name;
-  });
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  char buf[64];
-  bool first = true;
-  for (const std::size_t i : order) {
-    const std::string quoted = json::quote(series_[i].name);
-    for (const Sample& s : series_samples(series_[i])) {
-      out += first ? "" : ",";
-      first = false;
-      out += "{\"name\":" + quoted + ",\"ph\":\"C\",\"pid\":0,\"ts\":";
-      std::snprintf(buf, sizeof(buf), "%.3f",
-                    static_cast<double>(s.at) / 1e3);
-      out += buf;
-      out += ",\"args\":{\"value\":" + json::number(s.value) + "}}";
-    }
-  }
-  out += "]}";
-  return out;
-}
-
 void TelemetryProbes::add(std::string_view group, std::string name,
                           TelemetrySampler::Probe probe) {
   auto* ts = TelemetrySampler::active();

@@ -116,15 +116,8 @@ class TelemetrySampler : public ThreadBinding<TelemetrySampler> {
   /// order:
   ///   {"meta":{"period_ms":10,"series":8,"dropped_series":0,...}}
   ///   {"t_us":10000.000,"series":"link.eMBB-down.queued_bytes","v":2960}
+  /// exp::Report::to_chrome_trace turns these lines into counter tracks.
   [[nodiscard]] std::string to_jsonl() const;
-
-  /// Long-format CSV: t_ms,series,value (same order as the JSONL).
-  [[nodiscard]] std::string to_csv() const;
-
-  /// Chrome trace_event counter ("C") tracks, one per series; merges
-  /// with the lifecycle tracer's output (same pid, same time base) in
-  /// chrome://tracing / Perfetto.
-  [[nodiscard]] std::string to_chrome_trace() const;
 
  private:
   struct Series {

@@ -1,6 +1,5 @@
 #include "obs/tracer.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
@@ -44,34 +43,18 @@ const char* to_string(ReorderAction a) {
   return "?";
 }
 
-PacketTracer& PacketTracer::instance() {
-  static PacketTracer tracer;
-  return tracer;
-}
-
-PacketTracer& PacketTracer::current() {
-  PacketTracer* bound = Current::bound();
-  return bound != nullptr ? *bound : instance();
-}
-
 void PacketTracer::enable(std::size_t capacity) {
   if (capacity == 0) capacity = 1;
   ring_.assign(capacity, TraceEvent{});
   head_ = 0;
   total_ = 0;
   enabled_ = true;
-  Active::bind();
+  bind();
 }
 
 void PacketTracer::disable() {
   enabled_ = false;
-  Active::unbind();
-}
-
-void PacketTracer::clear() {
-  head_ = 0;
-  total_ = 0;
-  for (auto& e : ring_) e = TraceEvent{};
+  unbind();
 }
 
 std::size_t PacketTracer::size() const {
@@ -124,42 +107,7 @@ const char* arg_detail(const TraceEvent& e) {
   }
 }
 
-void append_event_jsonl(const TraceEvent& e, std::string* out) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"t_us\":%.3f,\"ev\":\"%s\",\"pkt\":%" PRIu64
-                ",\"flow\":%" PRIu64 ",\"ch\":%d,\"dir\":\"%s\",\"bytes\":%u",
-                static_cast<double>(e.at) / 1e3, to_string(e.kind),
-                e.packet_id, e.flow_id,
-                e.channel == kNoChannel ? -1 : static_cast<int>(e.channel),
-                dir_name(e.direction), e.size_bytes);
-  *out += buf;
-  if (const char* detail = arg_detail(e)) {
-    *out += ",\"detail\":\"";
-    *out += detail;
-    *out += '"';
-  } else if (e.kind == EventKind::kSteer && e.arg > 0) {
-    std::snprintf(buf, sizeof(buf), ",\"duplicates\":%d",
-                  static_cast<int>(e.arg));
-    *out += buf;
-  }
-  if (e.aux != 0) {
-    std::snprintf(buf, sizeof(buf), ",\"aux_us\":%.3f",
-                  static_cast<double>(e.aux) / 1e3);
-    *out += buf;
-  }
-  *out += "}\n";
-}
-
 }  // namespace
-
-std::string PacketTracer::to_jsonl() const {
-  std::string out;
-  const auto events = snapshot();
-  out.reserve(events.size() * 96);
-  for (const auto& e : events) append_event_jsonl(e, &out);
-  return out;
-}
 
 std::string PacketTracer::to_chrome_trace() const {
   // Tracks: pid 0, tid = channel * 2 + direction (a "thread" per
@@ -249,64 +197,15 @@ std::string PacketTracer::to_chrome_trace() const {
       }
     }
   }
-  out += "]}";
-  return out;
-}
-
-DelayDecomposition decompose_delays(const PacketTracer& tracer) {
-  DelayDecomposition out;
-  struct Pending {
-    sim::Time enqueue = -1;
-    sim::Time dequeue = -1;
-    sim::Time tx = -1;
-  };
-  // Keyed like the chrome spans: one residency per (packet, channel, dir).
-  // hvc-lint: allow(unordered-container): find/erase only — samples are
-  // added to the Summaries in event-ring order, never map order.
-  std::unordered_map<std::uint64_t, Pending> pending;
-  for (const auto& e : tracer.snapshot()) {
-    if (e.kind == EventKind::kRetx) {
-      out.retx_wait_ms.add(static_cast<double>(e.aux) / 1e6);
-      continue;
-    }
-    if (e.channel == kNoChannel) continue;
-    const std::uint64_t key =
-        (e.packet_id << 9) |
-        (static_cast<std::uint64_t>(e.channel) << 1) |
-        (e.direction == kDirUp ? 1u : 0u);
-    switch (e.kind) {
-      case EventKind::kEnqueue: pending[key].enqueue = e.at; break;
-      case EventKind::kDequeue: pending[key].dequeue = e.at; break;
-      case EventKind::kTx: pending[key].tx = e.at; break;
-      case EventKind::kRx: {
-        const auto it = pending.find(key);
-        if (it == pending.end()) break;
-        const Pending& p = it->second;
-        if (out.channels.size() <= e.channel) {
-          out.channels.resize(e.channel + 1);
-          for (std::size_t i = 0; i < out.channels.size(); ++i) {
-            if (out.channels[i].name.empty()) {
-              out.channels[i].name = tracer.channel_name(i);
-            }
-          }
-        }
-        auto& ch = out.channels[e.channel];
-        ++ch.packets;
-        if (p.enqueue >= 0 && p.dequeue >= p.enqueue) {
-          ch.queueing_ms.add(sim::to_millis(p.dequeue - p.enqueue));
-        }
-        if (p.tx >= 0 && e.at >= p.tx) {
-          ch.propagation_ms.add(sim::to_millis(e.at - p.tx));
-        }
-        if (p.enqueue >= 0 && e.at >= p.enqueue) {
-          ch.total_owd_ms.add(sim::to_millis(e.at - p.enqueue));
-        }
-        pending.erase(it);
-        break;
-      }
-      default: break;
-    }
+  out += ']';
+  if (total_ > ring_.size()) {
+    std::snprintf(buf, sizeof(buf),
+                  ",\"otherData\":{\"capacity\":%zu,\"recorded\":%" PRIu64
+                  ",\"overwritten\":%" PRIu64 "}",
+                  ring_.size(), total_, total_ - ring_.size());
+    out += buf;
   }
+  out += '}';
   return out;
 }
 

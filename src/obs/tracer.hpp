@@ -11,16 +11,15 @@
 //      Benchmarks run with the tracer off by default.
 //   2. Bounded memory. Events land in a fixed-capacity ring; when it
 //      wraps, the oldest events are overwritten (total_recorded() keeps
-//      the true count so exports can report truncation).
+//      the true count, and the export reports the truncation).
 //   3. Deterministic output. Events carry simulated time only; two runs
-//      with the same seeds export byte-identical JSONL.
+//      with the same seeds record identical events.
 //
-// Exports:
-//   * JSONL — one event object per line, trivially grep/jq-able;
-//   * Chrome trace_event JSON — opens directly in chrome://tracing or
-//     Perfetto (https://ui.perfetto.dev) as per-channel timelines: one
-//     track per (channel, direction), instant events per lifecycle step,
-//     and complete ("X") spans for each packet's channel residency.
+// Export: Chrome trace_event JSON (hvc_run --trace) — opens directly in
+// chrome://tracing or Perfetto (https://ui.perfetto.dev) as per-channel
+// timelines: one track per (channel, direction), instant events per
+// lifecycle step, and complete ("X") spans for each packet's channel
+// residency.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +27,6 @@
 #include <vector>
 
 #include "obs/binding.hpp"
-#include "sim/stats.hpp"
 #include "sim/units.hpp"
 
 namespace hvc::obs {
@@ -82,39 +80,25 @@ struct TraceEvent {
 [[nodiscard]] const char* to_string(DropReason r);
 [[nodiscard]] const char* to_string(ReorderAction a);
 
-class PacketTracer : public ThreadBinding<PacketTracer, ActiveSlot>,
-                     public ThreadBinding<PacketTracer, CurrentSlot> {
+class PacketTracer : public ThreadBinding<PacketTracer> {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 20;  // ~48 MB
 
-  /// Per-run instances are constructible directly; the sweep engine gives
-  /// every concurrent run its own (installed via ScopedPacketTracer).
+  /// Per-run instances, installed with ScopedPacketTracer; the sweep
+  /// engine gives every concurrent run its own.
   PacketTracer() = default;
-
-  /// The process-global tracer (exists even while disabled, so topology
-  /// code can set channel names unconditionally).
-  static PacketTracer& instance();
-
-  /// The tracer topology/bookkeeping calls bind to: the innermost
-  /// ScopedPacketTracer on this thread, or instance() when none is
-  /// installed. Keeps channel-name writes race-free under concurrent
-  /// simulations.
-  static PacketTracer& current();
 
   /// Hot-path accessor: nullptr unless tracing is enabled *on this
   /// thread*. Call sites do
   ///   if (auto* tr = obs::PacketTracer::active()) tr->record(...);
-  /// Thread-local so a tracing main-thread bench never races with sweep
-  /// worker threads (which run with tracing off).
-  [[nodiscard]] static PacketTracer* active() { return Active::bound(); }
+  /// Thread-local so concurrent sweep runs never see each other's tracer.
+  [[nodiscard]] static PacketTracer* active() { return bound(); }
 
   /// Start recording into a fresh ring of `capacity` events, and bind
   /// this tracer as the calling thread's active().
   void enable(std::size_t capacity = kDefaultCapacity);
   /// Stop recording; retained events stay exportable.
   void disable();
-  /// Drop all events (and the total count); keeps enabled state.
-  void clear();
 
   [[nodiscard]] bool enabled() const { return enabled_; }
 
@@ -147,23 +131,18 @@ class PacketTracer : public ThreadBinding<PacketTracer, ActiveSlot>,
   /// Retained events, oldest first.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
 
-  /// Channel names give exports human-readable track labels. Safe to call
-  /// while disabled; the latest topology wins.
+  /// Channel names give the export human-readable track labels
+  /// (channel::HvcSet::add names the channels of an active tracer).
   void set_channel_name(std::size_t index, std::string name);
   [[nodiscard]] std::string channel_name(std::size_t index) const;
 
-  /// One JSON object per line:
-  ///   {"t_us":…,"ev":"rx","pkt":…,"flow":…,"ch":1,"dir":"up","bytes":…}
-  [[nodiscard]] std::string to_jsonl() const;
-
   /// Chrome trace_event format (JSON Object Format, "traceEvents" array):
-  /// loads in chrome://tracing and Perfetto.
+  /// loads in chrome://tracing and Perfetto. When the ring wrapped, a
+  /// top-level "otherData" object carries its capacity and the recorded
+  /// and overwritten event counts.
   [[nodiscard]] std::string to_chrome_trace() const;
 
  private:
-  using Active = ThreadBinding<PacketTracer, ActiveSlot>;
-  using Current = ThreadBinding<PacketTracer, CurrentSlot>;
-
   std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;        ///< next write slot
   std::uint64_t total_ = 0;
@@ -171,37 +150,9 @@ class PacketTracer : public ThreadBinding<PacketTracer, ActiveSlot>,
   std::vector<std::string> channel_names_;
 };
 
-/// RAII: installs a tracer as the calling thread's PacketTracer::current()
-/// (and as active() if it is enabled) for the scope's lifetime. The sweep
-/// engine wraps every run in one, so per-run topology construction writes
-/// channel names into run-private state instead of the shared instance.
-class ScopedPacketTracer {
- public:
-  explicit ScopedPacketTracer(PacketTracer& tracer)
-      : current_(tracer), active_(tracer) {}
-
- private:
-  ScopedBinding<PacketTracer, CurrentSlot> current_;
-  ScopedBinding<PacketTracer, ActiveSlot> active_;
-};
-
-/// Per-packet one-way-delay decomposition derived from lifecycle events:
-/// for every packet that completed enqueue→…→rx on one channel, queueing
-/// is dequeue−enqueue, propagation is rx−tx, and total is rx−enqueue.
-/// Retransmit wait comes from kRetx events' aux field (time the data sat
-/// lost before the transport resent it).
-struct DelayDecomposition {
-  struct PerChannel {
-    std::string name;
-    std::int64_t packets = 0;
-    sim::Summary queueing_ms;
-    sim::Summary propagation_ms;
-    sim::Summary total_owd_ms;
-  };
-  std::vector<PerChannel> channels;  ///< indexed by channel id
-  sim::Summary retx_wait_ms;
-};
-
-[[nodiscard]] DelayDecomposition decompose_delays(const PacketTracer& tracer);
+/// RAII: installs a tracer as the calling thread's active() for the
+/// scope's lifetime — if it is enabled; a disabled tracer masks any outer
+/// one, so sweep runs never record into each other's rings.
+using ScopedPacketTracer = ScopedBinding<PacketTracer>;
 
 }  // namespace hvc::obs

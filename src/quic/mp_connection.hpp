@@ -180,7 +180,7 @@ class MpEndpoint {
   // Registry mirrors (aggregated across endpoints): transport.quic.*.
   obs::Counter* m_packets_sent_ = nullptr;
   obs::Counter* m_retx_chunks_ = nullptr;
-  obs::Histogram* m_msg_latency_ = nullptr;
+  sim::Summary* m_msg_latency_ = nullptr;
 
   net::FlowHandle inbound_handler_;  ///< last: unregistered first
 };

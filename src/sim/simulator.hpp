@@ -69,7 +69,6 @@ class Simulator {
   std::size_t run_for(Duration span) { return run_until(now_ + span); }
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
  private:
   EventQueue queue_;

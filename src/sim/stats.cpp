@@ -49,51 +49,6 @@ double Summary::percentile(double p) const {
   return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
 }
 
-std::vector<std::pair<double, double>> Summary::cdf() const {
-  ensure_sorted();
-  std::vector<std::pair<double, double>> out;
-  out.reserve(samples_.size());
-  const auto n = static_cast<double>(samples_.size());
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    out.emplace_back(samples_[i], static_cast<double>(i + 1) / n);
-  }
-  return out;
-}
-
-double TimeSeries::mean_in(Time from, Time to) const {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const auto& p : points_) {
-    if (p.t >= from && p.t < to) {
-      sum += p.value;
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
-std::vector<TimeSeries::Point> TimeSeries::bucketed(Duration width) const {
-  std::vector<Point> out;
-  if (points_.empty() || width <= 0) return out;
-  Time bucket_start = 0;
-  double sum = 0.0;
-  std::size_t n = 0;
-  double last = points_.front().value;
-  for (const auto& p : points_) {
-    while (p.t >= bucket_start + width) {
-      if (n > 0) last = sum / static_cast<double>(n);
-      out.push_back({bucket_start, last});
-      bucket_start += width;
-      sum = 0.0;
-      n = 0;
-    }
-    sum += p.value;
-    ++n;
-  }
-  if (n > 0) out.push_back({bucket_start, sum / static_cast<double>(n)});
-  return out;
-}
-
 void WindowedMax::update(std::int64_t key, double v) {
   while (!q_.empty() && q_.back().value <= v) q_.pop_back();
   q_.push_back({key, v});

@@ -1,4 +1,4 @@
-// Metric collection: summaries, percentiles, CDFs, time series, and
+// Metric collection: summaries, percentiles, time series, and
 // time-windowed min/max filters (as used by BBR and channel estimators).
 #pragma once
 
@@ -14,7 +14,7 @@
 namespace hvc::sim {
 
 /// Accumulates scalar samples; supports mean/min/max/stddev and, because
-/// samples are retained, exact percentiles and CDF export.
+/// samples are retained, exact percentiles.
 class Summary {
  public:
   void add(double v) {
@@ -37,9 +37,6 @@ class Summary {
   /// p in [0, 100].
   [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] double median() const { return percentile(50.0); }
-
-  /// (value, cumulative fraction) points suitable for plotting a CDF.
-  [[nodiscard]] std::vector<std::pair<double, double>> cdf() const;
 
   [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
 
@@ -69,13 +66,6 @@ class TimeSeries {
   [[nodiscard]] const std::vector<Point>& points() const { return points_; }
   [[nodiscard]] std::size_t size() const { return points_.size(); }
   [[nodiscard]] bool empty() const { return points_.empty(); }
-
-  /// Mean of values with t in [from, to).
-  [[nodiscard]] double mean_in(Time from, Time to) const;
-
-  /// Resample into fixed-width buckets (mean per bucket); empty buckets
-  /// carry forward the previous value. Used to print compact series.
-  [[nodiscard]] std::vector<Point> bucketed(Duration width) const;
 
  private:
   std::vector<Point> points_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace hvc::trace {
@@ -156,38 +155,6 @@ CapacityTrace CapacityTrace::from_runs(std::vector<OpportunityRun> runs,
         std::move(runs));
   }
   return t;
-}
-
-CapacityTrace CapacityTrace::parse_mahimahi(const std::string& text,
-                                            std::int64_t mtu) {
-  std::vector<Time> opps;
-  std::istringstream in(text);
-  std::string line;
-  std::int64_t last_ms = 0;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::size_t pos = 0;
-    const std::int64_t ms = std::stoll(line, &pos);
-    if (ms < 0) throw std::invalid_argument("mahimahi trace: negative time");
-    if (ms < last_ms) {
-      throw std::invalid_argument("mahimahi trace: non-monotonic timestamps");
-    }
-    last_ms = ms;
-    opps.push_back(sim::milliseconds(ms));
-  }
-  if (opps.empty()) throw std::invalid_argument("mahimahi trace: empty");
-  // Mahimahi loops after the final timestamp; opportunities AT the final
-  // timestamp belong to this period, so the period is last+1ms.
-  const Duration period = sim::milliseconds(last_ms + 1);
-  return from_opportunities(std::move(opps), period, mtu);
-}
-
-std::string CapacityTrace::to_mahimahi() const {
-  std::ostringstream out;
-  for (const Time t : opportunities()) {
-    out << (t / 1'000'000) << '\n';
-  }
-  return out.str();
 }
 
 const OpportunityRun* CapacityTrace::run_at(Time offset) const {

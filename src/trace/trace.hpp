@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/units.hpp"
@@ -150,15 +149,6 @@ class CapacityTrace {
   /// is filled in here, empty runs are dropped). For the generators.
   static CapacityTrace from_runs(std::vector<OpportunityRun> runs,
                                  Duration period, std::int64_t mtu);
-
-  /// Parse Mahimahi's trace format: one millisecond timestamp per line,
-  /// each granting one MTU delivery; the last timestamp defines the loop
-  /// period. Throws std::invalid_argument on malformed input.
-  static CapacityTrace parse_mahimahi(const std::string& text,
-                                      std::int64_t mtu = 1500);
-
-  /// Serialize to Mahimahi's format (millisecond resolution).
-  [[nodiscard]] std::string to_mahimahi() const;
 
   /// First delivery opportunity at a time strictly greater than `t`.
   /// Loops over the period indefinitely. Returns kTimeNever only for an

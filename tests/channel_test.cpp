@@ -216,39 +216,6 @@ TEST(ChannelProfiles, EmbbConstantMatchesFig1Setup) {
   EXPECT_FALSE(p.reliable);
 }
 
-TEST(HvcSet, SelectorsFindExpectedChannels) {
-  sim::Simulator s;
-  HvcSet set(s);
-  set.add(embb_constant_profile());
-  set.add(urllc_profile());
-  EXPECT_EQ(set.size(), 2u);
-  EXPECT_EQ(set.first_reliable(), 1u);
-  EXPECT_EQ(set.lowest_latency(), 1u);
-  EXPECT_EQ(set.highest_bandwidth(Direction::kDownlink), 0u);
-}
-
-TEST(HvcSet, NoReliableChannelReturnsSize) {
-  sim::Simulator s;
-  HvcSet set(s);
-  set.add(embb_constant_profile());
-  EXPECT_EQ(set.first_reliable(), 1u);
-}
-
-TEST(Channel, CostAccruesWithTraffic) {
-  sim::Simulator s;
-  Channel ch(s, cisp_profile(milliseconds(8), sim::mbps(10), 1.0));
-  int delivered = 0;
-  ch.downlink().set_receiver([&](PacketPtr) { ++delivered; });
-  // Pace the offered load at the link rate so droptail never engages.
-  for (int i = 0; i < 1000; ++i) {
-    s.at(milliseconds(i), [&] { ch.downlink().send(data_packet(1000)); });
-  }
-  s.run();
-  // ~1 MB at $1/MB, minus ~0.1% bernoulli loss.
-  EXPECT_GT(ch.cost_accrued(), 0.9);
-  EXPECT_LE(ch.cost_accrued(), 1.0);
-}
-
 TEST(Link, TraceDrivenOutageStallsDelivery) {
   sim::Simulator s;
   // 100 ms of service, then a 500 ms gap, looping each second.

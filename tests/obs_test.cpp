@@ -1,7 +1,7 @@
 // Tests for the observability layer: packet tracer ring semantics and
-// exports, the thread-local binding protocol every per-run recorder shares,
-// metrics registry instruments, run manifests, delay decomposition, and
-// trace determinism across identical runs.
+// its Chrome export, the thread-local binding protocol every per-run
+// recorder shares, metrics registry instruments, and trace determinism
+// across identical runs.
 #include <gtest/gtest.h>
 
 #include <cfloat>
@@ -12,9 +12,11 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "channel/profile.hpp"
+#include "core/scenario.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "obs/audit.hpp"
@@ -36,33 +38,32 @@ using obs::PacketTracer;
 using sim::milliseconds;
 using sim::seconds;
 
-/// RAII guard: every test that enables the global tracer must leave it
-/// disabled for the rest of the binary.
+/// A tracer recording on this thread for the guard's lifetime: the scope
+/// comes first and enable() second, the order exp::run_scenario uses.
 struct TracerGuard {
-  explicit TracerGuard(std::size_t capacity = 1024) {
-    PacketTracer::instance().enable(capacity);
-  }
-  ~TracerGuard() { PacketTracer::instance().disable(); }
+  explicit TracerGuard(std::size_t capacity = 1024) { tracer.enable(capacity); }
+  PacketTracer tracer;
+  obs::ScopedPacketTracer scope{tracer};
 };
 
 TEST(Tracer, DisabledMeansNullActivePointer) {
   ASSERT_EQ(PacketTracer::active(), nullptr);
   {
     TracerGuard guard;
-    EXPECT_NE(PacketTracer::active(), nullptr);
-    EXPECT_TRUE(PacketTracer::instance().enabled());
+    EXPECT_EQ(PacketTracer::active(), &guard.tracer);
+    EXPECT_TRUE(guard.tracer.enabled());
   }
   EXPECT_EQ(PacketTracer::active(), nullptr);
-  EXPECT_EQ(PacketTracer::instance().capacity(), 0u);
+  PacketTracer idle;
+  EXPECT_EQ(idle.capacity(), 0u);
 }
 
 TEST(Tracer, DisablingAnotherTracerKeepsScopedRunRecording) {
   // Regression: disable() used to clear the thread's active() binding
   // unconditionally. A run executing inside a ScopedPacketTracer (the
   // sweep engine wraps every run in one) would silently stop recording
-  // when anything disabled the global instance on the same thread —
-  // e.g. a tool disabling the global tracer, or an earlier run's
-  // teardown.
+  // when anything disabled another tracer on the same thread — e.g. an
+  // earlier run's teardown.
   // Control: the same single event recorded with no interference.
   // (Set up first — enable() itself binds the thread's active().)
   PacketTracer undisturbed;
@@ -75,7 +76,8 @@ TEST(Tracer, DisablingAnotherTracerKeepsScopedRunRecording) {
   obs::ScopedPacketTracer scope(run_tracer);
   ASSERT_EQ(PacketTracer::active(), &run_tracer);
 
-  PacketTracer::instance().disable();
+  PacketTracer other;
+  other.disable();
   ASSERT_EQ(PacketTracer::active(), &run_tracer)
       << "disabling a different tracer must not unbind the scoped one";
 
@@ -85,7 +87,7 @@ TEST(Tracer, DisablingAnotherTracerKeepsScopedRunRecording) {
   EXPECT_EQ(run_tracer.size(), 1u);
 
   // The export must be byte-identical to the undisturbed control run.
-  EXPECT_EQ(run_tracer.to_jsonl(), undisturbed.to_jsonl());
+  EXPECT_EQ(run_tracer.to_chrome_trace(), undisturbed.to_chrome_trace());
 
   // Disabling the tracer that *is* bound still clears the binding.
   run_tracer.disable();
@@ -94,7 +96,7 @@ TEST(Tracer, DisablingAnotherTracerKeepsScopedRunRecording) {
 
 TEST(Tracer, EventsComeBackInRecordingOrder) {
   TracerGuard guard(64);
-  auto& tr = PacketTracer::instance();
+  auto& tr = guard.tracer;
   for (std::uint64_t i = 0; i < 10; ++i) {
     tr.record(EventKind::kEnqueue, static_cast<sim::Time>(i * 100), i, 1, 0,
               obs::kDirDown, 1500);
@@ -110,7 +112,7 @@ TEST(Tracer, EventsComeBackInRecordingOrder) {
 
 TEST(Tracer, RingWrapsKeepingNewestAndCountsTotal) {
   TracerGuard guard(8);
-  auto& tr = PacketTracer::instance();
+  auto& tr = guard.tracer;
   for (std::uint64_t i = 0; i < 20; ++i) {
     tr.record(EventKind::kTx, static_cast<sim::Time>(i), i, 1, 0,
               obs::kDirUp, 100);
@@ -124,14 +126,32 @@ TEST(Tracer, RingWrapsKeepingNewestAndCountsTotal) {
   }
 }
 
-TEST(Tracer, ClearDropsEventsButStaysEnabled) {
-  TracerGuard guard(8);
-  auto& tr = PacketTracer::instance();
-  tr.record(EventKind::kRx, 5, 1, 1, 0, obs::kDirDown, 100);
-  tr.clear();
-  EXPECT_EQ(tr.total_recorded(), 0u);
-  EXPECT_EQ(tr.snapshot().size(), 0u);
-  EXPECT_TRUE(tr.enabled());
+TEST(Tracer, ChromeTraceFlagsOnlyAWrappedRing) {
+  const auto export_after = [](std::uint64_t events) {
+    TracerGuard guard(8);
+    for (std::uint64_t i = 0; i < events; ++i) {
+      guard.tracer.record(EventKind::kTx, static_cast<sim::Time>(i), i, 1, 0,
+                          obs::kDirUp, 100);
+    }
+    return guard.tracer.to_chrome_trace();
+  };
+  // A ring that never wrapped exports no truncation block.
+  const std::string whole = export_after(8);
+  EXPECT_EQ(whole.find("otherData"), std::string::npos);
+  EXPECT_EQ(whole.substr(whole.size() - 2), "]}");
+
+  obs::json::Value doc;
+  ASSERT_TRUE(obs::json::parse(export_after(20), &doc));
+  const obs::json::Value* other = doc.find("otherData");
+  ASSERT_NE(other, nullptr);
+  EXPECT_EQ(other->number_or("capacity", 0), 8.0);
+  EXPECT_EQ(other->number_or("recorded", 0), 20.0);
+  EXPECT_EQ(other->number_or("overwritten", 0), 12.0);
+  std::size_t instants = 0;
+  for (const auto& e : doc.find("traceEvents")->array) {
+    instants += e.string_or("ph", "") == "i" ? 1 : 0;
+  }
+  EXPECT_EQ(instants, 8u);  // the retained events only
 }
 
 TEST(ObsJson, NumberTokensConvertWhollyOrNotAtAll) {
@@ -185,40 +205,9 @@ TEST(ObsJson, NumberRoundTripsThroughParse) {
   }
 }
 
-TEST(Tracer, JsonlLinesAreEachValidJsonObjects) {
-  TracerGuard guard(64);
-  auto& tr = PacketTracer::instance();
-  tr.set_channel_name(0, "eMBB");
-  tr.record(EventKind::kEnqueue, 1000, 1, 2, 0, obs::kDirDown, 1500);
-  tr.record(EventKind::kDrop, 2000, 1, 2, 0, obs::kDirDown, 1500,
-            obs::kDropQueueFull);
-  tr.record(EventKind::kSteer, 3000, 4, 2, 1, obs::kDirUp, 80, 1);
-  tr.record(EventKind::kRetx, 4000, 5, 2, obs::kNoChannel, obs::kNoDirection,
-            1000, 2, sim::milliseconds(12));
-  const std::string jsonl = tr.to_jsonl();
-  std::size_t lines = 0;
-  std::size_t start = 0;
-  while (start < jsonl.size()) {
-    const std::size_t end = jsonl.find('\n', start);
-    ASSERT_NE(end, std::string::npos);  // every line newline-terminated
-    const std::string line = jsonl.substr(start, end - start);
-    obs::json::Value v;
-    ASSERT_TRUE(obs::json::parse(line, &v)) << line;
-    EXPECT_TRUE(v.is_object());
-    EXPECT_NE(v.find("t_us"), nullptr);
-    EXPECT_NE(v.find("ev"), nullptr);
-    ++lines;
-    start = end + 1;
-  }
-  EXPECT_EQ(lines, 4u);
-  EXPECT_NE(jsonl.find("\"detail\":\"queue_full\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"duplicates\":1"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"aux_us\":12000"), std::string::npos);
-}
-
 TEST(Tracer, ChromeTraceIsWellFormedJsonWithSpans) {
   TracerGuard guard(64);
-  auto& tr = PacketTracer::instance();
+  auto& tr = guard.tracer;
   tr.set_channel_name(0, "eMBB");
   tr.set_channel_name(1, "URLLC");
   // A full lifecycle on channel 0 down: should produce an "X" span.
@@ -253,7 +242,7 @@ TEST(Tracer, ChromeTraceIsWellFormedJsonWithSpans) {
 // ---- Thread-local binding protocol (obs/binding.hpp) ----
 
 /// Per-class glue for the typed suites: the scope type, a cheap enable(),
-/// and for CurrentSlot classes the process-global fallback.
+/// and for the CurrentSlot class the process-global fallback.
 template <class T>
 struct Binds;
 
@@ -262,7 +251,6 @@ struct Binds<PacketTracer> {
   static constexpr const char* kName = "PacketTracer";
   using Scope = obs::ScopedPacketTracer;
   static void enable(PacketTracer& t) { t.enable(64); }
-  static PacketTracer& fallback() { return PacketTracer::instance(); }
 };
 
 template <>
@@ -381,7 +369,7 @@ class CurrentBinding : public ::testing::Test {
     EXPECT_EQ(&T::current(), &Binds<T>::fallback());
   }
 };
-using CurrentBound = ::testing::Types<PacketTracer, obs::MetricsRegistry>;
+using CurrentBound = ::testing::Types<obs::MetricsRegistry>;
 TYPED_TEST_SUITE(CurrentBinding, CurrentBound, BindsName);
 
 TYPED_TEST(CurrentBinding, NestedScopesRestoreAndFallBackToGlobal) {
@@ -428,62 +416,21 @@ TEST(Metrics, CounterGaugeFindOrCreateIsStable) {
   EXPECT_EQ(&reg.counter("a.b"), &c1);  // registration survives reset
 }
 
-TEST(Metrics, HistogramBucketEdgesAreHalfOpen) {
-  obs::Histogram h({1.0, 2.0, 5.0});
-  // counts: [<1), [1,2), [2,5), [5,inf)
-  h.add(0.5);
-  h.add(0.999);
-  h.add(1.0);   // exactly an edge lands in the bucket it opens
-  h.add(1.999);
-  h.add(2.0);
-  h.add(4.999);
-  h.add(5.0);   // overflow
-  h.add(100.0);
-  const auto& counts = h.counts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2);
-  EXPECT_EQ(counts[1], 2);
-  EXPECT_EQ(counts[2], 2);
-  EXPECT_EQ(counts[3], 2);
-  EXPECT_EQ(h.count(), 8);
-  EXPECT_DOUBLE_EQ(h.summary().max(), 100.0);
-}
-
 TEST(Metrics, SnapshotFlattensHistograms) {
   obs::MetricsRegistry reg;
   reg.counter("c").inc(7);
-  auto& h = reg.histogram("lat", {1.0, 10.0});
+  auto& h = reg.histogram("lat");
+  EXPECT_EQ(&h, &reg.histogram("lat"));
   h.add(0.5);
   h.add(5.0);
   const auto snap = reg.snapshot();
   EXPECT_DOUBLE_EQ(snap.at("c"), 7.0);
   EXPECT_DOUBLE_EQ(snap.at("lat.count"), 2.0);
   EXPECT_DOUBLE_EQ(snap.at("lat.mean"), 2.75);
+  EXPECT_DOUBLE_EQ(snap.at("lat.max"), 5.0);
   EXPECT_TRUE(snap.contains("lat.p95"));
-  EXPECT_TRUE(obs::json::valid(reg.to_json()));
-}
-
-TEST(DelayDecomposition, SplitsQueueingPropagationAndRetxWait) {
-  TracerGuard guard(64);
-  auto& tr = PacketTracer::instance();
-  tr.set_channel_name(0, "eMBB");
-  // Packet 1, channel 0 down: 1 ms queueing, 5 ms propagation.
-  tr.record(EventKind::kEnqueue, 0, 1, 1, 0, obs::kDirDown, 1500);
-  tr.record(EventKind::kDequeue, milliseconds(1), 1, 1, 0, obs::kDirDown,
-            1500);
-  tr.record(EventKind::kTx, milliseconds(1), 1, 1, 0, obs::kDirDown, 1500);
-  tr.record(EventKind::kRx, milliseconds(6), 1, 1, 0, obs::kDirDown, 1500);
-  // A retransmission that waited 40 ms.
-  tr.record(EventKind::kRetx, milliseconds(50), 2, 1, obs::kNoChannel,
-            obs::kNoDirection, 1000, 2, milliseconds(40));
-  const auto d = obs::decompose_delays(tr);
-  ASSERT_GE(d.channels.size(), 1u);
-  EXPECT_EQ(d.channels[0].name, "eMBB");
-  EXPECT_EQ(d.channels[0].packets, 1);
-  EXPECT_DOUBLE_EQ(d.channels[0].queueing_ms.mean(), 1.0);
-  EXPECT_DOUBLE_EQ(d.channels[0].propagation_ms.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(d.channels[0].total_owd_ms.mean(), 6.0);
-  EXPECT_DOUBLE_EQ(d.retx_wait_ms.mean(), 40.0);
+  reg.reset_values();
+  EXPECT_DOUBLE_EQ(reg.snapshot().at("lat.count"), 0.0);
 }
 
 TEST(Logger, ParseLogLevelAcceptsNamesAndNumbers) {
@@ -499,7 +446,7 @@ TEST(Logger, ParseLogLevelAcceptsNamesAndNumbers) {
 // ---- End-to-end: instrumentation through a real scenario ----
 
 struct RunResult {
-  std::string jsonl;
+  std::vector<obs::TraceEvent> events;
   std::int64_t shim_down_total = 0;
   std::int64_t registry_down_total = 0;
 };
@@ -508,7 +455,7 @@ RunResult run_traced_transfer() {
   net::reset_packet_ids_for_test();
   net::reset_flow_ids_for_test();
   obs::MetricsRegistry::global().reset_values();
-  PacketTracer::instance().enable(1u << 18);
+  TracerGuard guard(1u << 18);
 
   sim::Simulator s;
   auto net = std::make_unique<net::TwoHostNetwork>(
@@ -528,7 +475,7 @@ RunResult run_traced_transfer() {
     snd.write(500'000);
     s.run_until(seconds(10));
 
-    r.jsonl = PacketTracer::instance().to_jsonl();
+    r.events = guard.tracer.snapshot();
     const auto& st = net->downlink_shim().stats();
     r.shim_down_total = st.packets_per_channel[0] + st.packets_per_channel[1];
   }
@@ -538,8 +485,13 @@ RunResult run_traced_transfer() {
   auto& reg = obs::MetricsRegistry::global();
   r.registry_down_total = reg.counter("shim.down.ch0.packets").value() +
                           reg.counter("shim.down.ch1.packets").value();
-  PacketTracer::instance().disable();
   return r;
+}
+
+/// Every recorded field of an event, for field-by-field comparison.
+auto fields(const obs::TraceEvent& e) {
+  return std::tuple(e.at, e.packet_id, e.flow_id, e.aux, e.size_bytes,
+                    static_cast<int>(e.kind), e.channel, e.direction, e.arg);
 }
 
 TEST(EndToEnd, RegistryCountersReconcileWithShimStats) {
@@ -551,8 +503,11 @@ TEST(EndToEnd, RegistryCountersReconcileWithShimStats) {
 TEST(EndToEnd, SameSeedRunsExportByteIdenticalJsonl) {
   const RunResult a = run_traced_transfer();
   const RunResult b = run_traced_transfer();
-  ASSERT_FALSE(a.jsonl.empty());
-  EXPECT_EQ(a.jsonl, b.jsonl);  // byte-identical trace
+  ASSERT_FALSE(a.events.empty());
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    ASSERT_EQ(fields(a.events[i]), fields(b.events[i])) << "event " << i;
+  }
   EXPECT_EQ(a.shim_down_total, b.shim_down_total);
 }
 
@@ -576,7 +531,7 @@ TEST(EndToEnd, TracedTransferProducesLifecycleEventsAndValidChrome) {
   snd.write(200'000);
   s.run_until(seconds(5));
 
-  auto& tr = PacketTracer::instance();
+  auto& tr = guard.tracer;
   int steers = 0;
   int enqueues = 0;
   int rxs = 0;
@@ -588,13 +543,33 @@ TEST(EndToEnd, TracedTransferProducesLifecycleEventsAndValidChrome) {
   EXPECT_GT(steers, 0);
   EXPECT_GT(enqueues, 0);
   EXPECT_GT(rxs, 0);
-  EXPECT_TRUE(obs::json::valid(tr.to_chrome_trace()));
+  obs::json::Value doc;
+  ASSERT_TRUE(obs::json::parse(tr.to_chrome_trace(), &doc));
+  // Each packet that crossed a channel becomes one residency ("X") span.
+  int spans = 0;
+  for (const auto& e : doc.find("traceEvents")->array) {
+    spans += e.string_or("ph", "") == "X" ? 1 : 0;
+  }
+  EXPECT_GT(spans, 0);
+}
 
-  const auto d = obs::decompose_delays(tr);
-  ASSERT_GE(d.channels.size(), 1u);
-  std::int64_t decomposed = 0;
-  for (const auto& ch : d.channels) decomposed += ch.packets;
-  EXPECT_GT(decomposed, 0);
+TEST(EndToEnd, ScenarioUnderScopedTracerNamesChromeTracks) {
+  // The topology names the tracks of the tracer active while it is built,
+  // as exp::run_scenario's does for hvc_run --trace.
+  net::IdScope ids;
+  TracerGuard guard(1u << 18);
+  core::Scenario sc(core::ScenarioConfig::fig1("dchannel"));
+  const auto flows = transport::make_flow_pair();
+  transport::TcpSender snd(sc.server(), flows, transport::make_cca("cubic"));
+  transport::TcpReceiver rcv(sc.client(), flows);
+  snd.write(200'000);
+  sc.sim().run_until(seconds(2));
+
+  const std::string chrome = guard.tracer.to_chrome_trace();
+  EXPECT_NE(chrome.find("\"name\":\"embb down\""), std::string::npos);
+  EXPECT_NE(chrome.find("\"name\":\"urllc down\""), std::string::npos);
+  EXPECT_NE(chrome.find("\"name\":\"urllc up\""), std::string::npos);
+  EXPECT_EQ(chrome.find("\"name\":\"ch0 "), std::string::npos);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 //    free;
 //  * pool exhaustion degrades to the heap without changing behavior;
 //  * prof.alloc.* accounting is identical pool-on and pool-off (the
-//    whole point of PooledAllocator mirroring TrackingAllocator);
+//    pool reports requested bytes, not block sizes);
 //  * a stale slot-map handle aborts — in release builds too — instead of
 //    silently reading a departed entity's memory.
 #include <gtest/gtest.h>
@@ -128,8 +128,8 @@ TEST(BlockPool, ExhaustionFallsBackToHeapAndRecovers) {
 // ---- prof.alloc parity --------------------------------------------------
 
 // Identical runs must report identical allocation traffic whether the
-// pool serves the bytes or the heap does: PooledAllocator mirrors
-// TrackingAllocator's hook_alloc/hook_free byte counts exactly.
+// pool serves the bytes or the heap does: PooledAllocator passes the
+// requested byte count to hook_alloc/hook_free either way.
 obs::prof::AllocStats alloc_stats_for_run(bool pool) {
   ScopedPool scope(pool);
   net::IdScope ids;

@@ -87,7 +87,7 @@ TEST_F(ProfTest, TimerArmedAtConstructionNotDestruction) {
 }
 
 #if HVC_PROF_ENABLED
-TEST_F(ProfTest, MakePacketRoutesThroughTrackingAllocator) {
+TEST_F(ProfTest, MakePacketRoutesThroughPooledAllocator) {
   prof::enable();
   {
     auto p = net::make_packet();

@@ -251,19 +251,6 @@ TEST(Summary, StddevIsNumericallyStableForLargeMeans) {
   EXPECT_DOUBLE_EQ(tight.stddev(), 0.0);  // never NaN from sqrt(negative)
 }
 
-TEST(Summary, CdfIsMonotone) {
-  Summary s;
-  Rng r(3);
-  for (int i = 0; i < 1000; ++i) s.add(r.uniform());
-  const auto cdf = s.cdf();
-  ASSERT_EQ(cdf.size(), 1000u);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].first, cdf[i - 1].first);
-    EXPECT_GT(cdf[i].second, cdf[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-}
-
 TEST(Summary, EmptySummaryIsSafe) {
   Summary s;
   EXPECT_EQ(s.count(), 0u);
@@ -362,23 +349,6 @@ TEST(Ewma, FirstSampleInitializes) {
   EXPECT_DOUBLE_EQ(e.get(), 80.0);
   e.update(0.0);
   EXPECT_DOUBLE_EQ(e.get(), 70.0);
-}
-
-TEST(TimeSeries, BucketedMeans) {
-  TimeSeries ts;
-  ts.add(milliseconds(10), 1.0);
-  ts.add(milliseconds(20), 3.0);
-  ts.add(milliseconds(110), 10.0);
-  const auto buckets = ts.bucketed(milliseconds(100));
-  ASSERT_EQ(buckets.size(), 2u);
-  EXPECT_DOUBLE_EQ(buckets[0].value, 2.0);
-  EXPECT_DOUBLE_EQ(buckets[1].value, 10.0);
-}
-
-TEST(TimeSeries, MeanInWindow) {
-  TimeSeries ts;
-  for (int i = 0; i < 10; ++i) ts.add(milliseconds(i * 10), i);
-  EXPECT_DOUBLE_EQ(ts.mean_in(milliseconds(0), milliseconds(50)), 2.0);
 }
 
 // ---- Calendar-queue edge cases ------------------------------------------

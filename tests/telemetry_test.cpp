@@ -119,11 +119,6 @@ TEST(ObsTelemetry, ExportsOrderSeriesByName) {
             (std::vector<std::string>{"a.first", "z.last"}));
   const std::string jsonl = ts.to_jsonl();
   EXPECT_LT(jsonl.find("a.first"), jsonl.find("z.last"));
-  const std::string csv = ts.to_csv();
-  EXPECT_LT(csv.find("a.first"), csv.find("z.last"));
-  obs::json::Value v;
-  EXPECT_TRUE(obs::json::parse(ts.to_chrome_trace(), &v));
-  EXPECT_EQ(v.find("traceEvents")->array.size(), 2u);
 }
 
 TEST(ObsTelemetry, LinkQueueProbeSeesBulkBacklog) {
@@ -195,6 +190,56 @@ TEST(ObsAudit, JsonlCarriesReasonAndChannelSnapshots) {
       std::string_view(jsonl).substr(0, jsonl.find('\n')), &v));
   EXPECT_DOUBLE_EQ(v.number_or("t_us", 0), 1500.0);
   EXPECT_DOUBLE_EQ(v.number_or("ch", -1), 1.0);
+}
+
+/// Records `n` decisions into a 4-record ring, writes its export next to
+/// a one-run results file under `name`, and loads both as a Report.
+exp::Report audit_report(const std::string& name, int n, std::string* jsonl) {
+  obs::SteeringAuditLog log;
+  log.enable(4);
+  for (int i = 0; i < n; ++i) {
+    obs::AuditRecord rec;
+    rec.at = sim::milliseconds(i);
+    rec.packet_id = static_cast<std::uint64_t>(i);
+    rec.reason = "dchannel:default";
+    rec.policy = "dchannel";
+    log.record(std::move(rec));
+  }
+  *jsonl = log.to_jsonl();
+  const std::string prefix = ::testing::TempDir() + name;
+  exp::RunResult run;
+  run.name = name;
+  exp::write_file(prefix + ".results.jsonl", exp::to_jsonl({run}));
+  exp::write_file(prefix + ".audit.jsonl", *jsonl);
+  return exp::Report::load(prefix);
+}
+
+TEST(ObsAudit, UnwrappedRingExportsRecordsOnly) {
+  std::string jsonl;
+  const exp::Report report = audit_report("hvc_audit_whole", 4, &jsonl);
+  EXPECT_EQ(jsonl.find("meta"), std::string::npos);
+  EXPECT_EQ(jsonl.rfind("{\"t_us\":0.000,", 0), 0u);
+  ASSERT_EQ(report.audit.size(), 4u);
+  EXPECT_EQ(report.audit.front().pkt, 0u);
+  EXPECT_TRUE(report.audit_meta.empty());
+  EXPECT_NE(report.render_decisions().find(
+                "== decision reasons (audit, 4 records) ==\n"),
+            std::string::npos);
+}
+
+TEST(ObsAudit, WrappedRingExportLeadsWithOverwrittenCount) {
+  std::string jsonl;
+  const exp::Report report = audit_report("hvc_audit_wrapped", 10, &jsonl);
+  EXPECT_EQ(jsonl.substr(0, jsonl.find('\n') + 1),
+            "{\"meta\":{\"capacity\":4,\"recorded\":10,"
+            "\"overwritten\":6}}\n");
+  ASSERT_EQ(report.audit.size(), 4u);  // the meta line is not a record
+  EXPECT_EQ(report.audit.front().pkt, 6u);
+  EXPECT_DOUBLE_EQ(report.audit_meta.at("overwritten"), 6.0);
+  EXPECT_NE(report.render_decisions().find(
+                "== decision reasons (audit, 4 records, 6 older records "
+                "overwritten) ==\n"),
+            std::string::npos);
 }
 
 // ---- "telemetry" spec block ----
@@ -303,7 +348,7 @@ TEST(ExpReport, ParsesTelemetryWithMetaLine) {
 
 TEST(ExpReport, ParseRejectsMalformedLinesWithLineNumber) {
   try {
-    (void)exp::Report::parse_audit("{\"t_us\":1}\nnot json\n");
+    (void)exp::Report::parse_audit("{\"t_us\":1}\nnot json\n", nullptr);
     FAIL() << "expected SpecError";
   } catch (const exp::SpecError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);

@@ -68,25 +68,6 @@ TEST(CapacityTrace, EmptyTraceNeverDelivers) {
   EXPECT_DOUBLE_EQ(t.average_rate_bps(), 0.0);
 }
 
-TEST(Mahimahi, ParsesAndRoundTrips) {
-  const std::string text = "1\n2\n2\n5\n";
-  const auto t = CapacityTrace::parse_mahimahi(text);
-  EXPECT_EQ(t.opportunities_per_period(), 4u);
-  EXPECT_EQ(t.period(), milliseconds(6));  // last ts + 1 ms
-  EXPECT_EQ(t.to_mahimahi(), text);
-}
-
-TEST(Mahimahi, RejectsMalformedInput) {
-  EXPECT_THROW(CapacityTrace::parse_mahimahi(""), std::invalid_argument);
-  EXPECT_THROW(CapacityTrace::parse_mahimahi("5\n3\n"),
-               std::invalid_argument);
-}
-
-TEST(Mahimahi, SkipsComments) {
-  const auto t = CapacityTrace::parse_mahimahi("# header\n1\n2\n");
-  EXPECT_EQ(t.opportunities_per_period(), 2u);
-}
-
 TEST(MarkovGen, DeterministicInSeed) {
   const auto a = make_5g_trace(FiveGProfile::kLowbandDriving, seconds(10), 42);
   const auto b = make_5g_trace(FiveGProfile::kLowbandDriving, seconds(10), 42);
@@ -399,7 +380,10 @@ std::vector<ModelCase> model_cases() {
   add("explicit list", CapacityTrace::from_opportunities(listed,
                                                          milliseconds(50)),
       sorted);
-  add("mahimahi", CapacityTrace::parse_mahimahi("1\n2\n2\n5\n"),
+  add("millisecond instants",
+      CapacityTrace::from_opportunities(
+          {milliseconds(1), milliseconds(2), milliseconds(2), milliseconds(5)},
+          milliseconds(6)),
       {milliseconds(1), milliseconds(2), milliseconds(2), milliseconds(5)});
   add("empty", CapacityTrace::from_opportunities({}, seconds(1)), {});
 
