@@ -37,7 +37,10 @@ for preset in "${presets[@]}"; do
     #     --merged (Chrome trace with telemetry + audit + lifecycle); the
     #     lifecycle trace names its tracks after the channels.
     #  2. hvc_run over outage recovery, whose audit ring wraps -> the
-    #     decision-reasons heading says how many records were overwritten.
+    #     decision-reasons heading says how many records were overwritten,
+    #     and so do the --merged trace's otherData and its track name.
+    #     An artifact that cannot be written fails the run (exit 1, the
+    #     path on stderr), not the process.
     #  3. hvc_sweep over a bulk ablation grid -> the default render has
     #     a bulk.goodput_mbps line for every run.
     #  4. hvc_sweep over the city smoke (spans enabled) -> cohort and
@@ -60,9 +63,19 @@ for preset in "${presets[@]}"; do
 
     build/tools/hvc_run scenarios/outage_recovery.json \
       --out "${out}/outage" >/dev/null
-    build/tools/hvc_report "${out}/outage" >"${out}/outage_report.txt"
+    build/tools/hvc_report "${out}/outage" \
+      --merged "${out}/outage.merged.json" >"${out}/outage_report.txt"
     grep -Eq '^== decision reasons \(audit, 65536 records, [0-9]+ older records overwritten\) ==$' \
       "${out}/outage_report.txt"
+    grep -Eq '"otherData":\{"audit":\{"capacity":65536,"recorded":[0-9]+,"overwritten":[1-9][0-9]*\}\}\}$' \
+      "${out}/outage.merged.json"
+    grep -Eq '"name":"steering decisions \([0-9]+ older overwritten\)"' \
+      "${out}/outage.merged.json"
+    status=0
+    build/tools/hvc_run scenarios/fig2_video_telemetry.json \
+      --out "${out}/missing/x" >/dev/null 2>"${out}/missing.err" || status=$?
+    test "${status}" -eq 1
+    grep -q "${out}/missing/x" "${out}/missing.err"
 
     build/tools/hvc_sweep scenarios/ablation_resequencer.json -j 2 \
       --out "${out}/reseq" >/dev/null

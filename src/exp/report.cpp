@@ -515,43 +515,42 @@ std::string Report::render_capacity() const {
 }
 
 std::string Report::capacity_json() const {
-  using obs::json::number;
-  using obs::json::quote;
   const auto curves = capacity_curves(runs);
-  std::string out = "{\"curves\":[";
+  obs::json::Writer w;
+  w.raw("{\"curves\":[");
   bool first_curve = true;
   for (const auto& [key, points] : curves) {
-    if (!first_curve) out += ',';
+    if (!first_curve) w.put(',');
     first_curve = false;
-    out += "{\"params\":{";
+    w.raw("{\"params\":{");
     bool first_param = true;
     if (!points.empty()) {
       for (const auto& [k, v] : points.front().run->params) {
         if (k == "city.users" || k == "users") continue;
-        if (!first_param) out += ',';
+        if (!first_param) w.put(',');
         first_param = false;
-        out += quote(k) + ":" + quote(v);
+        w.str(k).put(':').str(v);
       }
     }
-    out += "},\"points\":[";
+    w.raw("},\"points\":[");
     bool first_point = true;
     for (const auto& p : points) {
       const RunResult& r = *p.run;
-      if (!first_point) out += ',';
+      if (!first_point) w.put(',');
       first_point = false;
-      out += "{\"users\":" + number(p.users);
+      w.raw("{\"users\":").num(p.users);
       // Every city metric rides along so plots are not limited to the
       // table's headline columns.
       for (const auto& [k, v] : r.metrics) {
         if (k.rfind("city.", 0) != 0 || k == "city.users") continue;
-        out += "," + quote(k.substr(5)) + ":" + number(v);
+        w.put(',').str(std::string_view(k).substr(5)).put(':').num(v);
       }
-      out += "}";
+      w.put('}');
     }
-    out += "]}";
+    w.raw("]}");
   }
-  out += "]}";
-  return out;
+  w.raw("]}");
+  return w.take();
 }
 
 std::string Report::render_explain() const {
@@ -693,95 +692,121 @@ std::string Report::render_explain() const {
 }
 
 std::string Report::to_chrome_trace() const {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  obs::json::Writer w;
+  w.raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
   bool first = true;
-  auto emit = [&out, &first](const std::string& ev) {
-    if (!first) out += ',';
+  // Starts the next event: the separator, then the event's text.
+  const auto next = [&w, &first]() -> obs::json::Writer& {
+    if (!first) w.put(',');
     first = false;
-    out += ev;
+    return w;
   };
 
   // Lifecycle events pass through verbatim (same pid 0 / sim-time base).
-  if (!lifecycle_trace.empty()) {
-    Value v;
-    if (obs::json::parse(lifecycle_trace, &v)) {
-      if (const Value* events = v.find("traceEvents")) {
-        for (const Value& e : events->array) emit(obs::json::serialize(e));
-      }
+  std::map<std::string, double> lifecycle_meta;  // its otherData, if any
+  Value lifecycle;
+  if (!lifecycle_trace.empty() &&
+      obs::json::parse(lifecycle_trace, &lifecycle)) {
+    if (const Value* events = lifecycle.find("traceEvents")) {
+      for (const Value& e : events->array) next().value(e);
+    }
+    if (const Value* other = lifecycle.find("otherData")) {
+      lifecycle_meta = number_map(*other);
     }
   }
 
+  // A wrapped audit ring kept only its newest decisions: the track says
+  // how many older ones it lost.
+  const auto overwritten = audit_meta.find("overwritten");
+  const bool audit_wrapped = overwritten != audit_meta.end();
   if (!audit.empty()) {
-    emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":3000,"
-         "\"args\":{\"name\":\"steering decisions\"}}");
+    next().raw(
+        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":3000,"
+        "\"args\":{\"name\":");
+    w.str(audit_wrapped ? "steering decisions (" +
+                              display_number(overwritten->second) +
+                              " older overwritten)"
+                        : std::string("steering decisions"));
+    w.raw("}}");
   }
 
-  char buf[96];
   for (const auto& s : telemetry) {
-    std::snprintf(buf, sizeof(buf), "%.3f", s.t_us);
-    emit("{\"name\":" + obs::json::quote(s.series) +
-         ",\"ph\":\"C\",\"pid\":0,\"ts\":" + buf + ",\"args\":{\"value\":" +
-         obs::json::number(s.value) + "}}");
+    next().raw("{\"name\":").str(s.series);
+    w.raw(",\"ph\":\"C\",\"pid\":0,\"ts\":").fixed3(s.t_us);
+    w.raw(",\"args\":{\"value\":").num(s.value).raw("}}");
   }
   for (const auto& a : audit) {
-    std::snprintf(buf, sizeof(buf), "%.3f", a.t_us);
-    emit("{\"name\":" + obs::json::quote(a.reason) +
-         ",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":3000,\"ts\":" + buf +
-         ",\"args\":{\"pkt\":" + std::to_string(a.pkt) +
-         ",\"flow\":" + std::to_string(a.flow) +
-         ",\"ch\":" + std::to_string(a.chosen) +
-         ",\"policy\":" + obs::json::quote(a.policy) +
-         ",\"dir\":" + obs::json::quote(a.dir) + "}}");
+    next().raw("{\"name\":").str(a.reason);
+    w.raw(",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":3000,\"ts\":")
+        .fixed3(a.t_us);
+    w.raw(",\"args\":{\"pkt\":").num(a.pkt);
+    w.raw(",\"flow\":").num(a.flow);
+    w.raw(",\"ch\":").num(a.chosen);
+    w.raw(",\"policy\":").str(a.policy);
+    w.raw(",\"dir\":").str(a.dir).raw("}}");
   }
 
   // Retained span trees nest under the shared sim-time base: one tid per
   // exemplar (overlapping units on a shared tid would break nesting).
-  int span_tid = 4000;
-  char ts[64];
-  char dur[64];
-  const auto window = [&ts, &dur](std::int64_t t0_ns, std::int64_t t1_ns) {
-    std::snprintf(ts, sizeof(ts), "%.3f",
-                  static_cast<double>(t0_ns) * 1e-3);
-    std::snprintf(dur, sizeof(dur), "%.3f",
-                  static_cast<double>(t1_ns - t0_ns) * 1e-3);
+  const auto complete = [&](int tid, std::int64_t t0_ns,
+                            std::int64_t t1_ns) {
+    w.raw(",\"ph\":\"X\",\"pid\":0,\"tid\":").num(tid);
+    w.raw(",\"ts\":").fixed3(static_cast<double>(t0_ns) * 1e-3);
+    w.raw(",\"dur\":").fixed3(static_cast<double>(t1_ns - t0_ns) * 1e-3);
+    w.raw(",\"args\":");
   };
+  int span_tid = 4000;
   for (const auto& u : spans) {
     const int tid = span_tid++;
     std::string label = "span " + u.key + " n=" + std::to_string(u.n) +
                         " (" + u.keep + ")";
     if (u.run >= 0) label += " run" + std::to_string(u.run);
-    emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-         std::to_string(tid) + ",\"args\":{\"name\":" +
-         obs::json::quote(label) + "}}");
-    window(u.t0_ns, u.t1_ns);
-    emit("{\"name\":" + obs::json::quote(u.key) +
-         ",\"ph\":\"X\",\"pid\":0,\"tid\":" + std::to_string(tid) +
-         ",\"ts\":" + ts + ",\"dur\":" + dur +
-         ",\"args\":{\"user\":" + std::to_string(u.user) +
-         ",\"value\":" + obs::json::number(u.value) + "}}");
+    next().raw("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":")
+        .num(tid);
+    w.raw(",\"args\":{\"name\":").str(label).raw("}}");
+    next().raw("{\"name\":").str(u.key);
+    complete(tid, u.t0_ns, u.t1_ns);
+    w.raw("{\"user\":").num(u.user);
+    w.raw(",\"value\":").num(u.value).raw("}}");
     for (std::size_t i = 0; i < u.stages.size(); ++i) {
       const ReportSpanStage& st = u.stages[i];
-      window(st.t0_ns, st.t1_ns);
-      emit("{\"name\":\"stage " + std::to_string(i + 1) +
-           "\",\"ph\":\"X\",\"pid\":0,\"tid\":" + std::to_string(tid) +
-           ",\"ts\":" + ts + ",\"dur\":" + dur +
-           ",\"args\":{\"legs\":" + std::to_string(st.legs) + "}}");
+      next().raw("{\"name\":\"stage ").num(i + 1).put('"');
+      complete(tid, st.t0_ns, st.t1_ns);
+      w.raw("{\"legs\":").num(st.legs).raw("}}");
       if (st.legs == 0) continue;
-      window(st.crit.t0_ns, st.crit.t1_ns);
-      std::string args = "{\"channel\":" + obs::json::quote(st.crit.channel) +
-                         ",\"bytes\":" + std::to_string(st.crit.bytes);
+      next().raw("{\"name\":").str(st.crit.reason);
+      complete(tid, st.crit.t0_ns, st.crit.t1_ns);
+      w.raw("{\"channel\":").str(st.crit.channel);
+      w.raw(",\"bytes\":").num(st.crit.bytes);
       for (const auto& [comp, ns] : st.crit.parts_ns) {
-        args += "," + obs::json::quote(comp + "_ms") + ":" +
-                obs::json::number(static_cast<double>(ns) * 1e-6);
+        w.put(',').str(comp + "_ms").put(':').num(static_cast<double>(ns) *
+                                                  1e-6);
       }
-      args += "}";
-      emit("{\"name\":" + obs::json::quote(st.crit.reason) +
-           ",\"ph\":\"X\",\"pid\":0,\"tid\":" + std::to_string(tid) +
-           ",\"ts\":" + ts + ",\"dur\":" + dur + ",\"args\":" + args + "}");
+      w.raw("}}");
     }
   }
-  out += "]}";
-  return out;
+  w.put(']');
+
+  // Both truncation flags, each in the shape its ring exports it in:
+  // present only when that ring wrapped.
+  const auto ring = [&w](const char* name,
+                         const std::map<std::string, double>& meta) {
+    const auto count = [&meta](const char* key) {
+      const auto it = meta.find(key);
+      return static_cast<std::uint64_t>(it != meta.end() ? it->second : 0);
+    };
+    w.put('"').raw(name).raw("\":{");
+    w.ring_counts(count("capacity"), count("recorded")).put('}');
+  };
+  if (!lifecycle_meta.empty() || audit_wrapped) {
+    w.raw(",\"otherData\":{");
+    if (!lifecycle_meta.empty()) ring("lifecycle", lifecycle_meta);
+    if (!lifecycle_meta.empty() && audit_wrapped) w.put(',');
+    if (audit_wrapped) ring("audit", audit_meta);
+    w.put('}');
+  }
+  w.put('}');
+  return w.take();
 }
 
 }  // namespace hvc::exp

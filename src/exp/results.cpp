@@ -1,10 +1,11 @@
 #include "exp/results.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <set>
+#include <stdexcept>
 #include <system_error>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace hvc::exp {
@@ -17,68 +18,70 @@ std::string to_csv(const std::vector<RunResult>& runs) {
     for (const auto& [k, unused] : r.metrics) metric_cols.insert(k);
   }
 
-  std::string out = "run,name";
-  for (const auto& c : param_cols) out += "," + obs::csv_escape(c);
-  for (const auto& c : metric_cols) out += "," + obs::csv_escape(c);
-  out += ",error\n";
+  obs::json::Writer w;
+  w.raw("run,name");
+  for (const auto& c : param_cols) w.put(',').raw(obs::csv_escape(c));
+  for (const auto& c : metric_cols) w.put(',').raw(obs::csv_escape(c));
+  w.raw(",error\n");
 
   for (const auto& r : runs) {
-    out += std::to_string(r.index) + "," + obs::csv_escape(r.name);
+    w.num(r.index).put(',').raw(obs::csv_escape(r.name));
     for (const auto& c : param_cols) {
-      out += ",";
+      w.put(',');
       const auto it = r.params.find(c);
-      if (it != r.params.end()) out += obs::csv_escape(it->second);
+      if (it != r.params.end()) w.raw(obs::csv_escape(it->second));
     }
     for (const auto& c : metric_cols) {
-      out += ",";
+      w.put(',');
       const auto it = r.metrics.find(c);
-      if (it != r.metrics.end()) out += obs::json::number(it->second);
+      if (it != r.metrics.end()) w.num(it->second);
     }
-    out += "," + obs::csv_escape(r.error) + "\n";
+    w.put(',').raw(obs::csv_escape(r.error)).put('\n');
   }
-  return out;
+  return w.take();
 }
 
 std::string to_jsonl(const std::vector<RunResult>& runs) {
-  using obs::json::number;
-  using obs::json::quote;
-  std::string out;
+  obs::json::Writer w;
   for (const auto& r : runs) {
-    out += "{\"run\":" + std::to_string(r.index);
-    out += ",\"name\":" + quote(r.name);
-    out += ",\"params\":{";
+    w.raw("{\"run\":").num(r.index);
+    w.raw(",\"name\":").str(r.name);
+    w.raw(",\"params\":{");
     bool first = true;
     for (const auto& [k, v] : r.params) {
-      if (!first) out += ',';
+      if (!first) w.put(',');
       first = false;
-      out += quote(k) + ":" + quote(v);
+      w.str(k).put(':').str(v);
     }
-    out += "},\"metrics\":{";
+    w.raw("},\"metrics\":{");
     first = true;
     for (const auto& [k, v] : r.metrics) {
-      if (!first) out += ',';
+      if (!first) w.put(',');
       first = false;
-      out += quote(k) + ":" + number(v);
+      w.str(k).put(':').num(v);
     }
-    out += "},\"obs\":{";
+    w.raw("},\"obs\":{");
     first = true;
     for (const auto& [k, v] : r.obs) {
-      if (!first) out += ',';
+      if (!first) w.put(',');
       first = false;
-      out += quote(k) + ":" + number(v);
+      w.str(k).put(':').num(v);
     }
-    out += "}";
-    if (!r.error.empty()) out += ",\"error\":" + quote(r.error);
-    out += "}\n";
+    w.put('}');
+    if (!r.error.empty()) w.raw(",\"error\":").str(r.error);
+    w.raw("}\n");
   }
-  return out;
+  return w.take();
 }
 
 void write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) throw SpecError(path + ": cannot open for writing");
-  f << content;
-  if (!f) throw SpecError(path + ": write failed");
+  try {
+    obs::json::Writer w(path);
+    w.raw(content);
+    w.close();
+  } catch (const std::runtime_error& e) {
+    throw SpecError(e.what());
+  }
 }
 
 std::string default_out_prefix(const std::string& name) {

@@ -21,7 +21,8 @@ namespace hvc::exp {
 /// One JSON object per line, ordered by grid position.
 [[nodiscard]] std::string to_jsonl(const std::vector<RunResult>& runs);
 
-/// Write `content` to `path`; throws SpecError on I/O failure.
+/// Write `content` to `path` through obs::json::Writer; throws SpecError
+/// naming the path on an open, write or close failure.
 void write_file(const std::string& path, const std::string& content);
 
 /// Default artifact prefix for a run/sweep called `name`:

@@ -1,11 +1,12 @@
 #include "exp/runner.hpp"
 
 #include <exception>
+#include <stdexcept>
 
 #include "app/web/page.hpp"
 #include "channel/profile.hpp"
-#include "exp/results.hpp"
 #include "fault/fault.hpp"
+#include "obs/json.hpp"
 #include "obs/prof.hpp"
 #include "pop/engine.hpp"
 #include "sim/units.hpp"
@@ -328,6 +329,38 @@ void run_city_workload(const ScenarioSpec& spec,
   }
 }
 
+/// Streams the run's artifacts to their files: the lifecycle trace, then
+/// telemetry, audit and spans for each recorder the run enabled. Throws
+/// std::runtime_error naming the path when a file cannot be written.
+void write_artifacts(const ScenarioSpec& spec, const RunOptions& opts,
+                     const RunIsolation& iso) {
+  std::string prefix = !opts.out_prefix.empty() ? opts.out_prefix
+                       : !spec.telemetry.out_prefix.empty()
+                           ? spec.telemetry.out_prefix
+                           : spec.name;
+  if (opts.run_index >= 0) prefix += ".run" + std::to_string(opts.run_index);
+  const auto stream = [](const std::string& path, const auto& recorder,
+                         auto write) {
+    obs::json::Writer w(path);
+    (recorder.*write)(w);
+    w.close();
+  };
+  if (!opts.trace_path.empty()) {
+    stream(opts.trace_path, iso.tracer, &obs::PacketTracer::write_chrome_trace);
+  }
+  if (iso.sampler.enabled()) {
+    stream(prefix + ".telemetry.jsonl", iso.sampler,
+           &obs::TelemetrySampler::write_jsonl);
+  }
+  if (iso.audit.enabled()) {
+    stream(prefix + ".audit.jsonl", iso.audit,
+           &obs::SteeringAuditLog::write_jsonl);
+  }
+  if (iso.spans.enabled()) {
+    stream(prefix + ".spans.jsonl", iso.spans, &obs::SpanRecorder::write_jsonl);
+  }
+}
+
 }  // namespace
 
 core::ScenarioConfig build_scenario_config(const ScenarioSpec& spec) {
@@ -407,24 +440,12 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   result.wall_ms = static_cast<double>(obs::prof::now_ns() - t0) * 1e-6;
 
   if (result.error.empty()) {
-    std::string prefix = !opts.out_prefix.empty() ? opts.out_prefix
-                         : !spec.telemetry.out_prefix.empty()
-                             ? spec.telemetry.out_prefix
-                             : spec.name;
-    if (opts.run_index >= 0) {
-      prefix += ".run" + std::to_string(opts.run_index);
-    }
-    if (!opts.trace_path.empty()) {
-      write_file(opts.trace_path, iso.tracer.to_chrome_trace());
-    }
-    if (iso.sampler.enabled()) {
-      write_file(prefix + ".telemetry.jsonl", iso.sampler.to_jsonl());
-    }
-    if (iso.audit.enabled()) {
-      write_file(prefix + ".audit.jsonl", iso.audit.to_jsonl());
-    }
-    if (iso.spans.enabled()) {
-      write_file(prefix + ".spans.jsonl", iso.spans.to_jsonl());
+    try {
+      write_artifacts(spec, opts, iso);
+    } catch (const std::runtime_error& e) {
+      result.metrics.clear();
+      result.obs.clear();
+      result.error = e.what();
     }
   }
   return result;

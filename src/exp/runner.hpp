@@ -54,7 +54,9 @@ struct RunResult {
   std::map<std::string, double> obs;          ///< MetricsRegistry snapshot
   double wall_ms = 0;  ///< host wall clock; NEVER written to aggregated
                        ///< outputs (would break -j1 vs -jN byte equality)
-  std::string error;   ///< non-empty = the run threw; other fields empty
+  std::string error;   ///< non-empty = the run threw or an artifact
+                       ///< could not be written (naming its path);
+                       ///< metrics and obs are then empty
 };
 
 /// Per-invocation knobs that are the *caller's* business, not the
@@ -73,9 +75,11 @@ struct RunOptions {
   std::string trace_path;
 };
 
-/// Execute one scenario in full isolation (see file comment). Exceptions
-/// from the simulation are captured into RunResult::error, not thrown;
-/// only spec-independent programming errors propagate.
+/// Execute one scenario in full isolation (see file comment), then stream
+/// its artifacts (trace, telemetry, audit, spans) to their files.
+/// Exceptions from the simulation and failures to open, write or close an
+/// artifact are captured into RunResult::error, not thrown; only
+/// spec-independent programming errors propagate.
 RunResult run_scenario(const ScenarioSpec& spec);
 RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& opts);
 

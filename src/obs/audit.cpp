@@ -1,9 +1,7 @@
 #include "obs/audit.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "obs/json.hpp"
+#include "obs/ring.hpp"
 #include "obs/tracer.hpp"
 
 namespace hvc::obs {
@@ -36,12 +34,9 @@ std::size_t SteeringAuditLog::size() const {
 
 std::vector<AuditRecord> SteeringAuditLog::snapshot() const {
   std::vector<AuditRecord> out;
-  const std::size_t n = size();
-  out.reserve(n);
-  const std::size_t start = total_ > ring_.size() ? head_ : 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
+  out.reserve(size());
+  for_each_retained(ring_, head_, total_,
+                    [&out](const AuditRecord& r) { out.push_back(r); });
   return out;
 }
 
@@ -66,52 +61,36 @@ const char* dir_name(std::uint8_t d) {
 
 }  // namespace
 
-std::string SteeringAuditLog::to_jsonl() const {
-  std::string out;
-  char buf[256];
+void SteeringAuditLog::write_jsonl(json::Writer& w) const {
   if (total_ > ring_.size()) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"meta\":{\"capacity\":%zu,\"recorded\":%" PRIu64
-                  ",\"overwritten\":%" PRIu64 "}}\n",
-                  ring_.size(), total_, total_ - ring_.size());
-    out += buf;
+    w.raw("{\"meta\":{").ring_counts(ring_.size(), total_).raw("}}\n");
   }
-  for (const AuditRecord& r : snapshot()) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"t_us\":%.3f,\"pkt\":%" PRIu64 ",\"flow\":%" PRIu64
-                  ",\"dir\":\"%s\",\"type\":\"%s\",\"prio\":%d,"
-                  "\"bytes\":%u,\"policy\":",
-                  static_cast<double>(r.at) / 1e3, r.packet_id, r.flow_id,
-                  dir_name(r.direction), type_name(r.packet_type),
-                  static_cast<int>(r.flow_priority), r.size_bytes);
-    out += buf;
-    out += json::quote(r.policy);
-    if (r.app_priority >= 0) {
-      std::snprintf(buf, sizeof(buf), ",\"app_prio\":%d",
-                    static_cast<int>(r.app_priority));
-      out += buf;
+  for_each_retained(ring_, head_, total_, [&w](const AuditRecord& r) {
+    w.raw("{\"t_us\":").fixed3(static_cast<double>(r.at) / 1e3);
+    w.raw(",\"pkt\":").num(r.packet_id);
+    w.raw(",\"flow\":").num(r.flow_id);
+    w.raw(",\"dir\":\"").raw(dir_name(r.direction));
+    w.raw("\",\"type\":\"").raw(type_name(r.packet_type));
+    w.raw("\",\"prio\":").num(r.flow_priority);
+    w.raw(",\"bytes\":").num(r.size_bytes);
+    w.raw(",\"policy\":").str(r.policy);
+    if (r.app_priority >= 0) w.raw(",\"app_prio\":").num(r.app_priority);
+    w.raw(",\"ch\":").num(r.chosen);
+    if (r.duplicates > 0) w.raw(",\"dups\":").num(r.duplicates);
+    w.raw(",\"reason\":").str(r.reason != nullptr ? r.reason : "unspecified");
+    w.raw(",\"channels\":[");
+    for (std::size_t c = 0; c < r.channels.size(); ++c) {
+      w.raw(c > 0 ? ",{\"q\":" : "{\"q\":").num(r.channels[c].queued_bytes);
+      w.raw(",\"d_ms\":").fixed3(r.channels[c].est_delay_ms).put('}');
     }
-    std::snprintf(buf, sizeof(buf), ",\"ch\":%d",
-                  static_cast<int>(r.chosen));
-    out += buf;
-    if (r.duplicates > 0) {
-      std::snprintf(buf, sizeof(buf), ",\"dups\":%d",
-                    static_cast<int>(r.duplicates));
-      out += buf;
-    }
-    out += ",\"reason\":";
-    out += json::quote(r.reason != nullptr ? r.reason : "unspecified");
-    out += ",\"channels\":[";
-    for (std::size_t i = 0; i < r.channels.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "%s{\"q\":%lld,\"d_ms\":%.3f}",
-                    i > 0 ? "," : "",
-                    static_cast<long long>(r.channels[i].queued_bytes),
-                    r.channels[i].est_delay_ms);
-      out += buf;
-    }
-    out += "]}\n";
-  }
-  return out;
+    w.raw("]}\n");
+  });
+}
+
+std::string SteeringAuditLog::to_jsonl() const {
+  json::Writer w;
+  write_jsonl(w);
+  return w.take();
 }
 
 }  // namespace hvc::obs

@@ -21,6 +21,10 @@
 
 namespace hvc::obs {
 
+namespace json {
+class Writer;
+}  // namespace json
+
 /// The per-channel state snapshot the policy decided against.
 struct AuditChannelState {
   std::int64_t queued_bytes = 0;
@@ -76,13 +80,15 @@ class SteeringAuditLog : public ThreadBinding<SteeringAuditLog> {
   /// Retained records, oldest first.
   [[nodiscard]] std::vector<AuditRecord> snapshot() const;
 
-  /// One JSON object per line:
+  /// One JSON object per line, oldest first, read from the ring in place:
   ///   {"t_us":…,"pkt":…,"flow":…,"dir":"up","type":"ack","prio":0,
   ///    "bytes":52,"policy":"dchannel","ch":1,"reason":"dchannel:control",
   ///    "channels":[{"q":2960,"d_ms":50.4},{"q":0,"d_ms":5.2}]}
   /// When the ring wrapped, a first line in telemetry's meta shape says
   /// how many records the retained ones are the newest of:
   ///   {"meta":{"capacity":65536,"recorded":…,"overwritten":…}}
+  void write_jsonl(json::Writer& w) const;
+  /// write_jsonl() into a string.
   [[nodiscard]] std::string to_jsonl() const;
 
  private:

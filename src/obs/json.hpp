@@ -1,17 +1,19 @@
-// Minimal JSON support for the observability layer: an append-only writer
-// (correct string escaping, locale-independent number formatting) and a
-// small recursive-descent parser for the flat documents this layer itself
-// emits (manifests, metric snapshots). Not a general-purpose JSON library
-// — no external dependency is available in the build image, and the obs
-// formats only need objects/arrays/strings/numbers/bools/null.
+// Minimal JSON support for the observability layer: the one writer every
+// run artifact goes through, and a small recursive-descent parser for the
+// flat documents this layer itself emits (manifests, metric snapshots).
+// Not a general-purpose JSON library — no external dependency is
+// available in the build image, and the obs formats only need
+// objects/arrays/strings/numbers/bools/null.
 #pragma once
 
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,47 +22,110 @@
 
 namespace hvc::obs::json {
 
+struct Value;
+
+/// Writes the shortest `%.{p}g` text of `v` that reads back as `v`
+/// exactly into `out` (at least 32 chars), and returns its end. NaN and
+/// +-inf have no JSON token; they are written as 0.
+char* shortest(char* out, double v);
+
+/// The one writer behind every artifact: JSONL exports, Chrome traces and
+/// the results files. It owns the number formats (shortest round-trip
+/// `%g`, `%.3f`, integers), string escaping and the truncation flag, so
+/// each has one definition.
+///
+/// A Writer made with a path streams: text collects in a fixed buffer
+/// that is written out whenever it fills, so an export never holds its
+/// whole artifact. A default-made Writer keeps the whole text, which
+/// take() returns; the string-returning exports are that mode.
+class Writer {
+ public:
+  static constexpr std::size_t kBufferBytes = std::size_t{64} << 10;
+
+  Writer() = default;
+  /// Creates or truncates `path` now. Throws std::runtime_error naming
+  /// the path when it cannot be opened.
+  explicit Writer(const std::string& path);
+  /// Closes an open file without reporting; call close() to report.
+  ~Writer();
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
+  /// Text that is already JSON (keys, punctuation, fixed tokens).
+  Writer& raw(std::string_view s) {
+    if (s.size() > buf_.size() - used_) {
+      overflow(s);
+    } else {
+      std::memcpy(buf_.data() + used_, s.data(), s.size());
+      used_ += s.size();
+    }
+    return *this;
+  }
+  Writer& put(char c) { return raw(std::string_view(&c, 1)); }
+  /// `s` as a JSON string literal, quotes included.
+  Writer& str(std::string_view s);
+  /// Shortest round-trip form (see shortest()).
+  Writer& num(double v) {
+    char buf[32];
+    return raw(std::string_view(buf, static_cast<std::size_t>(
+                                          shortest(buf, v) - buf)));
+  }
+  template <std::integral T>
+  Writer& num(T v) {
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    return raw(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+  }
+  /// `%.3f`: the microsecond and millisecond fields (t_us, d_ms, ts, dur).
+  Writer& fixed3(double v) {
+    char buf[328];  // +-DBL_MAX prints 309 integer digits
+    const auto r =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 3);
+    return raw(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+  }
+  /// A wrapped ring's truncation flag, in the one shape every export
+  /// writes it: "capacity":C,"recorded":R,"overwritten":R-C.
+  Writer& ring_counts(std::uint64_t capacity, std::uint64_t recorded);
+  /// Compact JSON for a parsed value; object keys in sorted order.
+  Writer& value(const Value& v);
+
+  /// Writes out what is buffered and closes the file. Throws
+  /// std::runtime_error naming the path when a write or the close
+  /// failed. Does nothing for an in-memory Writer.
+  void close();
+  /// An in-memory Writer's text; the Writer is left empty.
+  [[nodiscard]] std::string take() {
+    buf_.resize(used_);
+    used_ = 0;
+    return std::move(buf_);
+  }
+
+ private:
+  /// raw() when `s` does not fit: an in-memory Writer doubles its buffer;
+  /// a streaming one writes the buffer out, then `s` too if it is larger.
+  void overflow(std::string_view s);
+  void write_out(std::string_view s);
+
+  /// The text is buf_[0, used_); the rest of buf_ is room to append into
+  /// without a reallocation or a size update per call.
+  std::string buf_;
+  std::size_t used_ = 0;
+  std::FILE* file_ = nullptr;
+  std::string path_;
+};
+
 /// Escape `s` into a JSON string literal (with surrounding quotes).
 inline std::string quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
+  Writer w;
+  w.str(s);
+  return w.take();
 }
 
 /// Shortest round-trippable representation of a double that is still
 /// valid JSON (no "nan"/"inf": they are clamped to null-like 0).
 inline std::string number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest form that parses back exactly.
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[64];
-    std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-    double back = 0.0;
-    std::sscanf(probe, "%lf", &back);
-    if (back == v) return probe;
-  }
-  return buf;
+  char buf[32];
+  return std::string(buf, shortest(buf, v));
 }
 
 inline std::string number(std::int64_t v) { return std::to_string(v); }
@@ -286,33 +351,9 @@ inline bool parse(std::string_view text, Value* out) {
 /// Serialize a Value back to compact JSON. Object keys emit in sorted
 /// (std::map) order, so serialize(parse(x)) is deterministic.
 inline std::string serialize(const Value& v) {
-  switch (v.kind) {
-    case Value::Kind::kNull: return "null";
-    case Value::Kind::kBool: return v.boolean ? "true" : "false";
-    case Value::Kind::kNumber: return number(v.num);
-    case Value::Kind::kString: return quote(v.str);
-    case Value::Kind::kArray: {
-      std::string out = "[";
-      for (std::size_t i = 0; i < v.array.size(); ++i) {
-        if (i > 0) out += ',';
-        out += serialize(v.array[i]);
-      }
-      out += ']';
-      return out;
-    }
-    case Value::Kind::kObject: {
-      std::string out = "{";
-      bool first = true;
-      for (const auto& [key, child] : v.object) {
-        if (!first) out += ',';
-        first = false;
-        out += quote(key) + ":" + serialize(child);
-      }
-      out += '}';
-      return out;
-    }
-  }
-  return "null";
+  Writer w;
+  w.value(v);
+  return w.take();
 }
 
 /// Syntax-only validation (used by tests on large trace documents).

@@ -334,33 +334,28 @@ std::size_t SpanRecorder::span_bytes() const {
 
 namespace {
 
-using json::number;
-using json::quote;
-
-void append_leg(std::string* out, const SpanLeg& leg) {
-  *out += "{\"slot\":" + std::to_string(leg.slot);
-  *out += ",\"ch\":" + quote(leg.channel);
-  *out += ",\"reason\":" + quote(leg.reason);
-  *out += ",\"bytes\":" + number(leg.bytes);
-  *out += ",\"t0_ns\":" + number(leg.t0);
-  *out += ",\"t1_ns\":" + number(leg.t1);
-  *out += ",\"parts\":{";
+void write_leg(json::Writer& w, const SpanLeg& leg) {
+  w.raw("{\"slot\":").num(leg.slot);
+  w.raw(",\"ch\":").str(leg.channel);
+  w.raw(",\"reason\":").str(leg.reason);
+  w.raw(",\"bytes\":").num(leg.bytes);
+  w.raw(",\"t0_ns\":").num(leg.t0);
+  w.raw(",\"t1_ns\":").num(leg.t1);
+  w.raw(",\"parts\":{");
   bool first = true;
   for (int c = 0; c < kSpanCompCount; ++c) {
-    if (leg.parts[static_cast<std::size_t>(c)] == 0) continue;
-    if (!first) *out += ',';
+    const std::int64_t ns = leg.parts[static_cast<std::size_t>(c)];
+    if (ns == 0) continue;
+    if (!first) w.put(',');
     first = false;
-    *out += quote(span_comp_name(static_cast<SpanComp>(c))) + ":" +
-            number(leg.parts[static_cast<std::size_t>(c)]);
+    w.str(span_comp_name(static_cast<SpanComp>(c))).put(':').num(ns);
   }
-  *out += "}}";
+  w.raw("}}");
 }
 
 }  // namespace
 
-std::string SpanRecorder::to_jsonl() const {
-  std::string out = "{\"meta\":{";
-  out += "\"aborted\":" + number(aborted_);
+void SpanRecorder::write_jsonl(json::Writer& w) const {
   std::uint64_t evicted = 0;
   std::uint64_t tail = 0;
   std::uint64_t reservoir = 0;
@@ -369,57 +364,63 @@ std::string SpanRecorder::to_jsonl() const {
     tail += key.ms.tail.size();
     reservoir += key.ms.reservoir.size();
   }
-  out += ",\"evicted\":" + number(evicted);
-  out += ",\"keys\":" + number(static_cast<std::uint64_t>(keys_.size()));
-  out += ",\"offered\":" + number(offered_);
-  out += ",\"reservoir\":" + number(reservoir);
-  out += ",\"retained\":" + number(tail + reservoir);
-  out += ",\"span_bytes\":" + number(static_cast<std::uint64_t>(span_bytes()));
-  out += ",\"tail\":" + number(tail);
-  out += ",\"truncated\":" + number(truncated_);
-  out += "}}\n";
+  w.raw("{\"meta\":{\"aborted\":").num(aborted_);
+  w.raw(",\"evicted\":").num(evicted);
+  w.raw(",\"keys\":").num(keys_.size());
+  w.raw(",\"offered\":").num(offered_);
+  w.raw(",\"reservoir\":").num(reservoir);
+  w.raw(",\"retained\":").num(tail + reservoir);
+  w.raw(",\"span_bytes\":").num(span_bytes());
+  w.raw(",\"tail\":").num(tail);
+  w.raw(",\"truncated\":").num(truncated_);
+  w.raw("}}\n");
 
+  std::vector<const Kept*> ordered;
   for (const auto& [key, state] : keys_) {
     const MetricState& ms = state.ms;
     // Export in offer order: merge the two (already n-sorted) sets.
-    std::vector<const Kept*> ordered;
-    ordered.reserve(ms.tail.size() + ms.reservoir.size());
+    ordered.clear();
     for (const auto& k : ms.tail) ordered.push_back(&k);
     for (const auto& k : ms.reservoir) ordered.push_back(&k);
     std::sort(ordered.begin(), ordered.end(),
               [](const Kept* a, const Kept* b) { return a->n < b->n; });
     for (const Kept* k : ordered) {
       const SpanUnit& u = k->unit;
-      out += "{\"k\":" + quote(key);
-      out += ",\"n\":" + number(k->n);
-      out += ",\"keep\":" + quote(k->keep);
-      out += ",\"user\":" + std::to_string(u.user);
-      out += ",\"seq\":" + number(u.seq);
-      out += ",\"v\":" + number(u.value);
-      out += ",\"t0_ns\":" + number(u.t0);
-      out += ",\"t1_ns\":" + number(u.t1);
-      out += ",\"total_ns\":" + number(u.total_ns);
-      out += ",\"stages\":[";
+      w.raw("{\"k\":").str(key);
+      w.raw(",\"n\":").num(k->n);
+      w.raw(",\"keep\":").str(k->keep);
+      w.raw(",\"user\":").num(u.user);
+      w.raw(",\"seq\":").num(u.seq);
+      w.raw(",\"v\":").num(u.value);
+      w.raw(",\"t0_ns\":").num(u.t0);
+      w.raw(",\"t1_ns\":").num(u.t1);
+      w.raw(",\"total_ns\":").num(u.total_ns);
+      w.raw(",\"stages\":[");
       for (std::size_t i = 0; i < u.stages.size(); ++i) {
         const SpanStage& st = u.stages[i];
-        if (i > 0) out += ',';
-        out += "{\"t0_ns\":" + number(st.t0);
-        out += ",\"t1_ns\":" + number(st.t1);
-        out += ",\"prop_ns\":" + number(st.prop_ns);
+        if (i > 0) w.put(',');
+        w.raw("{\"t0_ns\":").num(st.t0);
+        w.raw(",\"t1_ns\":").num(st.t1);
+        w.raw(",\"prop_ns\":").num(st.prop_ns);
         if (st.prop_channel[0] != '\0') {
-          out += ",\"prop_ch\":" + quote(st.prop_channel);
+          w.raw(",\"prop_ch\":").str(st.prop_channel);
         }
-        out += ",\"legs\":" + std::to_string(st.legs);
+        w.raw(",\"legs\":").num(st.legs);
         if (st.legs > 0) {
-          out += ",\"crit\":";
-          append_leg(&out, st.crit);
+          w.raw(",\"crit\":");
+          write_leg(w, st.crit);
         }
-        out += '}';
+        w.put('}');
       }
-      out += "]}\n";
+      w.raw("]}\n");
     }
   }
-  return out;
+}
+
+std::string SpanRecorder::to_jsonl() const {
+  json::Writer w;
+  write_jsonl(w);
+  return w.take();
 }
 
 }  // namespace hvc::obs

@@ -47,6 +47,10 @@
 
 namespace hvc::obs {
 
+namespace json {
+class Writer;
+}  // namespace json
+
 /// The named critical-path components (fixed vocabulary; a workload uses
 /// the subset it can measure).
 enum class SpanComp : std::uint8_t {
@@ -220,6 +224,8 @@ class SpanRecorder : public ThreadBinding<SpanRecorder> {
 
   /// One meta line, then one line per retained exemplar, ordered by
   /// (metric key, offer index). Byte-deterministic.
+  void write_jsonl(json::Writer& w) const;
+  /// write_jsonl() into a string.
   [[nodiscard]] std::string to_jsonl() const;
 
  private:

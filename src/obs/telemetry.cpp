@@ -1,10 +1,10 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/json.hpp"
 #include "obs/prof.hpp"
+#include "obs/ring.hpp"
 
 namespace hvc::obs {
 
@@ -99,23 +99,16 @@ void TelemetrySampler::sample(sim::Time now) {
   }
 }
 
-std::vector<TelemetrySampler::Sample> TelemetrySampler::series_samples(
-    const Series& s) const {
-  std::vector<Sample> out;
-  out.reserve(s.ring.size());
-  // Oldest retained sample: slot head_ once the ring has wrapped, else 0.
-  const std::size_t start = s.total > s.ring.size() ? s.head : 0;
-  for (std::size_t i = 0; i < s.ring.size(); ++i) {
-    out.push_back(s.ring[(start + i) % s.ring.size()]);
-  }
-  return out;
-}
-
 std::vector<TelemetrySampler::Sample> TelemetrySampler::samples(
     std::string_view name) const {
   const auto it = by_name_.find(std::string(name));
   if (it == by_name_.end()) return {};
-  return series_samples(series_[it->second]);
+  const Series& s = series_[it->second];
+  std::vector<Sample> out;
+  out.reserve(s.ring.size());
+  for_each_retained(s.ring, s.head, s.total,
+                    [&out](const Sample& x) { out.push_back(x); });
+  return out;
 }
 
 std::vector<std::string> TelemetrySampler::series_names() const {
@@ -126,36 +119,32 @@ std::vector<std::string> TelemetrySampler::series_names() const {
   return names;
 }
 
-std::string TelemetrySampler::to_jsonl() const {
+void TelemetrySampler::write_jsonl(json::Writer& w) const {
   std::vector<std::size_t> order(series_.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
     return series_[a].name < series_[b].name;
   });
 
-  std::string out;
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "{\"meta\":{\"period_ms\":%s,\"series\":%zu,"
-                "\"dropped_series\":%llu,\"overwritten\":%llu}}\n",
-                json::number(sim::to_millis(cfg_.period)).c_str(),
-                series_.size(),
-                static_cast<unsigned long long>(dropped_series_),
-                static_cast<unsigned long long>(overwritten_));
-  out += buf;
+  w.raw("{\"meta\":{\"period_ms\":").num(sim::to_millis(cfg_.period));
+  w.raw(",\"series\":").num(series_.size());
+  w.raw(",\"dropped_series\":").num(dropped_series_);
+  w.raw(",\"overwritten\":").num(overwritten_).raw("}}\n");
   for (const std::size_t i : order) {
-    const std::string quoted = json::quote(series_[i].name);
-    for (const Sample& s : series_samples(series_[i])) {
-      std::snprintf(buf, sizeof(buf), "{\"t_us\":%.3f,\"series\":",
-                    static_cast<double>(s.at) / 1e3);
-      out += buf;
-      out += quoted;
-      out += ",\"v\":";
-      out += json::number(s.value);
-      out += "}\n";
-    }
+    const Series& s = series_[i];
+    const std::string quoted = json::quote(s.name);
+    for_each_retained(s.ring, s.head, s.total, [&](const Sample& x) {
+      w.raw("{\"t_us\":").fixed3(static_cast<double>(x.at) / 1e3);
+      w.raw(",\"series\":").raw(quoted).raw(",\"v\":").num(x.value);
+      w.raw("}\n");
+    });
   }
-  return out;
+}
+
+std::string TelemetrySampler::to_jsonl() const {
+  json::Writer w;
+  write_jsonl(w);
+  return w.take();
 }
 
 void TelemetryProbes::add(std::string_view group, std::string name,

@@ -37,6 +37,10 @@
 
 namespace hvc::obs {
 
+namespace json {
+class Writer;
+}  // namespace json
+
 struct TelemetryConfig {
   /// Sim-time sampling period.
   sim::Duration period = sim::milliseconds(10);
@@ -113,10 +117,12 @@ class TelemetrySampler : public ThreadBinding<TelemetrySampler> {
   }
 
   /// One meta object line, then one object per sample, series in sorted
-  /// order:
+  /// order, each read from its ring in place:
   ///   {"meta":{"period_ms":10,"series":8,"dropped_series":0,...}}
   ///   {"t_us":10000.000,"series":"link.eMBB-down.queued_bytes","v":2960}
   /// exp::Report::to_chrome_trace turns these lines into counter tracks.
+  void write_jsonl(json::Writer& w) const;
+  /// write_jsonl() into a string.
   [[nodiscard]] std::string to_jsonl() const;
 
  private:
@@ -129,7 +135,6 @@ class TelemetrySampler : public ThreadBinding<TelemetrySampler> {
   };
 
   [[nodiscard]] bool group_selected(std::string_view group) const;
-  [[nodiscard]] std::vector<Sample> series_samples(const Series& s) const;
 
   TelemetryConfig cfg_;
   bool enabled_ = false;

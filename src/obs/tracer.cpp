@@ -1,11 +1,10 @@
 #include "obs/tracer.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <map>
 #include <unordered_map>
 
 #include "obs/json.hpp"
+#include "obs/ring.hpp"
 
 namespace hvc::obs {
 
@@ -65,13 +64,9 @@ std::size_t PacketTracer::size() const {
 
 std::vector<TraceEvent> PacketTracer::snapshot() const {
   std::vector<TraceEvent> out;
-  const std::size_t n = size();
-  out.reserve(n);
-  // Oldest retained event: slot `head_` when the ring has wrapped, else 0.
-  const std::size_t start = total_ > ring_.size() ? head_ : 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
+  out.reserve(size());
+  for_each_retained(ring_, head_, total_,
+                    [&out](const TraceEvent& e) { out.push_back(e); });
   return out;
 }
 
@@ -109,14 +104,10 @@ const char* arg_detail(const TraceEvent& e) {
 
 }  // namespace
 
-std::string PacketTracer::to_chrome_trace() const {
+void PacketTracer::write_chrome_trace(json::Writer& w) const {
   // Tracks: pid 0, tid = channel * 2 + direction (a "thread" per
   // channel+direction); channel-less events (transport retx, receiver
   // dedup) land on a dedicated "stack" track.
-  const auto events = snapshot();
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  char buf[320];
-
   auto tid_of = [](const TraceEvent& e) -> int {
     if (e.channel == kNoChannel) return 1000;
     const int dir = e.direction == kDirUp ? 1 : 0;
@@ -126,22 +117,22 @@ std::string PacketTracer::to_chrome_trace() const {
   // Thread-name metadata for every track that appears. std::map so the
   // metadata records emit in tid order without a separate sort.
   std::map<int, std::string> tracks;
-  for (const auto& e : events) {
+  for_each_retained(ring_, head_, total_, [&](const TraceEvent& e) {
     const int tid = tid_of(e);
-    if (tracks.contains(tid)) continue;
+    if (tracks.contains(tid)) return;
     tracks[tid] = tid == 1000
                       ? std::string("transport/endpoint")
                       : channel_name(static_cast<std::size_t>(e.channel)) +
                             " " + dir_name(e.direction);
-  }
+  });
+  w.raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
   bool first = true;
   for (const auto& [tid, name] : tracks) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-                  "\"tid\":%d,\"args\":{\"name\":%s}}",
-                  first ? "" : ",", tid, json::quote(name).c_str());
-    out += buf;
+    if (!first) w.put(',');
     first = false;
+    w.raw("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":")
+        .num(tid);
+    w.raw(",\"args\":{\"name\":").str(name).raw("}}");
   }
 
   // Per-packet channel-residency spans: enqueue → rx (or drop) on one
@@ -161,52 +152,48 @@ std::string PacketTracer::to_chrome_trace() const {
            (static_cast<std::uint64_t>(e.channel & 0xff) << 1) |
            (e.direction == kDirUp ? 1u : 0u);
   };
-  auto emit_span = [&](const TraceEvent& e, const Open& o, bool dropped) {
-    std::snprintf(
-        buf, sizeof(buf),
-        ",{\"name\":\"pkt %" PRIu64
-        "%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,"
-        "\"args\":{\"flow\":%" PRIu64 ",\"bytes\":%u}}",
-        e.packet_id, dropped ? " (drop)" : "", tid_of(e),
-        static_cast<double>(o.start) / 1e3,
-        static_cast<double>(e.at - o.start) / 1e3, o.flow, o.bytes);
-    out += buf;
-  };
-
-  for (const auto& e : events) {
+  for_each_retained(ring_, head_, total_, [&](const TraceEvent& e) {
     // Instant event for every lifecycle step.
-    std::snprintf(buf, sizeof(buf),
-                  ",{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
-                  "\"tid\":%d,\"ts\":%.3f,\"args\":{\"pkt\":%" PRIu64
-                  ",\"flow\":%" PRIu64 ",\"bytes\":%u%s%s%s}}",
-                  to_string(e.kind), tid_of(e),
-                  static_cast<double>(e.at) / 1e3, e.packet_id, e.flow_id,
-                  e.size_bytes, arg_detail(e) ? ",\"detail\":\"" : "",
-                  arg_detail(e) ? arg_detail(e) : "",
-                  arg_detail(e) ? "\"" : "");
-    out += buf;
+    w.raw(",{\"name\":\"").raw(to_string(e.kind));
+    w.raw("\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":")
+        .num(tid_of(e));
+    w.raw(",\"ts\":").fixed3(static_cast<double>(e.at) / 1e3);
+    w.raw(",\"args\":{\"pkt\":").num(e.packet_id);
+    w.raw(",\"flow\":").num(e.flow_id);
+    w.raw(",\"bytes\":").num(e.size_bytes);
+    if (const char* detail = arg_detail(e)) {
+      w.raw(",\"detail\":\"").raw(detail).put('"');
+    }
+    w.raw("}}");
 
-    if (e.channel == kNoChannel) continue;
+    if (e.channel == kNoChannel) return;
     if (e.kind == EventKind::kEnqueue) {
       open[span_key(e)] = {e.at, e.size_bytes, e.flow_id};
     } else if (e.kind == EventKind::kRx || e.kind == EventKind::kDrop) {
       const auto it = open.find(span_key(e));
-      if (it != open.end()) {
-        emit_span(e, it->second, e.kind == EventKind::kDrop);
-        open.erase(it);
-      }
+      if (it == open.end()) return;
+      const Open& o = it->second;
+      w.raw(",{\"name\":\"pkt ").num(e.packet_id);
+      if (e.kind == EventKind::kDrop) w.raw(" (drop)");
+      w.raw("\",\"ph\":\"X\",\"pid\":0,\"tid\":").num(tid_of(e));
+      w.raw(",\"ts\":").fixed3(static_cast<double>(o.start) / 1e3);
+      w.raw(",\"dur\":").fixed3(static_cast<double>(e.at - o.start) / 1e3);
+      w.raw(",\"args\":{\"flow\":").num(o.flow);
+      w.raw(",\"bytes\":").num(o.bytes).raw("}}");
+      open.erase(it);
     }
-  }
-  out += ']';
+  });
+  w.put(']');
   if (total_ > ring_.size()) {
-    std::snprintf(buf, sizeof(buf),
-                  ",\"otherData\":{\"capacity\":%zu,\"recorded\":%" PRIu64
-                  ",\"overwritten\":%" PRIu64 "}",
-                  ring_.size(), total_, total_ - ring_.size());
-    out += buf;
+    w.raw(",\"otherData\":{").ring_counts(ring_.size(), total_).put('}');
   }
-  out += '}';
-  return out;
+  w.put('}');
+}
+
+std::string PacketTracer::to_chrome_trace() const {
+  json::Writer w;
+  write_chrome_trace(w);
+  return w.take();
 }
 
 }  // namespace hvc::obs

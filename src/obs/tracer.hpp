@@ -31,6 +31,10 @@
 
 namespace hvc::obs {
 
+namespace json {
+class Writer;
+}  // namespace json
+
 /// Lifecycle steps. Values are stable (they appear in exports).
 enum class EventKind : std::uint8_t {
   kEnqueue = 0,  ///< accepted into a link's droptail queue
@@ -136,10 +140,12 @@ class PacketTracer : public ThreadBinding<PacketTracer> {
   void set_channel_name(std::size_t index, std::string name);
   [[nodiscard]] std::string channel_name(std::size_t index) const;
 
-  /// Chrome trace_event format (JSON Object Format, "traceEvents" array):
-  /// loads in chrome://tracing and Perfetto. When the ring wrapped, a
-  /// top-level "otherData" object carries its capacity and the recorded
-  /// and overwritten event counts.
+  /// Chrome trace_event format (JSON Object Format, "traceEvents" array),
+  /// read from the ring in place: loads in chrome://tracing and Perfetto.
+  /// When the ring wrapped, a top-level "otherData" object carries its
+  /// capacity and the recorded and overwritten event counts.
+  void write_chrome_trace(json::Writer& w) const;
+  /// write_chrome_trace() into a string.
   [[nodiscard]] std::string to_chrome_trace() const;
 
  private:

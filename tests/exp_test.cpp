@@ -561,6 +561,52 @@ TEST(ExpRunner, CapturesRunErrorsInsteadOfThrowing) {
   EXPECT_TRUE(result.metrics.empty());
 }
 
+/// A short bulk run that writes telemetry and audit artifacts.
+constexpr const char* kArtifactSpec = R"({
+  "name": "unwritable", "workload": "bulk", "duration_s": 0.5,
+  "channels": [{"type": "embb"}, {"type": "urllc"}],
+  "policy": "dchannel",
+  "telemetry": {"period_ms": 10, "audit": true}
+})";
+
+TEST(ExpRunner, UnwritableArtifactBecomesTheRunError) {
+  const std::string prefix = ::testing::TempDir() + "no_such_dir/x";
+  exp::RunOptions opts;
+  opts.out_prefix = prefix;
+  const auto result =
+      exp::run_scenario(exp::ScenarioSpec::from_json_text(kArtifactSpec), opts);
+  EXPECT_EQ(result.error,
+            prefix + ".telemetry.jsonl: cannot open for writing");
+  EXPECT_EQ(result.name, "unwritable");
+  EXPECT_TRUE(result.metrics.empty());
+  EXPECT_TRUE(result.obs.empty());
+}
+
+TEST(ExpSweepArtifacts, UnwritableArtifactsFailEachRunAtAnyJobs) {
+  const std::string sweep_json =
+      std::string(R"({"name": "unwritable", "base": )") + kArtifactSpec +
+      R"(, "axes": {"seed": {"range": [0, 3]}}})";
+  const auto sweep = exp::SweepSpec::from_json_text(sweep_json);
+  const std::string prefix = ::testing::TempDir() + "no_such_dir/s";
+  for (const int jobs : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "-j " << jobs);
+    std::size_t reported = 0;
+    const auto runs = exp::run_sweep(
+        sweep, jobs,
+        [&reported](const exp::RunResult&, std::size_t, std::size_t) {
+          ++reported;
+        },
+        prefix);
+    ASSERT_EQ(runs.size(), 3u);
+    EXPECT_EQ(reported, 3u);
+    for (const auto& r : runs) {
+      EXPECT_EQ(r.error, prefix + ".run" + std::to_string(r.index) +
+                             ".telemetry.jsonl: cannot open for writing");
+      EXPECT_TRUE(r.metrics.empty());
+    }
+  }
+}
+
 // ---- Aggregated output ----
 
 TEST(ExpResults, CsvHasSortedUnionColumnsAndEscaping) {

@@ -1,14 +1,17 @@
 // Tests for the observability layer: packet tracer ring semantics and
-// its Chrome export, the thread-local binding protocol every per-run
-// recorder shares, metrics registry instruments, and trace determinism
-// across identical runs.
+// its Chrome export, the JSON writer's number formats and streaming, the
+// thread-local binding protocol every per-run recorder shares, metrics
+// registry instruments, and trace determinism across identical runs.
 #include <gtest/gtest.h>
 
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -202,6 +205,161 @@ TEST(ObsJson, NumberRoundTripsThroughParse) {
     ASSERT_TRUE(obs::json::parse(text, &v)) << text;
     EXPECT_EQ(v.num, x) << text;
     EXPECT_EQ(std::signbit(v.num), std::signbit(x)) << text;
+  }
+}
+
+/// The doubles the formatter tests run over, seeded: random bit patterns
+/// (subnormals, NaN and +-inf among them), uniform values in [0, 1000),
+/// three-decimal values, integers below 2^53, rounding ties and powers of
+/// two, and the edges.
+std::vector<double> formatter_corpus() {
+  std::vector<double> values = {
+      0.0, -0.0, DBL_MAX, -DBL_MAX, 5e-324, -5e-324, 1e23, DBL_MIN,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  sim::Rng rng(21);
+  for (int i = 0; i < 30000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    double d = 0;
+    std::memcpy(&d, &bits, sizeof d);
+    values.push_back(d);
+    const std::uint64_t sub = bits & 0x800FFFFFFFFFFFFFULL;
+    std::memcpy(&d, &sub, sizeof d);
+    values.push_back(d);
+  }
+  for (int i = 0; i < 20000; ++i) values.push_back(rng.uniform() * 1000.0);
+  for (int i = 0; i < 15000; ++i) {
+    values.push_back(static_cast<double>(rng.next_u64() % 100'000'000) /
+                     1000.0);
+  }
+  for (int i = 0; i < 10000; ++i) {
+    values.push_back(static_cast<double>(rng.next_u64() >> 11));
+  }
+  // Exact halves of a thousandth and of the last %g digit, and powers of
+  // two, whose rounding intervals are lopsided.
+  for (int j = -4000; j <= 4000; ++j) {
+    values.push_back(j / 16.0);
+    values.push_back(j / 2048.0);
+  }
+  for (int e = -1074; e <= 1023; ++e) values.push_back(std::ldexp(1.0, e));
+  return values;
+}
+
+TEST(ObsJson, NumberMatchesTheSnprintfSearch) {
+  // The formatter's previous definition: the first %.{p}g, p = 1..16,
+  // that sscanf reads back as v, else %.17g.
+  const auto reference = [](double v) -> std::string {
+    if (!std::isfinite(v)) return "0";
+    char probe[64];
+    for (int prec = 1; prec < 17; ++prec) {
+      std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
+      double back = 0.0;
+      std::sscanf(probe, "%lf", &back);
+      if (back == v) return probe;
+    }
+    std::snprintf(probe, sizeof(probe), "%.17g", v);
+    return probe;
+  };
+  const std::vector<double> values = formatter_corpus();
+  ASSERT_GE(values.size(), 100'000u);
+  std::size_t differ = 0;
+  for (const double v : values) {
+    const std::string want = reference(v);
+    const std::string got = obs::json::number(v);
+    if (got != want && ++differ <= 5) {
+      ADD_FAILURE() << "want " << want << ", got " << got;
+    }
+  }
+  EXPECT_EQ(differ, 0u);
+}
+
+TEST(ObsJson, FixedThreeMatchesPrintf) {
+  std::size_t differ = 0;
+  for (const double v : formatter_corpus()) {
+    char want[400];  // %.3f of +-DBL_MAX is 314 chars
+    std::snprintf(want, sizeof(want), "%.3f", v);
+    obs::json::Writer w;
+    w.fixed3(v);
+    const std::string got = w.take();
+    if (got != want && ++differ <= 5) {
+      ADD_FAILURE() << "want " << want << ", got " << got;
+    }
+  }
+  EXPECT_EQ(differ, 0u);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(ObsJson, WriterSpillsAcrossBufferBoundaries) {
+  constexpr std::size_t kBuf = obs::json::Writer::kBufferBytes;
+  // Unwrapped and wrapped rings, each export several buffers long.
+  for (const int extra : {0, 2500}) {
+    SCOPED_TRACE(::testing::Message() << "extra records " << extra);
+    obs::SteeringAuditLog log;
+    log.enable(3000);
+    for (int i = 0; i < 3000 + extra; ++i) {
+      obs::AuditRecord rec;
+      rec.at = sim::microseconds(i * 37);
+      rec.packet_id = static_cast<std::uint64_t>(i);
+      rec.flow_id = 3;
+      rec.size_bytes = 1200;
+      rec.chosen = static_cast<std::uint8_t>(i % 2);
+      rec.reason = i % 3 == 0 ? "dchannel:small-object" : "dchannel:default";
+      rec.policy = "dchannel";
+      rec.channels = {{i * 1500, 50.0 + i / 7.0}, {0, 5.25}};
+      log.record(std::move(rec));
+    }
+    log.disable();
+
+    obs::TelemetrySampler ts;
+    obs::TelemetryConfig cfg;
+    cfg.max_samples_per_series = 2000;
+    ts.enable(cfg);
+    double q = 0;
+    ts.add_probe("link", "link.a.queued_bytes", [&q] { return q; });
+    ts.add_probe("link", "link.b \"quoted\"", [&q] { return q / 3; });
+    for (int i = 0; i < 2000 + extra; ++i) {
+      q = i * 1.25;
+      ts.sample(sim::milliseconds(10) * (i + 1));
+    }
+    ts.disable();
+
+    const std::string dir = ::testing::TempDir();
+    const std::string audit_path = dir + "hvc_writer_spill.audit.jsonl";
+    const std::string tel_path = dir + "hvc_writer_spill.telemetry.jsonl";
+    {
+      obs::json::Writer w(audit_path);
+      log.write_jsonl(w);
+      w.close();
+    }
+    {
+      obs::json::Writer w(tel_path);
+      ts.write_jsonl(w);
+      w.close();
+    }
+    const std::string audit = log.to_jsonl();
+    const std::string telemetry = ts.to_jsonl();
+    EXPECT_GT(audit.size(), 4 * kBuf);
+    EXPECT_GT(telemetry.size(), 2 * kBuf);
+    EXPECT_EQ(audit.rfind("{\"meta\":", 0) == 0, extra > 0);
+    EXPECT_TRUE(slurp(audit_path) == audit);
+    EXPECT_TRUE(slurp(tel_path) == telemetry);
+  }
+}
+
+TEST(ObsJson, WriterNamesThePathItCannotOpen) {
+  const std::string path = ::testing::TempDir() + "no_such_dir/x.jsonl";
+  try {
+    obs::json::Writer w(path);
+    ADD_FAILURE() << "opened " << path;
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), path + ": cannot open for writing");
   }
 }
 

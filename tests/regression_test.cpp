@@ -14,6 +14,7 @@
 
 #include "channel/profile.hpp"
 #include "core/scenario.hpp"
+#include "exp/report.hpp"
 #include "exp/results.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
@@ -660,6 +661,78 @@ TEST(TraceGolden, TracedRunRowsAreExact) {
     row.pop_back();  // the trailing newline
     EXPECT_EQ(row, kTraceGoldenRows[i]);
   }
+}
+
+// ---- Export golden: the bytes of every file run_scenario writes ----
+//
+// Two runs of committed scenario files, each artifact pinned as a byte
+// count and an FNV-1a 64 digest. The Fig. 2 telemetry run is cut to 6 s
+// of video and traced, so it writes telemetry, audit and the lifecycle
+// Chrome trace; its hvc_report --merged trace is pinned too. Outage
+// recovery's audit ring wraps, so its audit file starts with the meta
+// line. The values were captured when every exporter built its artifact
+// in one string and formatted numbers through snprintf; a change to how
+// artifacts are written must leave them unchanged.
+
+struct ArtifactDigest {
+  const char* suffix;   ///< appended to the run's prefix
+  std::size_t bytes;
+  std::uint64_t fnv;    ///< sim::fnv1a64 of the file
+};
+
+void expect_digests(const std::string& prefix,
+                    const std::vector<ArtifactDigest>& want) {
+  for (const ArtifactDigest& d : want) {
+    const std::string bytes = exp::read_file(prefix + d.suffix);
+    SCOPED_TRACE(::testing::Message()
+                 << d.suffix << ": actual {\"" << d.suffix << "\", "
+                 << bytes.size() << ", 0x" << std::hex
+                 << sim::fnv1a64(bytes) << "ull}");
+    EXPECT_EQ(bytes.size(), d.bytes);
+    EXPECT_EQ(sim::fnv1a64(bytes), d.fnv);
+  }
+}
+
+TEST(ExportGolden, Fig2TelemetryAuditTraceAndMergedBytesAreExact) {
+  exp::ScenarioSpec spec = exp::ScenarioSpec::from_file(
+      std::string(HVC_SCENARIO_DIR) + "/fig2_video_telemetry.json");
+  spec.video.duration_s = 6;
+  const std::string prefix = ::testing::TempDir() + "hvc_export_golden_f2t";
+  exp::RunOptions opts;
+  opts.out_prefix = prefix;
+  opts.trace_path = prefix + ".lifecycle.json";
+  const exp::RunResult r = exp::run_scenario(spec, opts);
+  ASSERT_EQ(r.error, "");
+  exp::write_file(prefix + ".results.jsonl", exp::to_jsonl({r}));
+  exp::write_file(prefix + ".merged.json",
+                  exp::Report::load(prefix, opts.trace_path)
+                      .to_chrome_trace());
+  expect_digests(prefix, {
+                             {".telemetry.jsonl", 3795306,
+                              0x9c35f79ac195d6e6ull},
+                             {".audit.jsonl", 1433033, 0xb2f45e45b6edb2cull},
+                             {".lifecycle.json", 4473714,
+                              0x1215cef97cb3c408ull},
+                             {".merged.json", 10726376,
+                              0x5c3062e397bce5b2ull},
+                         });
+}
+
+TEST(ExportGolden, OutageRecoveryWrappedAuditBytesAreExact) {
+  const exp::ScenarioSpec spec = exp::ScenarioSpec::from_file(
+      std::string(HVC_SCENARIO_DIR) + "/outage_recovery.json");
+  const std::string prefix =
+      ::testing::TempDir() + "hvc_export_golden_outage";
+  exp::RunOptions opts;
+  opts.out_prefix = prefix;
+  const exp::RunResult r = exp::run_scenario(spec, opts);
+  ASSERT_EQ(r.error, "");
+  expect_digests(prefix, {
+                             {".telemetry.jsonl", 2072758,
+                              0x9425fe19b669dca3ull},
+                             {".audit.jsonl", 13583170,
+                              0x851136b15a958880ull},
+                         });
 }
 
 }  // namespace

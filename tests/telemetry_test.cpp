@@ -19,6 +19,7 @@
 #include "obs/audit.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/tracer.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 #include "transport/tcp.hpp"
@@ -193,8 +194,10 @@ TEST(ObsAudit, JsonlCarriesReasonAndChannelSnapshots) {
 }
 
 /// Records `n` decisions into a 4-record ring, writes its export next to
-/// a one-run results file under `name`, and loads both as a Report.
-exp::Report audit_report(const std::string& name, int n, std::string* jsonl) {
+/// a one-run results file under `name`, and loads both as a Report, with
+/// the lifecycle trace at `trace_path` when one is given.
+exp::Report audit_report(const std::string& name, int n, std::string* jsonl,
+                         const std::string& trace_path = "") {
   obs::SteeringAuditLog log;
   log.enable(4);
   for (int i = 0; i < n; ++i) {
@@ -211,7 +214,7 @@ exp::Report audit_report(const std::string& name, int n, std::string* jsonl) {
   run.name = name;
   exp::write_file(prefix + ".results.jsonl", exp::to_jsonl({run}));
   exp::write_file(prefix + ".audit.jsonl", *jsonl);
-  return exp::Report::load(prefix);
+  return exp::Report::load(prefix, trace_path);
 }
 
 TEST(ObsAudit, UnwrappedRingExportsRecordsOnly) {
@@ -240,6 +243,52 @@ TEST(ObsAudit, WrappedRingExportLeadsWithOverwrittenCount) {
                 "== decision reasons (audit, 4 records, 6 older records "
                 "overwritten) ==\n"),
             std::string::npos);
+}
+
+TEST(ExpReport, MergedTraceCarriesBothTruncationFlags) {
+  // A 4-event lifecycle ring and a 4-record audit ring, each given `n`
+  // entries, merged: only wrapped rings add flags.
+  const auto merged = [](const std::string& name, int n) {
+    obs::PacketTracer tracer;
+    tracer.enable(4);
+    for (int i = 0; i < n; ++i) {
+      tracer.record(obs::EventKind::kTx, sim::milliseconds(i),
+                    static_cast<std::uint64_t>(i), 1, 0, obs::kDirUp, 100);
+    }
+    tracer.disable();
+    const std::string trace_path =
+        ::testing::TempDir() + name + ".lifecycle.json";
+    exp::write_file(trace_path, tracer.to_chrome_trace());
+    std::string jsonl;
+    return audit_report(name, n, &jsonl, trace_path).to_chrome_trace();
+  };
+
+  const std::string whole = merged("hvc_merged_whole", 4);
+  EXPECT_EQ(whole.find("otherData"), std::string::npos);
+  EXPECT_NE(whole.find("\"args\":{\"name\":\"steering decisions\"}}"),
+            std::string::npos);
+  EXPECT_EQ(whole.substr(whole.size() - 2), "]}");
+
+  const std::string wrapped = merged("hvc_merged_wrapped", 10);
+  obs::json::Value doc;
+  ASSERT_TRUE(obs::json::parse(wrapped, &doc)) << wrapped;
+  EXPECT_NE(wrapped.find("\"args\":{\"name\":\"steering decisions (6 older "
+                         "overwritten)\"}}"),
+            std::string::npos);
+  const std::string flags =
+      R"(,"otherData":{)"
+      R"("lifecycle":{"capacity":4,"recorded":10,"overwritten":6},)"
+      R"("audit":{"capacity":4,"recorded":10,"overwritten":6}}})";
+  ASSERT_GT(wrapped.size(), flags.size());
+  EXPECT_EQ(wrapped.substr(wrapped.size() - flags.size()), flags);
+  std::size_t decisions = 0;
+  for (const auto& e : doc.find("traceEvents")->array) {
+    decisions += e.number_or("tid", 0) == 3000 &&
+                         e.string_or("ph", "") == "i"
+                     ? 1
+                     : 0;
+  }
+  EXPECT_EQ(decisions, 4u);  // the retained records only
 }
 
 // ---- "telemetry" spec block ----
