@@ -20,8 +20,6 @@ std::vector<BenchDef>& registry() {
 
 void register_bench(BenchDef def) { registry().push_back(std::move(def)); }
 
-bool prof_compiled_in() { return HVC_PROF_ENABLED != 0; }
-
 namespace {
 
 /// One measured repeat: run `body(scale)` under a fresh exp::RunIsolation
@@ -86,7 +84,6 @@ obs::PerfManifest run_suite(const SuiteOptions& opts) {
 #ifdef HVC_BUILD_TYPE
   manifest.build_type = HVC_BUILD_TYPE;
 #endif
-  if (!prof_compiled_in()) return manifest;  // zero benches: refuse upstream
 
   if (opts.pin_cpu >= 0) prof::pin_to_cpu(opts.pin_cpu);
   manifest.pinned_cpu = prof::pinned_cpu();

@@ -47,13 +47,6 @@ struct SuiteOptions {
 };
 
 /// Run every registered (filter-matching) bench and collect the manifest.
-/// Requires the profiler to be compiled in; with -DHVC_PROF=OFF the
-/// returned manifest has zero benches and callers should refuse to write
-/// a baseline from it (see hvc_perf).
 [[nodiscard]] obs::PerfManifest run_suite(const SuiteOptions& opts);
-
-/// False when HVC_PROF_ENABLED=0: hook counters compile to no-ops, so
-/// cycle medians would be zeros and item counts derived from hooks lie.
-[[nodiscard]] bool prof_compiled_in();
 
 }  // namespace hvc::bench::hotpath

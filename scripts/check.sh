@@ -35,14 +35,16 @@ for preset in "${presets[@]}"; do
     # End-to-end report smoke covering every hvc_report mode:
     #  1. hvc_run + telemetry/audit/trace -> default render, --trace,
     #     --merged (Chrome trace with telemetry + audit + lifecycle); the
-    #     lifecycle trace names its tracks after the channels.
+    #     lifecycle trace names its tracks after the channels. Each run
+    #     writes one results file, .results.jsonl, and no CSV.
     #  2. hvc_run over outage recovery, whose audit ring wraps -> the
     #     decision-reasons heading says how many records were overwritten,
     #     and so do the --merged trace's otherData and its track name.
     #     An artifact that cannot be written fails the run (exit 1, the
     #     path on stderr), not the process.
     #  3. hvc_sweep over a bulk ablation grid -> the default render has
-    #     a bulk.goodput_mbps line for every run.
+    #     a bulk.goodput_mbps line for every run; again .results.jsonl
+    #     and no CSV.
     #  4. hvc_sweep over the city smoke (spans enabled) -> cohort and
     #     capacity tables, --capacity JSON export, and --explain (the
     #     critical-path waterfall; every unit must pass its exact-sum
@@ -60,6 +62,7 @@ for preset in "${presets[@]}"; do
     grep -q "== telemetry ==" "${out}/report.txt"
     test -s "${out}/f2t.merged.json"
     grep -q '"name":"urllc down"' "${out}/f2t.lifecycle.json"
+    test -s "${out}/f2t.results.jsonl"
 
     build/tools/hvc_run scenarios/outage_recovery.json \
       --out "${out}/outage" >/dev/null
@@ -82,6 +85,12 @@ for preset in "${presets[@]}"; do
     build/tools/hvc_report "${out}/reseq" >"${out}/reseq_report.txt"
     grep -q '^== runs (5) ==$' "${out}/reseq_report.txt"
     test "$(grep -c '^  bulk.goodput_mbps ' "${out}/reseq_report.txt")" -eq 5
+    test -s "${out}/reseq.results.jsonl"
+    if compgen -G "${out}/*.csv" >/dev/null; then
+      echo "hvc_run/hvc_sweep wrote CSV files:" >&2
+      ls "${out}"/*.csv >&2
+      exit 1
+    fi
 
     build/tools/hvc_sweep scenarios/city_cell_smoke.json -j 2 \
       --out "${out}/city" >/dev/null

@@ -69,7 +69,6 @@ void Link::send(PacketPtr p) {
                  static_cast<std::uint32_t>(p->size_bytes),
                  obs::kDropQueueFull);
     }
-    if (drop_observer_) drop_observer_(std::move(p));
     return;
   }
   p->enqueued_at = sim_.now();

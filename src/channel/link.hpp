@@ -71,13 +71,9 @@ class Link {
 
   void set_receiver(PacketHandler h) { receiver_ = std::move(h); }
 
-  /// Observer invoked on droptail drops (e.g. for monitors/tests).
-  void set_drop_observer(PacketHandler h) { drop_observer_ = std::move(h); }
-
   // ---- Introspection used by steering policies and monitors ----
 
   [[nodiscard]] std::int64_t queued_bytes() const { return queued_bytes_; }
-  [[nodiscard]] std::size_t queued_packets() const { return queue_.size(); }
 
   /// Expected delay for a byte entering the queue now: current backlog
   /// divided by the trace's average rate, plus one serialization slot.
@@ -138,10 +134,6 @@ class Link {
   void fault_clear_episode_loss() { episode_loss_.reset(); }
 
   [[nodiscard]] bool fault_down() const { return fault_down_; }
-  [[nodiscard]] double fault_rate_scale() const { return fault_rate_scale_; }
-  [[nodiscard]] sim::Duration fault_extra_delay() const {
-    return fault_extra_delay_;
-  }
 
  private:
   [[nodiscard]] std::uint8_t trace_channel(const net::Packet& p) const {
@@ -162,7 +154,6 @@ class Link {
   sim::Simulator& sim_;
   LinkConfig cfg_;
   PacketHandler receiver_;
-  PacketHandler drop_observer_;
   LossModel loss_;
 
   // Fault-injection state (see the fault_* hooks above).

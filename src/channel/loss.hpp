@@ -50,8 +50,6 @@ class LossModel {
     return drop;
   }
 
-  [[nodiscard]] bool in_bad_state() const { return in_bad_; }
-
  private:
   LossConfig cfg_;
   sim::Rng rng_;

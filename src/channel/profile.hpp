@@ -42,14 +42,33 @@ struct ChannelProfile {
 
 // ---- Factories for the paper's channel types ----
 
+/// Default RTT and rate of a fixed-characteristic channel type: its
+/// factory's default arguments, and what a scenario channel gets when it
+/// does not override "rtt_ms" / "rate_mbps" (exp::build_channel).
+struct FixedDefaults {
+  sim::Duration rtt;
+  sim::RateBps rate;
+};
+inline constexpr FixedDefaults kUrllcDefaults{sim::milliseconds(5),
+                                              sim::mbps(2)};
+inline constexpr FixedDefaults kEmbbDefaults{sim::milliseconds(50),
+                                             sim::mbps(60)};
+inline constexpr FixedDefaults kTsnDefaults{sim::milliseconds(4),
+                                            sim::mbps(4)};
+inline constexpr FixedDefaults kWifiDefaults{sim::milliseconds(20),
+                                             sim::mbps(120)};
+inline constexpr FixedDefaults kCispDefaults{sim::milliseconds(8),
+                                             sim::mbps(10)};
+inline constexpr FixedDefaults kFiberDefaults{sim::milliseconds(40),
+                                              sim::mbps(500)};
+
 /// URLLC per 3GPP numbers cited in §2.1: defaults to 5 ms RTT, 2 Mbps.
-ChannelProfile urllc_profile(sim::Duration rtt = sim::milliseconds(5),
-                             sim::RateBps rate = sim::mbps(2));
+ChannelProfile urllc_profile(sim::Duration rtt = kUrllcDefaults.rtt,
+                             sim::RateBps rate = kUrllcDefaults.rate);
 
 /// Constant-rate eMBB as used in Fig. 1: 50 ms RTT, 60 Mbps.
-ChannelProfile embb_constant_profile(
-    sim::Duration rtt = sim::milliseconds(50),
-    sim::RateBps rate = sim::mbps(60));
+ChannelProfile embb_constant_profile(sim::Duration rtt = kEmbbDefaults.rtt,
+                                     sim::RateBps rate = kEmbbDefaults.rate);
 
 /// Trace-driven eMBB for a named 5G profile (Fig. 2 / Table 1 setups).
 /// Downlink follows the trace; uplink is scaled down (5G uplinks are much
@@ -59,8 +78,8 @@ ChannelProfile embb_trace_profile(trace::FiveGProfile profile,
 
 /// Wi-Fi TSN-style deterministic low-latency slice (§2.2): low rate, very
 /// low jitter, no loss.
-ChannelProfile wifi_tsn_profile(sim::RateBps rate = sim::mbps(4),
-                                sim::Duration rtt = sim::milliseconds(4));
+ChannelProfile wifi_tsn_profile(sim::RateBps rate = kTsnDefaults.rate,
+                                sim::Duration rtt = kTsnDefaults.rtt);
 
 /// An 802.1Qbv-gated Wi-Fi pair (§2.2): {TSN slice, best-effort slice}
 /// sharing one medium under the given schedule. Returned as two profiles
@@ -71,19 +90,19 @@ std::pair<ChannelProfile, ChannelProfile> wifi_tsn_gated_pair(
     sim::Duration rtt = sim::milliseconds(6));
 
 /// Ordinary contended Wi-Fi with bursty (Gilbert-Elliott) loss.
-ChannelProfile wifi_contended_profile(sim::RateBps rate = sim::mbps(120),
-                                      sim::Duration rtt = sim::milliseconds(20),
+ChannelProfile wifi_contended_profile(sim::RateBps rate = kWifiDefaults.rate,
+                                      sim::Duration rtt = kWifiDefaults.rtt,
                                       double burst_loss = 0.05);
 
 /// cISP-style microwave WAN (§2.3): near-speed-of-light latency, low
 /// bandwidth, priced per byte.
-ChannelProfile cisp_profile(sim::Duration rtt = sim::milliseconds(8),
-                            sim::RateBps rate = sim::mbps(10),
+ChannelProfile cisp_profile(sim::Duration rtt = kCispDefaults.rtt,
+                            sim::RateBps rate = kCispDefaults.rate,
                             double cost_per_mb = 0.05);
 
 /// Terrestrial fiber WAN path.
-ChannelProfile fiber_profile(sim::Duration rtt = sim::milliseconds(40),
-                             sim::RateBps rate = sim::mbps(500));
+ChannelProfile fiber_profile(sim::Duration rtt = kFiberDefaults.rtt,
+                             sim::RateBps rate = kFiberDefaults.rate);
 
 /// LEO satellite path: lower latency than long fiber routes, moderate
 /// bandwidth, periodic handover-induced capacity dips.

@@ -132,13 +132,15 @@ VideoResult run_video(const ScenarioConfig& cfg,
                       const app::video::SvcConfig& svc,
                       const app::video::VideoReceiverConfig& rx,
                       sim::Duration duration) {
+  // Late frames drain for this long after the sender stops (eMBB-only
+  // tails run to seconds).
+  constexpr sim::Duration kDrain = sim::seconds(12);
   Scenario sc(cfg);
   const auto flow = net::next_flow_id();
   app::video::VideoSender sender(sc.server(), flow, svc);
   app::video::VideoReceiver receiver(sc.client(), flow, sender, rx);
   sender.start(duration);
-  // Allow late frames to drain (eMBB-only tails run to seconds).
-  sc.sim().run_until(duration + sim::seconds(12));
+  sc.sim().run_until(duration + kDrain);
 
   VideoResult r;
   r.stats = receiver.stats();

@@ -28,10 +28,10 @@ std::string read_if_exists(const std::string& path) {
   return ss.str();
 }
 
-/// Split JSONL into parsed objects, skipping blank lines.
-std::vector<Value> parse_lines(std::string_view text,
-                               const std::string& what) {
-  std::vector<Value> out;
+/// Parses each non-blank JSONL line and hands its object to `row`, so
+/// only one line's tree is alive at a time.
+template <typename Row>
+void for_each_line(std::string_view text, const std::string& what, Row row) {
   std::size_t start = 0;
   std::size_t lineno = 0;
   while (start < text.size()) {
@@ -46,9 +46,8 @@ std::vector<Value> parse_lines(std::string_view text,
       throw SpecError(what + " line " + std::to_string(lineno) +
                       ": malformed JSON object");
     }
-    out.push_back(std::move(v));
+    row(v);
   }
-  return out;
 }
 
 std::map<std::string, double> number_map(const Value& obj) {
@@ -157,7 +156,7 @@ std::map<std::string, std::vector<CapacityPoint>> capacity_curves(
 
 std::vector<RunResult> Report::parse_results(std::string_view jsonl) {
   std::vector<RunResult> out;
-  for (const Value& v : parse_lines(jsonl, "results.jsonl")) {
+  for_each_line(jsonl, "results.jsonl", [&out](const Value& v) {
     RunResult r;
     r.index = static_cast<std::size_t>(v.number_or("run", 0));
     r.name = v.string_or("name", "");
@@ -170,34 +169,34 @@ std::vector<RunResult> Report::parse_results(std::string_view jsonl) {
     if (const Value* o = v.find("obs")) r.obs = number_map(*o);
     r.error = v.string_or("error", "");
     out.push_back(std::move(r));
-  }
+  });
   return out;
 }
 
 std::vector<ReportSample> Report::parse_telemetry(
     std::string_view jsonl, std::map<std::string, double>* meta) {
   std::vector<ReportSample> out;
-  for (const Value& v : parse_lines(jsonl, "telemetry.jsonl")) {
+  for_each_line(jsonl, "telemetry.jsonl", [&out, meta](const Value& v) {
     if (const Value* m = v.find("meta")) {
       if (meta != nullptr) *meta = number_map(*m);
-      continue;
+      return;
     }
     ReportSample s;
     s.t_us = v.number_or("t_us", 0);
     s.series = v.string_or("series", "");
     s.value = v.number_or("v", 0);
     out.push_back(std::move(s));
-  }
+  });
   return out;
 }
 
 std::vector<ReportAuditRow> Report::parse_audit(
     std::string_view jsonl, std::map<std::string, double>* meta) {
   std::vector<ReportAuditRow> out;
-  for (const Value& v : parse_lines(jsonl, "audit.jsonl")) {
+  for_each_line(jsonl, "audit.jsonl", [&out, meta](const Value& v) {
     if (const Value* m = v.find("meta")) {
       if (meta != nullptr) *meta = number_map(*m);
-      continue;
+      return;
     }
     ReportAuditRow r;
     r.t_us = v.number_or("t_us", 0);
@@ -213,20 +212,20 @@ std::vector<ReportAuditRow> Report::parse_audit(
     r.chosen = static_cast<int>(v.number_or("ch", 0));
     r.duplicates = static_cast<int>(v.number_or("dups", 0));
     out.push_back(std::move(r));
-  }
+  });
   return out;
 }
 
 std::vector<ReportSpanUnit> Report::parse_spans(
     std::string_view jsonl, std::map<std::string, double>* meta) {
   std::vector<ReportSpanUnit> out;
-  for (const Value& v : parse_lines(jsonl, "spans.jsonl")) {
+  for_each_line(jsonl, "spans.jsonl", [&out, meta](const Value& v) {
     if (const Value* m = v.find("meta")) {
       if (meta != nullptr) {
         // Sum across shards: every field is a count.
         for (const auto& [k, mv] : number_map(*m)) (*meta)[k] += mv;
       }
-      continue;
+      return;
     }
     ReportSpanUnit u;
     u.key = v.string_or("k", "");
@@ -265,7 +264,7 @@ std::vector<ReportSpanUnit> Report::parse_spans(
       }
     }
     out.push_back(std::move(u));
-  }
+  });
   return out;
 }
 
@@ -693,6 +692,11 @@ std::string Report::render_explain() const {
 
 std::string Report::to_chrome_trace() const {
   obs::json::Writer w;
+  write_chrome_trace(w);
+  return w.take();
+}
+
+void Report::write_chrome_trace(obs::json::Writer& w) const {
   w.raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
   bool first = true;
   // Starts the next event: the separator, then the event's text.
@@ -702,17 +706,18 @@ std::string Report::to_chrome_trace() const {
     return w;
   };
 
-  // Lifecycle events pass through verbatim (same pid 0 / sim-time base).
+  // Lifecycle events come first, on the same pid 0 / sim-time base. Each
+  // is parsed and re-serialized on its own (object keys sorted), so the
+  // trace is never one tree in memory.
   std::map<std::string, double> lifecycle_meta;  // its otherData, if any
-  Value lifecycle;
   if (!lifecycle_trace.empty() &&
-      obs::json::parse(lifecycle_trace, &lifecycle)) {
-    if (const Value* events = lifecycle.find("traceEvents")) {
-      for (const Value& e : events->array) next().value(e);
-    }
-    if (const Value* other = lifecycle.find("otherData")) {
-      lifecycle_meta = number_map(*other);
-    }
+      !obs::json::Parser(lifecycle_trace)
+           .parse_object_streaming(
+               "traceEvents", [&next](const Value& e) { next().value(e); },
+               [&lifecycle_meta](const std::string& key, const Value& v) {
+                 if (key == "otherData") lifecycle_meta = number_map(v);
+               })) {
+    throw SpecError("lifecycle trace: malformed Chrome trace JSON");
   }
 
   // A wrapped audit ring kept only its newest decisions: the track says
@@ -806,7 +811,6 @@ std::string Report::to_chrome_trace() const {
     w.put('}');
   }
   w.put('}');
-  return w.take();
 }
 
 }  // namespace hvc::exp

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "exp/runner.hpp"
+#include "obs/json.hpp"
 
 namespace hvc::exp {
 
@@ -102,7 +103,7 @@ struct Report {
   /// Read every artifact that exists for `prefix`. results.jsonl is
   /// required (throws SpecError when missing/unparseable); the rest are
   /// optional. `trace_path`, when non-empty, names a lifecycle Chrome
-  /// trace (hvc_run --trace output) to merge into to_chrome_trace().
+  /// trace (hvc_run --trace output) to merge into write_chrome_trace().
   static Report load(const std::string& prefix,
                      const std::string& trace_path = "");
 
@@ -157,10 +158,14 @@ struct Report {
   /// no spans artifact was loaded.
   [[nodiscard]] std::string render_explain() const;
 
-  /// One merged Chrome trace: lifecycle events (verbatim, if loaded),
-  /// telemetry counter tracks, audit decisions as instant events, and
-  /// retained span trees as nested duration events (one tid per
-  /// exemplar, so overlapping units never break nesting).
+  /// One merged Chrome trace: lifecycle events (if loaded; each event
+  /// re-serialized with sorted keys), telemetry counter tracks, audit
+  /// decisions as instant events, and retained span trees as nested
+  /// duration events (one tid per exemplar, so overlapping units never
+  /// break nesting). Streams into `w`; throws SpecError when the
+  /// lifecycle trace is not a JSON object.
+  void write_chrome_trace(obs::json::Writer& w) const;
+  /// write_chrome_trace() into a string.
   [[nodiscard]] std::string to_chrome_trace() const;
 };
 

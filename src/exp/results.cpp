@@ -1,45 +1,12 @@
 #include "exp/results.hpp"
 
 #include <filesystem>
-#include <set>
 #include <stdexcept>
 #include <system_error>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace hvc::exp {
-
-std::string to_csv(const std::vector<RunResult>& runs) {
-  std::set<std::string> param_cols;
-  std::set<std::string> metric_cols;
-  for (const auto& r : runs) {
-    for (const auto& [k, unused] : r.params) param_cols.insert(k);
-    for (const auto& [k, unused] : r.metrics) metric_cols.insert(k);
-  }
-
-  obs::json::Writer w;
-  w.raw("run,name");
-  for (const auto& c : param_cols) w.put(',').raw(obs::csv_escape(c));
-  for (const auto& c : metric_cols) w.put(',').raw(obs::csv_escape(c));
-  w.raw(",error\n");
-
-  for (const auto& r : runs) {
-    w.num(r.index).put(',').raw(obs::csv_escape(r.name));
-    for (const auto& c : param_cols) {
-      w.put(',');
-      const auto it = r.params.find(c);
-      if (it != r.params.end()) w.raw(obs::csv_escape(it->second));
-    }
-    for (const auto& c : metric_cols) {
-      w.put(',');
-      const auto it = r.metrics.find(c);
-      if (it != r.metrics.end()) w.num(it->second);
-    }
-    w.put(',').raw(obs::csv_escape(r.error)).put('\n');
-  }
-  return w.take();
-}
 
 std::string to_jsonl(const std::vector<RunResult>& runs) {
   obs::json::Writer w;

@@ -41,46 +41,36 @@ channel::ChannelProfile build_channel(const ChannelSpec& c,
                                        trace_duration, trace_seed);
   }
   if (c.type == "leo") return channel::leo_profile(trace_seed, trace_duration);
-  // Fixed-characteristic channels: apply rtt/rate overrides on top of the
-  // factory defaults (negative = keep the default).
+  // Fixed-characteristic channels: rtt/rate overrides replace the type's
+  // defaults (negative = keep the default).
+  const auto with_overrides = [&c](channel::FixedDefaults d) {
+    if (c.rtt_ms >= 0) d.rtt = sim::milliseconds_f(c.rtt_ms);
+    if (c.rate_mbps >= 0) d.rate = mbps_f(c.rate_mbps);
+    return d;
+  };
   if (c.type == "urllc") {
-    auto p = channel::urllc_profile();
-    if (c.rtt_ms >= 0) return channel::urllc_profile(
-        sim::milliseconds_f(c.rtt_ms),
-        c.rate_mbps >= 0 ? mbps_f(c.rate_mbps) : sim::mbps(2));
-    if (c.rate_mbps >= 0) {
-      return channel::urllc_profile(sim::milliseconds(5),
-                                    mbps_f(c.rate_mbps));
-    }
-    return p;
+    const auto d = with_overrides(channel::kUrllcDefaults);
+    return channel::urllc_profile(d.rtt, d.rate);
   }
   if (c.type == "embb") {
-    if (c.rtt_ms >= 0 || c.rate_mbps >= 0) {
-      return channel::embb_constant_profile(
-          c.rtt_ms >= 0 ? sim::milliseconds_f(c.rtt_ms) : sim::milliseconds(50),
-          c.rate_mbps >= 0 ? mbps_f(c.rate_mbps) : sim::mbps(60));
-    }
-    return channel::embb_constant_profile();
+    const auto d = with_overrides(channel::kEmbbDefaults);
+    return channel::embb_constant_profile(d.rtt, d.rate);
   }
   if (c.type == "tsn") {
-    return channel::wifi_tsn_profile(
-        c.rate_mbps >= 0 ? mbps_f(c.rate_mbps) : sim::mbps(4),
-        c.rtt_ms >= 0 ? sim::milliseconds_f(c.rtt_ms) : sim::milliseconds(4));
+    const auto d = with_overrides(channel::kTsnDefaults);
+    return channel::wifi_tsn_profile(d.rate, d.rtt);
   }
   if (c.type == "wifi") {
-    return channel::wifi_contended_profile(
-        c.rate_mbps >= 0 ? mbps_f(c.rate_mbps) : sim::mbps(120),
-        c.rtt_ms >= 0 ? sim::milliseconds_f(c.rtt_ms) : sim::milliseconds(20));
+    const auto d = with_overrides(channel::kWifiDefaults);
+    return channel::wifi_contended_profile(d.rate, d.rtt);
   }
   if (c.type == "cisp") {
-    return channel::cisp_profile(
-        c.rtt_ms >= 0 ? sim::milliseconds_f(c.rtt_ms) : sim::milliseconds(8),
-        c.rate_mbps >= 0 ? mbps_f(c.rate_mbps) : sim::mbps(10));
+    const auto d = with_overrides(channel::kCispDefaults);
+    return channel::cisp_profile(d.rtt, d.rate);
   }
   // "fiber" (the parser rejects anything else).
-  return channel::fiber_profile(
-      c.rtt_ms >= 0 ? sim::milliseconds_f(c.rtt_ms) : sim::milliseconds(40),
-      c.rate_mbps >= 0 ? mbps_f(c.rate_mbps) : sim::mbps(500));
+  const auto d = with_overrides(channel::kFiberDefaults);
+  return channel::fiber_profile(d.rtt, d.rate);
 }
 
 /// DChannelConfig from preset + per-knob overrides.
@@ -334,10 +324,7 @@ void run_city_workload(const ScenarioSpec& spec,
 /// std::runtime_error naming the path when a file cannot be written.
 void write_artifacts(const ScenarioSpec& spec, const RunOptions& opts,
                      const RunIsolation& iso) {
-  std::string prefix = !opts.out_prefix.empty() ? opts.out_prefix
-                       : !spec.telemetry.out_prefix.empty()
-                           ? spec.telemetry.out_prefix
-                           : spec.name;
+  std::string prefix = !opts.out_prefix.empty() ? opts.out_prefix : spec.name;
   if (opts.run_index >= 0) prefix += ".run" + std::to_string(opts.run_index);
   const auto stream = [](const std::string& path, const auto& recorder,
                          auto write) {
@@ -421,7 +408,7 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
 
   // wall_ms is operator progress display only (hvc_sweep stderr ETA);
   // it is never written into any determinism-checked artifact (results
-  // CSV/JSONL, telemetry, audit). obs::prof::now_ns() is the sanctioned
+  // JSONL, telemetry, audit). obs::prof::now_ns() is the sanctioned
   // host-clock accessor, so no wallclock lint carve-out is needed.
   const std::uint64_t t0 = obs::prof::now_ns();
   try {

@@ -64,8 +64,8 @@ struct RunResult {
 /// to arm. Everything here is deterministic (no wall clock) so sweep
 /// outputs stay byte-identical across -j.
 struct RunOptions {
-  /// Artifact path prefix for telemetry/audit files. Empty = use
-  /// spec.telemetry.out_prefix, falling back to the scenario name.
+  /// Artifact path prefix for telemetry/audit/spans files. Empty = the
+  /// scenario name.
   std::string out_prefix;
   /// >= 0: this run's sweep-grid index; artifact names get a ".run<i>"
   /// infix so parallel runs write distinct files.

@@ -226,13 +226,11 @@ WebSpec parse_web(const Value& v, std::string_view path) {
 VideoSpec parse_video(const Value& v, std::string_view path) {
   require_object(v, path);
   check_keys(v, path,
-             {"duration_s", "drain_s", "fps", "layer_kbps",
+             {"duration_s", "fps", "layer_kbps",
               "keyframe_interval", "decode_wait_ms", "lookahead_frames",
               "encoder_seed", "receiver_seed"});
   VideoSpec s;
   s.duration_s = get_number(v, path, "duration_s", s.duration_s);
-  s.drain_s = get_number(v, path, "drain_s", s.drain_s);
-  if (s.drain_s < 0) fail(join(path, "drain_s"), "must be >= 0");
   s.fps = static_cast<int>(get_int(v, path, "fps", s.fps));
   if (s.fps <= 0) fail(join(path, "fps"), "must be > 0");
   if (const Value* arr = v.find("layer_kbps")) {
@@ -516,7 +514,7 @@ TelemetrySpec parse_telemetry(const Value& v, std::string_view path) {
   require_object(v, path);
   check_keys(v, path,
              {"enabled", "period_ms", "series", "audit", "max_samples",
-              "max_series", "audit_capacity", "out_prefix"});
+              "max_series", "audit_capacity"});
   TelemetrySpec t;
   t.enabled = get_bool(v, path, "enabled", true);  // presence = opt-in
   t.period_ms = get_number(v, path, "period_ms", t.period_ms);
@@ -543,7 +541,6 @@ TelemetrySpec parse_telemetry(const Value& v, std::string_view path) {
   if (t.max_series <= 0) fail(join(path, "max_series"), "must be > 0");
   t.audit_capacity = get_int(v, path, "audit_capacity", t.audit_capacity);
   if (t.audit_capacity <= 0) fail(join(path, "audit_capacity"), "must be > 0");
-  t.out_prefix = get_string(v, path, "out_prefix", t.out_prefix);
   return t;
 }
 
@@ -757,8 +754,7 @@ std::string ScenarioSpec::to_json() const {
     if (video.duration_s >= 0) {
       out += "\"duration_s\":" + number(video.duration_s) + ",";
     }
-    out += "\"drain_s\":" + number(video.drain_s);
-    out += ",\"fps\":" + number(static_cast<std::int64_t>(video.fps));
+    out += "\"fps\":" + number(static_cast<std::int64_t>(video.fps));
     out += ",\"layer_kbps\":[";
     for (std::size_t i = 0; i < video.layer_kbps.size(); ++i) {
       if (i > 0) out += ',';
@@ -864,9 +860,6 @@ std::string ScenarioSpec::to_json() const {
     }
     if (telemetry.audit_capacity != kTelemetryDefaults.audit_capacity) {
       out += ",\"audit_capacity\":" + number(telemetry.audit_capacity);
-    }
-    if (!telemetry.out_prefix.empty()) {
-      out += ",\"out_prefix\":" + quote(telemetry.out_prefix);
     }
     out += '}';
   }

@@ -62,7 +62,8 @@ struct PolicySpec {
   int accelerate_control = -1;  ///< tri-state: -1 default / 0 / 1
   int use_flow_priority = -1;   ///< tri-state
 
-  /// Human-readable scheme label for tables/CSV ("dchannel+prio" style).
+  /// Human-readable scheme label ("dchannel+prio" style): a policy sweep
+  /// axis value in results params, and hvc_run's banner.
   [[nodiscard]] std::string label() const;
 };
 
@@ -82,7 +83,6 @@ struct WebSpec {
 /// Fig. 2-style real-time SVC video workload (core::run_video).
 struct VideoSpec {
   double duration_s = -1;       ///< -1 = scenario duration
-  double drain_s = 12;          ///< post-run drain for late frames
   int fps = 30;
   std::vector<double> layer_kbps = {400, 4100, 7500};
   int keyframe_interval = 30;
@@ -155,7 +155,6 @@ struct TelemetrySpec {
   std::int64_t max_samples = 16384;    ///< ring capacity per series
   std::int64_t max_series = 512;       ///< series-count cap
   std::int64_t audit_capacity = 65536; ///< audit ring capacity
-  std::string out_prefix;    ///< artifact path prefix; "" = scenario name
 
   bool operator==(const TelemetrySpec&) const = default;
 };

@@ -96,7 +96,7 @@ bool is_policy_path(const std::string& path) {
   return path == "policy" || path == "up_policy" || path == "down_policy";
 }
 
-/// Display string for an axis value (CSV "params" columns). Policy
+/// Display string for an axis value (a results row's "params"). Policy
 /// objects render as their scheme label so grids over tuned policies
 /// stay readable.
 std::string param_string(const std::string& path, const Value& v) {

@@ -1,7 +1,7 @@
 // hvc_lint: the repo's determinism & simulation-safety static-analysis
 // pass (scripts/check.sh lint, tools/hvc_lint).
 //
-// Every exported artifact this repo ships — sweep CSV/JSONL, telemetry,
+// Every exported artifact this repo ships — results JSONL, telemetry,
 // audit logs, traces — is promised byte-identical for a given spec at any
 // -j. The byte-identity *tests* (exp_test, telemetry_test) catch a broken
 // build after the fact; this pass rejects the code patterns that break

@@ -124,7 +124,6 @@ class Node {
 
   /// The shim carrying this node's outbound traffic.
   void set_egress(Shim* shim) { egress_ = shim; }
-  [[nodiscard]] Shim* egress() { return egress_; }
 
   /// Route a flow's inbound packets to `handler` until the returned
   /// handle lets go. Registering a flow again replaces its handler; only
@@ -201,7 +200,6 @@ class TwoHostNetwork {
   [[nodiscard]] channel::HvcSet& channels() { return channels_; }
   [[nodiscard]] Shim& uplink_shim() { return *up_shim_; }
   [[nodiscard]] Shim& downlink_shim() { return *down_shim_; }
-  [[nodiscard]] bool finalized() const { return up_shim_ != nullptr; }
 
  private:
   sim::Simulator& sim_;

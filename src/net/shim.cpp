@@ -15,32 +15,7 @@ Shim::Shim(sim::Simulator& sim, channel::HvcSet& channels,
       policy_(std::move(policy)) {
   stats_.packets_per_channel.assign(channels_.size(), 0);
   stats_.bytes_per_channel.assign(channels_.size(), 0);
-  bind_metrics();
-}
-
-Shim::~Shim() {
-  fold_decisions();
-  for (std::size_t i = 0; i < m_packets_.size(); ++i) {
-    m_packets_[i]->inc(stats_.packets_per_channel[i]);
-    m_bytes_[i]->inc(stats_.bytes_per_channel[i]);
-  }
-  m_duplicates_->inc(stats_.duplicates_sent);
-}
-
-void Shim::set_policy(std::unique_ptr<steer::SteeringPolicy> policy) {
-  fold_decisions();  // credit the outgoing policy before rebinding
-  policy_ = std::move(policy);
-  bind_metrics();
-}
-
-void Shim::fold_decisions() {
-  for (std::size_t i = 0; i < decisions_.size(); ++i) {
-    m_decisions_[i]->inc(decisions_[i]);
-    decisions_[i] = 0;
-  }
-}
-
-void Shim::bind_metrics() {
+  decisions_.assign(channels_.size(), 0);
   auto& reg = obs::MetricsRegistry::current();
   const std::string dir =
       direction_ == channel::Direction::kUplink ? "up" : "down";
@@ -48,11 +23,6 @@ void Shim::bind_metrics() {
   policy_name_ = policy_->name();
   const std::string policy_prefix =
       "steer." + policy_name_ + "." + dir + ".decisions.ch";
-  m_packets_.clear();
-  m_bytes_.clear();
-  m_decisions_.clear();
-  decisions_.assign(channels_.size(), 0);
-  probes_.clear();
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     const std::string ch = std::to_string(i);
     m_packets_.push_back(&reg.counter(shim_prefix + ch + ".packets"));
@@ -66,6 +36,15 @@ void Shim::bind_metrics() {
                 [this, i] { return static_cast<double>(decisions_[i]); });
   }
   m_duplicates_ = &reg.counter("shim." + dir + ".duplicates");
+}
+
+Shim::~Shim() {
+  for (std::size_t i = 0; i < m_packets_.size(); ++i) {
+    m_packets_[i]->inc(stats_.packets_per_channel[i]);
+    m_bytes_[i]->inc(stats_.bytes_per_channel[i]);
+    m_decisions_[i]->inc(decisions_[i]);
+  }
+  m_duplicates_->inc(stats_.duplicates_sent);
 }
 
 std::span<const steer::ChannelView> Shim::snapshot_views() const {

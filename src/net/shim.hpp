@@ -47,21 +47,11 @@ class Shim {
   [[nodiscard]] const ShimStats& stats() const { return stats_; }
   [[nodiscard]] channel::Direction direction() const { return direction_; }
 
-  /// Swap the policy at runtime (used by experiment sweeps).
-  void set_policy(std::unique_ptr<steer::SteeringPolicy> policy);
-
  private:
   /// Current per-channel views for the steering policy. Fills and
   /// returns the reused member scratch — no allocation per decision;
   /// valid until the next call.
   [[nodiscard]] std::span<const steer::ChannelView> snapshot_views() const;
-
-  /// Resolve this shim's (and its policy's) registry instruments; called
-  /// at construction and whenever the policy is swapped.
-  void bind_metrics();
-
-  /// Credit decisions_ to the current policy's counters and zero it.
-  void fold_decisions();
 
   sim::Simulator& sim_;
   channel::HvcSet& channels_;
@@ -70,26 +60,24 @@ class Shim {
   ShimStats stats_;
 
   // MetricsRegistry instruments (pointer-stable; see obs/metrics.hpp):
-  // shim.<dir>.ch<i>.{packets,bytes} mirror stats_, and every steering
-  // policy gets steer.<policy>.<dir>.decisions.ch<i> so policy flips are
-  // visible in manifests without touching the policy classes themselves.
-  // The hot path only bumps stats_/decisions_; totals are folded into the
-  // registry when the shim is destroyed (and, for the per-policy decision
-  // counters, whenever the policy is swapped out).
+  // shim.<dir>.ch<i>.{packets,bytes} mirror stats_, and the policy gets
+  // steer.<policy>.<dir>.decisions.ch<i> without touching the policy
+  // classes themselves. The hot path only bumps stats_/decisions_; the
+  // totals are folded into the registry when the shim is destroyed.
   std::vector<obs::Counter*> m_packets_;
   std::vector<obs::Counter*> m_bytes_;
   std::vector<obs::Counter*> m_decisions_;
   obs::Counter* m_duplicates_ = nullptr;
-  std::vector<std::int64_t> decisions_;  ///< per channel, current policy
+  std::vector<std::int64_t> decisions_;  ///< per channel
   /// Reused by snapshot_views(): sized to the channel count on first
   /// use, then refilled in place every steering decision.
   mutable std::vector<steer::ChannelView> views_scratch_;
 
-  /// Cached policy_->name(), refreshed by bind_metrics(); the audit log
-  /// stores one copy per record, so we avoid re-stringifying per packet.
+  /// Cached policy_->name(); the audit log stores one copy per record,
+  /// so we avoid re-stringifying per packet.
   std::string policy_name_;
   /// Telemetry series steer.<policy>.<dir>.ch<i>.decisions reading
-  /// decisions_; re-registered (same bundle) on every policy swap.
+  /// decisions_.
   obs::TelemetryProbes probes_;
 };
 

@@ -174,6 +174,50 @@ class Parser {
     return pos_ == text_.size();
   }
 
+  /// Parse a document that is one object without building it whole:
+  /// each element of the array member `array_key` goes to
+  /// `element(const Value&)` as soon as it is parsed, and every other
+  /// member to `member(const std::string& key, const Value&)`. Returns
+  /// false on a syntax error or trailing garbage, having handed over
+  /// whatever came before it.
+  template <typename Element, typename Member>
+  bool parse_object_streaming(std::string_view array_key, Element element,
+                              Member member) {
+    skip_ws();
+    if (!consume('{')) return false;
+    skip_ws();
+    if (!consume('}')) {
+      do {
+        skip_ws();
+        std::string key;
+        if (!parse_string(&key)) return false;
+        skip_ws();
+        if (!consume(':')) return false;
+        skip_ws();
+        if (key == array_key && consume('[')) {
+          skip_ws();
+          if (!consume(']')) {
+            do {
+              Value v;
+              if (!parse_value(&v)) return false;
+              element(v);
+              skip_ws();
+            } while (consume(','));
+            if (!consume(']')) return false;
+          }
+        } else {
+          Value v;
+          if (!parse_value(&v)) return false;
+          member(key, v);
+        }
+        skip_ws();
+      } while (consume(','));
+      if (!consume('}')) return false;
+    }
+    skip_ws();
+    return pos_ == text_.size();
+  }
+
  private:
   void skip_ws() {
     while (pos_ < text_.size() &&

@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include "obs/json.hpp"
 #include "obs/summary.hpp"
 
 namespace hvc::obs {
@@ -41,32 +40,6 @@ std::map<std::string, double> MetricsRegistry::snapshot() const {
   for (const auto& [name, g] : gauges_) out[name] = g->value();
   for (const auto& [name, h] : histograms_) {
     flatten_summary(*h, name, &out);
-  }
-  return out;
-}
-
-std::string csv_escape(std::string_view field) {
-  const bool needs_quotes =
-      field.find_first_of(",\"\n\r") != std::string_view::npos;
-  if (!needs_quotes) return std::string(field);
-  std::string out;
-  out.reserve(field.size() + 2);
-  out.push_back('"');
-  for (const char c : field) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
-std::string snapshot_to_csv(const std::map<std::string, double>& snapshot) {
-  std::string out = "metric,value\n";
-  for (const auto& [name, value] : snapshot) {
-    out += csv_escape(name);
-    out += ',';
-    out += json::number(value);
-    out += '\n';
   }
   return out;
 }

@@ -9,17 +9,17 @@
 //   shim.up.ch0.packets        link.eMBB-down.delivered_packets
 //   transport.tcp.retransmissions   app.video.frame_latency_ms
 //
-// A process-global default registry (MetricsRegistry::global()) is the
-// collection point for bench manifests; instruments accumulate across
-// every scenario a binary runs unless reset_values() is called. Local
-// registries can be constructed for isolated measurement (tests do).
+// A process-global default registry (MetricsRegistry::global()) catches
+// instruments made outside any ScopedMetricsRegistry (examples, bench
+// mains, tests); they accumulate across every scenario a binary runs
+// unless reset_values() is called. Engine runs (exp::run_scenario) each
+// install a private registry, whose snapshot is the run's "obs" object.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "obs/binding.hpp"
 #include "sim/stats.hpp"
@@ -68,8 +68,8 @@ class MetricsRegistry : public ThreadBinding<MetricsRegistry, CurrentSlot> {
   sim::Summary& histogram(const std::string& name);
 
   /// Flattened snapshot: counters and gauges by name; histograms expand
-  /// into <name>.count / .mean / .p50 / .p95 / .p99 / .max. Tools export
-  /// it with snapshot_to_csv or as a run's "obs" object.
+  /// into <name>.count / .mean / .p50 / .p95 / .p99 / .max. Runs export
+  /// it as their results row's "obs" object.
   [[nodiscard]] std::map<std::string, double> snapshot() const;
 
   /// Zero all values but keep every registration (pointers stay valid).
@@ -90,14 +90,5 @@ class MetricsRegistry : public ThreadBinding<MetricsRegistry, CurrentSlot> {
 /// run lives inside one of these, so runs never share instruments even
 /// when executing concurrently.
 using ScopedMetricsRegistry = ScopedBinding<MetricsRegistry, CurrentSlot>;
-
-/// CSV cell escaping per RFC 4180: fields containing commas, quotes or
-/// newlines are quoted, embedded quotes doubled.
-[[nodiscard]] std::string csv_escape(std::string_view field);
-
-/// The shared metric-snapshot CSV formatter ("metric,value" header, rows
-/// sorted by name, shortest round-trippable numbers).
-[[nodiscard]] std::string snapshot_to_csv(
-    const std::map<std::string, double>& snapshot);
 
 }  // namespace hvc::obs

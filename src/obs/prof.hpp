@@ -10,15 +10,11 @@
 // Design constraints, in order:
 //   1. Determinism. Hooks read the TSC and bump thread-local counters;
 //      they never touch simulator state, RNG streams, packet ids or any
-//      exported artifact. `HVC_PROF=ON` vs `OFF` runs are byte-identical
+//      exported artifact. Profiled and unprofiled runs are byte-identical
 //      (pinned by tests/prof_test.cpp).
-//   2. Zero overhead when compiled out. With the CMake option
-//      `-DHVC_PROF=OFF` the HVC_PROF_* hook macros expand to `((void)0)`
-//      and hook_alloc/hook_free to nothing — the hot paths carry no
-//      trace of the profiler.
-//   3. Near-zero overhead when compiled in but disabled (the default at
-//      runtime): one relaxed atomic load per hook.
-//   4. Sweep-safe. All accumulation is thread-local, so the concurrent
+//   2. Near-zero overhead while disabled (the default at runtime): one
+//      relaxed atomic load per hook.
+//   3. Sweep-safe. All accumulation is thread-local, so the concurrent
 //      sweep engine (src/exp) never contends; snapshots read the
 //      calling thread's stats.
 //
@@ -35,17 +31,13 @@
 #include <ctime>
 #include <string>
 
-#ifndef HVC_PROF_ENABLED
-#define HVC_PROF_ENABLED 1
-#endif
-
 namespace hvc::obs::prof {
 
 // ---- Instrumented hot paths --------------------------------------------
 
 enum class Hook : std::uint8_t {
   kEventPush,        ///< sim::EventQueue::push
-  kEventPop,         ///< sim::EventQueue::pop (== events executed)
+  kEventPop,         ///< sim::EventQueue::pop_due (== events executed)
   kPacketAlloc,      ///< net::make_packet / clone_packet
   kPacketFree,       ///< packet deallocation (net::PooledAllocator)
   kLinkServe,        ///< channel::Link::on_opportunity (service discipline)
@@ -221,34 +213,22 @@ class ScopedTimer {
   bool timed_ = false;
 };
 
-// ---- Counting hooks (compile out with HVC_PROF=OFF) ---------------------
+// ---- Counting hooks ----------------------------------------------------
 
 inline void hook_alloc(std::uint64_t bytes) {
-#if HVC_PROF_ENABLED
   if (enabled()) count_alloc(bytes);
-#else
-  (void)bytes;
-#endif
 }
 
 inline void hook_free(std::uint64_t bytes) {
-#if HVC_PROF_ENABLED
   if (enabled()) count_free(bytes);
-#else
-  (void)bytes;
-#endif
 }
 
 }  // namespace hvc::obs::prof
 
 // Statement hooks for hot paths. `hook` must be a fully qualified
 // ::hvc::obs::prof::Hook value (or one reachable from the call site).
-#if HVC_PROF_ENABLED
 #define HVC_PROF_CONCAT_INNER(a, b) a##b
 #define HVC_PROF_CONCAT(a, b) HVC_PROF_CONCAT_INNER(a, b)
 #define HVC_PROF_SCOPE(hook)                                       \
   ::hvc::obs::prof::ScopedTimer HVC_PROF_CONCAT(hvc_prof_scope_,   \
                                                 __LINE__)((hook))
-#else
-#define HVC_PROF_SCOPE(hook) ((void)0)
-#endif

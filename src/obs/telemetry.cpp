@@ -43,8 +43,8 @@ TelemetrySampler::ProbeId TelemetrySampler::add_probe(std::string_view group,
   std::size_t index;
   const auto it = by_name_.find(name);
   if (it != by_name_.end()) {
-    // Reattach: the same series keeps accumulating (policy swapped back,
-    // a transport reconnected under the same flow id).
+    // Reattach: the same series keeps accumulating (a transport
+    // reconnected under the same flow id).
     index = it->second;
     series_[index].probe = std::move(probe);
   } else {

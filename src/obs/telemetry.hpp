@@ -86,7 +86,7 @@ class TelemetrySampler : public ThreadBinding<TelemetrySampler> {
   /// Register a probe. Returns 0 (and records nothing) when the group is
   /// filtered out or the series cap is reached; re-registering an
   /// existing series name reattaches the probe and keeps appending to
-  /// the same ring (policy swaps, reconnecting transports).
+  /// the same ring (reconnecting transports).
   ProbeId add_probe(std::string_view group, std::string name, Probe probe);
   /// Detach a probe; its series stops receiving samples but is retained.
   void remove_probe(ProbeId id);
@@ -170,11 +170,12 @@ class TelemetryProbes {
 
   void add(std::string_view group, std::string name,
            TelemetrySampler::Probe probe);
-  void clear();
 
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
 
  private:
+  void clear();
+
   TelemetrySampler* owner_ = nullptr;
   std::vector<TelemetrySampler::ProbeId> ids_;
 };

@@ -322,11 +322,10 @@ class CalendarQueue {
 
   [[nodiscard]] std::size_t entries() const { return entries_; }
 
-  // Geometry introspection for tests (tick width in ns, ring size).
+  // Geometry introspection for tests (tick width in ns).
   [[nodiscard]] std::int64_t tick_width() const {
     return std::int64_t{1} << shift_;
   }
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
 
  private:
   static constexpr int kInitialShift = 13;  // 8.192 us ticks
@@ -582,34 +581,19 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  /// Earliest pending (non-cancelled) event time, or kTimeNever if empty.
-  [[nodiscard]] Time next_time() {
-    Time at{};
-    return front(at) == nullptr ? kTimeNever : at;
-  }
-
-  /// Pop and return the earliest event. Precondition: !empty().
+  /// An event taken off the queue by pop_due().
   struct Popped {
     Time at;
     EventFn fn;
   };
-  Popped pop() {
-    HVC_PROF_SCOPE(obs::prof::Hook::kEventPop);
-    Time at{};
-    EventFn* fn = front(at);  // also discards leading tombstones
-    Popped out{at, std::move(*fn)};
-    drop();
-    --live_;
-    return out;
-  }
 
-  /// Pop the earliest event if it is due at or before `deadline`; a
-  /// single front-to-pop pass instead of next_time() + pop(). Returns
-  /// false (leaving `out` untouched) when the queue is drained or the
-  /// next event is later than the deadline.
+  /// Pop the earliest event if it is due at or before `deadline` in a
+  /// single front-to-pop pass. Returns false (leaving `out` untouched)
+  /// when the queue is drained or the next event is later than the
+  /// deadline.
   bool pop_due(Time deadline, Popped& out) {
     Time at{};
-    EventFn* fn = front(at);
+    EventFn* fn = front(at);  // also discards leading tombstones
     if (fn == nullptr || at > deadline) return false;
     HVC_PROF_SCOPE(obs::prof::Hook::kEventPop);
     out.at = at;
@@ -618,10 +602,6 @@ class EventQueue {
     --live_;
     return true;
   }
-
-  /// Whether this queue runs on the reference heap (fixed at
-  /// construction).
-  [[nodiscard]] bool using_reference() const { return use_reference_; }
 
  private:
   /// Earliest live entry's fn (tombstones discarded on the way), with

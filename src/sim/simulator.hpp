@@ -51,8 +51,6 @@ class Simulator {
   std::size_t run_until(Time deadline) {
     std::size_t executed = 0;
     EventQueue::Popped ev;
-    // pop_due is a single find-min per event where next_time() + pop()
-    // was two; the loop body is otherwise the historical one.
     while (queue_.pop_due(deadline, ev)) {
       now_ = ev.at;
       ev.fn();

@@ -34,7 +34,6 @@ constexpr Duration milliseconds_f(double ms) {
 
 constexpr double to_seconds(Duration d) { return static_cast<double>(d) / 1e9; }
 constexpr double to_millis(Duration d) { return static_cast<double>(d) / 1e6; }
-constexpr double to_micros(Duration d) { return static_cast<double>(d) / 1e3; }
 
 /// Link and sending rates, in bits per second.
 using RateBps = std::int64_t;

@@ -28,14 +28,6 @@ struct TsnSchedule {
   /// Delivery granularity inside the TSN window (small TSN frames).
   std::int64_t tsn_mtu = 250;
   std::int64_t best_effort_mtu = 1500;
-
-  [[nodiscard]] double tsn_share() const {
-    return static_cast<double>(tsn_window) / static_cast<double>(cycle);
-  }
-  /// Fraction of the medium lost to guard bands alone.
-  [[nodiscard]] double guard_overhead() const {
-    return static_cast<double>(guard) / static_cast<double>(cycle);
-  }
 };
 
 /// Capacity trace for the protected TSN slice: full medium rate inside

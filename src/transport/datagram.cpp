@@ -48,12 +48,6 @@ void DatagramSocket::send_message_with_id(std::uint64_t id,
   ++messages_sent_;
 }
 
-void DatagramSocket::send_packet(PacketPtr p) {
-  p->flow = flow_;
-  p->flow_priority = flow_priority_;
-  local_.send(std::move(p));
-}
-
 void DatagramSocket::on_inbound(const PacketPtr& p) {
   if (on_packet_) on_packet_(p);
   if (!p->app.present || !on_message_) return;

@@ -33,9 +33,6 @@ class DatagramSocket {
   void send_message_with_id(std::uint64_t id, std::int64_t bytes,
                             std::uint8_t priority);
 
-  /// Raw single-packet send (control traffic etc.).
-  void send_packet(net::PacketPtr p);
-
   /// Per-packet receive hook.
   void set_on_packet(std::function<void(const net::PacketPtr&)> cb) {
     on_packet_ = std::move(cb);

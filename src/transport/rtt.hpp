@@ -11,8 +11,6 @@ class RttEstimator {
  public:
   void add_sample(sim::Duration rtt) {
     if (rtt <= 0) return;
-    latest_ = rtt;
-    min_rtt_ = has_sample_ ? std::min(min_rtt_, rtt) : rtt;
     if (!has_sample_) {
       srtt_ = rtt;
       rttvar_ = rtt / 2;
@@ -27,26 +25,21 @@ class RttEstimator {
   [[nodiscard]] bool has_sample() const { return has_sample_; }
   [[nodiscard]] sim::Duration srtt() const { return srtt_; }
   [[nodiscard]] sim::Duration rttvar() const { return rttvar_; }
-  [[nodiscard]] sim::Duration latest() const { return latest_; }
-  [[nodiscard]] sim::Duration min_rtt() const { return min_rtt_; }
 
   [[nodiscard]] sim::Duration rto() const {
     if (!has_sample_) return sim::seconds(1);
-    const sim::Duration raw = srtt_ + std::max(granularity_, 4 * rttvar_);
-    return std::clamp(raw, min_rto_, max_rto_);
+    const sim::Duration raw = srtt_ + std::max(kGranularity, 4 * rttvar_);
+    return std::clamp(raw, kMinRto, kMaxRto);
   }
 
-  void set_min_rto(sim::Duration d) { min_rto_ = d; }
-
  private:
+  static constexpr sim::Duration kGranularity = sim::milliseconds(1);
+  static constexpr sim::Duration kMinRto = sim::milliseconds(200);
+  static constexpr sim::Duration kMaxRto = sim::seconds(60);
+
   bool has_sample_ = false;
   sim::Duration srtt_ = 0;
   sim::Duration rttvar_ = 0;
-  sim::Duration latest_ = 0;
-  sim::Duration min_rtt_ = 0;
-  sim::Duration granularity_ = sim::milliseconds(1);
-  sim::Duration min_rto_ = sim::milliseconds(200);
-  sim::Duration max_rto_ = sim::seconds(60);
 };
 
 }  // namespace hvc::transport

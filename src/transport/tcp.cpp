@@ -223,9 +223,6 @@ void TcpSender::note_spurious_if_unretransmitted(const Segment& seg,
   // let the CCA undo its reduction (rate-limited to once per srtt).
   if (!seg.lost || seg.tx_count != 1) return;
   ++stats_.spurious_loss_marks;
-  log_.logf(sim::LogLevel::kDebug,
-            "spurious loss mark disproved for seq %llu (reo_mult %d)",
-            static_cast<unsigned long long>(seg.seq), reo_mult_);
   reordering_seen_ = true;
   if (reo_mult_ < cfg_.rack_max_mult) ++reo_mult_;
   const Duration srtt =
@@ -425,10 +422,6 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
   ev.round_trips = round_trips_;
   cca_->on_ack(ev);
 
-  if (on_acked_ && newly_delivered > 0) {
-    on_acked_(static_cast<std::int64_t>(cum_acked_));
-  }
-
   if (outstanding_.empty() && next_seq_ >= stream_end_) {
     rto_timer_.cancel();
   } else {
@@ -447,10 +440,6 @@ void TcpSender::on_rto() {
   if (outstanding_.empty()) return;
   ++stats_.rto_count;
   ++rto_backoff_;
-  log_.logf(sim::LogLevel::kDebug,
-            "RTO #%lld fired (backoff %d, %zu segments outstanding)",
-            static_cast<long long>(stats_.rto_count), rto_backoff_,
-            outstanding_.size());
 
   // A second (or later) consecutive RTO with zero forward progress means
   // the path is likely in a blackout, not congested: re-marking and

@@ -30,7 +30,6 @@
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/logger.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "transport/cca.hpp"
@@ -109,14 +108,6 @@ class TcpSender {
   /// opts in). Returns the message id.
   std::uint64_t write_message(std::int64_t bytes, std::uint8_t priority = 0);
 
-  /// Called whenever the cumulative ack advances (arg: total acked bytes).
-  void set_on_acked(std::function<void(std::int64_t)> cb) {
-    on_acked_ = std::move(cb);
-  }
-
-  [[nodiscard]] std::int64_t bytes_unacked() const {
-    return static_cast<std::int64_t>(stream_end_ - cum_acked_);
-  }
   [[nodiscard]] std::int64_t bytes_in_flight() const { return in_flight_; }
   [[nodiscard]] bool idle() const { return cum_acked_ == stream_end_; }
 
@@ -183,12 +174,10 @@ class TcpSender {
   void note_spurious_if_unretransmitted(const Segment& seg, sim::Time now);
   void arm_rto();
   void on_rto();
-  void arm_pacing(sim::Duration delay);
   [[nodiscard]] sim::Duration rack_window() const;
 
   net::Node& local_;
   sim::Simulator& sim_;
-  sim::Logger log_{"tcp", &sim_};
   FlowPair flows_;
   CcaPtr cca_;
   TcpConfig cfg_;
@@ -239,7 +228,6 @@ class TcpSender {
   sim::Timer pace_timer_;
   sim::Time next_send_time_ = 0;
 
-  std::function<void(std::int64_t)> on_acked_;
   TcpSenderStats stats_;
 
   // Registry mirrors of stats_ (aggregated across all senders in a run):
@@ -284,7 +272,6 @@ class TcpReceiver {
     on_message_ = std::move(cb);
   }
 
-  [[nodiscard]] std::uint64_t in_order_bytes() const { return cum_; }
   [[nodiscard]] const TcpReceiverStats& stats() const { return stats_; }
 
  private:

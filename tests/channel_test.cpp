@@ -86,14 +86,12 @@ TEST(Link, DropTailWhenQueueFull) {
   cfg.queue_limit_bytes = 15000;  // 10 packets
   Link link(s, cfg);
   int delivered = 0;
-  int dropped = 0;
   link.set_receiver([&](PacketPtr) { ++delivered; });
-  link.set_drop_observer([&](PacketPtr) { ++dropped; });
   for (int i = 0; i < 100; ++i) link.send(data_packet(1500));
   s.run();
+  const std::int64_t dropped = link.stats().dropped_queue_packets;
   EXPECT_GT(dropped, 0);
   EXPECT_EQ(delivered + dropped, 100);
-  EXPECT_EQ(link.stats().dropped_queue_packets, dropped);
 }
 
 TEST(Link, FifoOrderPreserved) {

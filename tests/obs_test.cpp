@@ -28,7 +28,6 @@
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/tracer.hpp"
-#include "sim/logger.hpp"
 #include "sim/rng.hpp"
 #include "steer/dchannel.hpp"
 #include "transport/tcp.hpp"
@@ -589,16 +588,6 @@ TEST(Metrics, SnapshotFlattensHistograms) {
   EXPECT_TRUE(snap.contains("lat.p95"));
   reg.reset_values();
   EXPECT_DOUBLE_EQ(reg.snapshot().at("lat.count"), 0.0);
-}
-
-TEST(Logger, ParseLogLevelAcceptsNamesAndNumbers) {
-  using sim::LogLevel;
-  EXPECT_EQ(sim::parse_log_level("debug", LogLevel::kOff), LogLevel::kDebug);
-  EXPECT_EQ(sim::parse_log_level("WARN", LogLevel::kOff), LogLevel::kWarn);
-  EXPECT_EQ(sim::parse_log_level("3", LogLevel::kOff), LogLevel::kInfo);
-  EXPECT_EQ(sim::parse_log_level("bogus", LogLevel::kError),
-            LogLevel::kError);
-  EXPECT_EQ(sim::parse_log_level("", LogLevel::kTrace), LogLevel::kTrace);
 }
 
 // ---- End-to-end: instrumentation through a real scenario ----

@@ -257,7 +257,6 @@ TEST(CitySweep, ByteIdenticalAcrossThreadCounts) {
   const auto parallel = exp::run_sweep(sweep, 4);
   ASSERT_EQ(serial.size(), 4u);
   EXPECT_EQ(exp::to_jsonl(serial), exp::to_jsonl(parallel));
-  EXPECT_EQ(exp::to_csv(serial), exp::to_csv(parallel));
   for (const auto& r : serial) EXPECT_EQ(r.error, "") << r.index;
 }
 
@@ -275,7 +274,6 @@ TEST(CitySweep, ShardsMergeToUnshardedBytes) {
               return a.index < b.index;
             });
   EXPECT_EQ(exp::to_jsonl(merged), exp::to_jsonl(whole));
-  EXPECT_EQ(exp::to_csv(merged), exp::to_csv(whole));
 }
 
 TEST(CitySweep, BadShardThrows) {

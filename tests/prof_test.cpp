@@ -5,6 +5,7 @@
 // profiling on vs off leaves simulation output byte-identical.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "core/scenario.hpp"
@@ -86,7 +87,6 @@ TEST_F(ProfTest, TimerArmedAtConstructionNotDestruction) {
   EXPECT_EQ(prof::stats(prof::Hook::kLinkServe).calls, 0u);
 }
 
-#if HVC_PROF_ENABLED
 TEST_F(ProfTest, MakePacketRoutesThroughPooledAllocator) {
   prof::enable();
   {
@@ -120,7 +120,6 @@ TEST_F(ProfTest, PacketHooksCountEachPacketOnceAndTimeFrees) {
   EXPECT_EQ(prof::alloc_stats().allocs, 128u);
   EXPECT_EQ(prof::alloc_stats().frees, 128u);
 }
-#endif  // HVC_PROF_ENABLED — with hooks compiled out nothing is counted
 
 TEST_F(ProfTest, HookNamesAreStable) {
   EXPECT_STREQ(prof::hook_name(prof::Hook::kEventPush), "event_push");
@@ -275,35 +274,34 @@ TEST(PerfCompare, ToleranceGateAndMissingBench) {
 // ---- the determinism pin ------------------------------------------------
 
 /// One fixed scenario run in a fresh metrics/id scope; returns the full
-/// registry snapshot as CSV — the byte format the determinism promise
-/// covers.
-std::string run_fig1_snapshot() {
+/// registry snapshot, the "obs" object of a run's results row.
+std::map<std::string, double> run_fig1_snapshot() {
   obs::MetricsRegistry reg;
   obs::ScopedMetricsRegistry scoped(reg);
   net::IdScope ids;
   (void)core::run_bulk(core::ScenarioConfig::fig1(), "cubic",
                        sim::seconds(2));
-  return obs::snapshot_to_csv(reg.snapshot());
+  return reg.snapshot();
 }
 
 TEST_F(ProfTest, ProfilingOnVsOffIsByteIdentical) {
-  const std::string off = run_fig1_snapshot();
+  const std::map<std::string, double> off = run_fig1_snapshot();
 
   prof::reset();
   prof::enable();
-  const std::string on = run_fig1_snapshot();
+  const std::map<std::string, double> on = run_fig1_snapshot();
   prof::disable();
 
   EXPECT_EQ(on, off) << "profiling must never perturb simulation output";
-#if HVC_PROF_ENABLED
   // And the profiled run actually measured the hot paths (the hooks are
   // live, they just stay out of the simulation's exports).
   EXPECT_GT(prof::stats(prof::Hook::kEventPop).calls, 0u);
   EXPECT_GT(prof::stats(prof::Hook::kSteer).calls, 0u);
   EXPECT_GT(prof::alloc_stats().allocs, 0u);
-#endif
   // No prof.* metric ever reaches the run's registry.
-  EXPECT_EQ(on.find("prof."), std::string::npos);
+  for (const auto& [name, value] : on) {
+    EXPECT_EQ(name.find("prof."), std::string::npos) << name;
+  }
 }
 
 }  // namespace

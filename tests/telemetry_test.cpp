@@ -291,6 +291,49 @@ TEST(ExpReport, MergedTraceCarriesBothTruncationFlags) {
   EXPECT_EQ(decisions, 4u);  // the retained records only
 }
 
+TEST(ExpReport, StreamedMergedTraceMatchesInMemoryBytes) {
+  // A lifecycle trace many Writer buffers long, merged once into a
+  // string and once streamed to a file: the bytes must agree.
+  obs::PacketTracer tracer;
+  tracer.enable(1u << 14);
+  for (int i = 0; i < (1 << 14); ++i) {
+    tracer.record(obs::EventKind::kTx, sim::microseconds(i),
+                  static_cast<std::uint64_t>(i), 1,
+                  static_cast<std::uint8_t>(i % 2), obs::kDirUp, 1200);
+  }
+  tracer.disable();
+  const std::string prefix = ::testing::TempDir() + "hvc_merged_stream";
+  const std::string trace_path = prefix + ".lifecycle.json";
+  exp::write_file(trace_path, tracer.to_chrome_trace());
+  ASSERT_GT(slurp(trace_path).size(), 8 * obs::json::Writer::kBufferBytes);
+  std::string jsonl;
+  const exp::Report report =
+      audit_report("hvc_merged_stream", 10, &jsonl, trace_path);
+
+  obs::json::Writer w(prefix + ".merged.json");
+  report.write_chrome_trace(w);
+  w.close();
+  const std::string streamed = slurp(prefix + ".merged.json");
+  EXPECT_EQ(streamed, report.to_chrome_trace());
+  obs::json::Value doc;
+  ASSERT_TRUE(obs::json::parse(streamed, &doc));
+  std::size_t lifecycle_events = 0;
+  for (const auto& e : doc.find("traceEvents")->array) {
+    lifecycle_events += e.string_or("name", "") == "tx" ? 1 : 0;
+  }
+  EXPECT_EQ(lifecycle_events, std::size_t{1} << 14);
+}
+
+TEST(ExpReport, MalformedLifecycleTraceIsAnError) {
+  const std::string trace_path =
+      ::testing::TempDir() + "hvc_merged_bad.lifecycle.json";
+  exp::write_file(trace_path, R"({"traceEvents":[{"name":"tx"},)");
+  std::string jsonl;
+  const exp::Report report =
+      audit_report("hvc_merged_bad", 4, &jsonl, trace_path);
+  EXPECT_THROW((void)report.to_chrome_trace(), exp::SpecError);
+}
+
 // ---- "telemetry" spec block ----
 
 TEST(ExpSpecTelemetry, BlockPresenceEnablesByDefault) {
@@ -314,8 +357,7 @@ TEST(ExpSpecTelemetry, RoundTripsThroughToJson) {
   const auto s = exp::ScenarioSpec::from_json_text(
       R"({"telemetry": {"enabled": true, "period_ms": 2.5, "audit": true,
                         "series": ["link"], "max_samples": 64,
-                        "max_series": 8, "audit_capacity": 128,
-                        "out_prefix": "out/t"}})");
+                        "max_series": 8, "audit_capacity": 128}})");
   const auto round = exp::ScenarioSpec::from_json_text(s.to_json());
   EXPECT_TRUE(s.telemetry == round.telemetry);
 }

@@ -8,7 +8,7 @@
 //   hvc_perf --list                  registered benches, one per line
 //
 // Exit codes: 0 ok, 1 regression/compare failure or I/O error, 2 usage or
-// profiler-not-compiled-in.
+// no bench matched the filter.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -102,14 +102,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (!bench::hotpath::prof_compiled_in()) {
-    std::fprintf(stderr,
-                 "hvc_perf: built with -DHVC_PROF=OFF; hook counters are "
-                 "no-ops and cycle stats would be zeros. Rebuild with "
-                 "-DHVC_PROF=ON (the default).\n");
-    return 2;
-  }
-
   const auto manifest = bench::hotpath::run_suite(opts);
   if (manifest.benches.empty()) {
     std::fprintf(stderr, "hvc_perf: no benches ran (filter \"%s\")\n",

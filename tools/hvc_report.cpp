@@ -16,11 +16,11 @@
 // every retained span exemplar: a stage waterfall plus an attribution
 // table whose per-(component, channel) entries sum to the measured
 // PLT/chunk latency exactly (integer sim-time accounting).
-// With --merged, it also writes one Chrome trace (chrome://tracing /
+// With --merged, it also streams one Chrome trace (chrome://tracing /
 // Perfetto) merging telemetry counter tracks, audit instant events and
 // retained span trees — and, with --trace, the packet lifecycle trace on
-// the same time base. With --capacity, the capacity curves are exported
-// as canonical JSON.
+// the same time base, read one event at a time. With --capacity, the
+// capacity curves are exported as canonical JSON.
 //
 // All rendering lives in exp::Report (src/exp/report.*); this file is
 // argument parsing and I/O only.
@@ -28,10 +28,12 @@
 // Exit codes: 0 success, 1 I/O or parse failure, 2 bad usage.
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "exp/report.hpp"
 #include "exp/results.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
@@ -111,8 +113,10 @@ int main(int argc, char** argv) {
 
   if (!merged_path.empty()) {
     try {
-      exp::write_file(merged_path, report.to_chrome_trace());
-    } catch (const exp::SpecError& e) {
+      obs::json::Writer w(merged_path);
+      report.write_chrome_trace(w);
+      w.close();
+    } catch (const std::runtime_error& e) {
       std::fprintf(stderr, "hvc_report: %s\n", e.what());
       return 1;
     }

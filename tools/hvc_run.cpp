@@ -2,13 +2,10 @@
 //
 //   hvc_run <scenario.json> [--out <prefix>] [--trace <path>]
 //
-// Prints the headline metrics to stdout and writes three artifacts next
-// to the chosen prefix (default: bench/out/<scenario name>, so generated
-// files stay out of the repo root):
-//   <prefix>.results.csv    one-row aggregated CSV (same formatter as
-//                           hvc_sweep, so single runs and sweeps join)
-//   <prefix>.results.jsonl  full detail incl. the obs snapshot
-//   <prefix>.metrics.csv    the obs::MetricsRegistry snapshot alone
+// Prints the headline metrics to stdout and writes one results file,
+// <prefix>.results.jsonl (default prefix: bench/out/<scenario name>, so
+// generated files stay out of the repo root): the run's params, metrics
+// and obs::MetricsRegistry snapshot, in the row format hvc_sweep writes.
 // With --trace, the packet lifecycle tracer is enabled and its Chrome
 // trace (chrome://tracing / Perfetto) is written to <path>. When the
 // scenario's "telemetry" block is on, <prefix>.telemetry.jsonl (and with
@@ -18,13 +15,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "exp/report.hpp"
 #include "exp/results.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
-#include "obs/metrics.hpp"
 
 namespace {
 
@@ -91,17 +86,12 @@ int main(int argc, char** argv) {
   std::printf("wall: %.0f ms\n", result.wall_ms);
 
   try {
-    const std::vector<exp::RunResult> runs = {result};
-    exp::write_file(prefix + ".results.csv", exp::to_csv(runs));
-    exp::write_file(prefix + ".results.jsonl", exp::to_jsonl(runs));
-    exp::write_file(prefix + ".metrics.csv",
-                    obs::snapshot_to_csv(result.obs));
+    exp::write_file(prefix + ".results.jsonl", exp::to_jsonl({result}));
   } catch (const exp::SpecError& e) {
     std::fprintf(stderr, "hvc_run: %s\n", e.what());
     return 1;
   }
-  std::printf("wrote %s.results.csv, %s.results.jsonl, %s.metrics.csv\n",
-              prefix.c_str(), prefix.c_str(), prefix.c_str());
+  std::printf("wrote %s.results.jsonl\n", prefix.c_str());
   if (spec.telemetry.enabled) {
     std::printf("wrote %s.telemetry.jsonl%s%s\n", prefix.c_str(),
                 spec.telemetry.audit ? ", " : "",

@@ -6,18 +6,17 @@
 //   hvc_sweep --merge --out <prefix> <shard.results.jsonl>...
 //
 // Progress goes to stderr; the aggregated results land in
-// <prefix>.results.csv / <prefix>.results.jsonl (default prefix:
-// bench/out/<sweep name>). Output bytes are independent of -j (see
-// src/exp/sweep.hpp), so `diff` between a -j1 and -j8 run of the same
-// sweep is empty.
+// <prefix>.results.jsonl (default prefix: bench/out/<sweep name>).
+// Output bytes are independent of -j (see src/exp/sweep.hpp), so `diff`
+// between a -j1 and -j8 run of the same sweep is empty.
 //
 // --shard K/N runs only grid positions i with i % N == K (0-based) and
-// writes <prefix>.shardKofN.results.{csv,jsonl} with *global* run
-// indices. --merge reassembles shard JSONL files into the canonical
-// <prefix>.results.{csv,jsonl}; because every run is isolated and the
-// JSONL rows round-trip exactly, the merged files are byte-identical to
-// an unsharded run of the same sweep, whatever order the shard files
-// are given in.
+// writes <prefix>.shardKofN.results.jsonl with *global* run indices.
+// --merge reassembles shard files into the canonical
+// <prefix>.results.jsonl; because every run is isolated and the JSONL
+// rows round-trip exactly, the merged file is byte-identical to an
+// unsharded run of the same sweep, whatever order the shard files are
+// given in.
 //
 // Exit codes: 0 all runs succeeded, 1 at least one run errored (or a
 // merge found gaps/duplicates), 2 bad usage / invalid spec.
@@ -94,17 +93,15 @@ int merge_shards(const std::string& prefix,
     if (!r.error.empty()) ++failed;
   }
   try {
-    exp::write_file(prefix + ".results.csv", exp::to_csv(all));
     exp::write_file(prefix + ".results.jsonl", exp::to_jsonl(all));
   } catch (const exp::SpecError& e) {
     std::fprintf(stderr, "hvc_sweep: %s\n", e.what());
     return 1;
   }
   std::fprintf(stderr,
-               "merged %zu shard files -> %s.results.csv, "
-               "%s.results.jsonl (%zu runs, %d failed)\n",
-               paths.size(), prefix.c_str(), prefix.c_str(), all.size(),
-               failed);
+               "merged %zu shard files -> %s.results.jsonl (%zu runs, %d "
+               "failed)\n",
+               paths.size(), prefix.c_str(), all.size(), failed);
   return failed == 0 ? 0 : 1;
 }
 
@@ -223,14 +220,12 @@ int main(int argc, char** argv) {
            std::to_string(shard_count);
   }
   try {
-    exp::write_file(out + ".results.csv", exp::to_csv(results));
     exp::write_file(out + ".results.jsonl", exp::to_jsonl(results));
   } catch (const exp::SpecError& e) {
     std::fprintf(stderr, "hvc_sweep: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "wrote %s.results.csv, %s.results.jsonl (%zu runs, %d "
-               "failed)\n",
-               out.c_str(), out.c_str(), results.size(), failed);
+  std::fprintf(stderr, "wrote %s.results.jsonl (%zu runs, %d failed)\n",
+               out.c_str(), results.size(), failed);
   return failed == 0 ? 0 : 1;
 }
