@@ -41,7 +41,8 @@ for preset in "${presets[@]}"; do
     #     decision-reasons heading says how many records were overwritten,
     #     and so do the --merged trace's otherData and its track name.
     #     An artifact that cannot be written fails the run (exit 1, the
-    #     path on stderr), not the process.
+    #     path on stderr), not the process. A spec with one bad field makes
+    #     hvc_run and hvc_sweep exit 2 with "<file>: <json path>: <problem>".
     #  3. hvc_sweep over a bulk ablation grid -> the default render has
     #     a bulk.goodput_mbps line for every run; again .results.jsonl
     #     and no CSV.
@@ -79,6 +80,18 @@ for preset in "${presets[@]}"; do
       --out "${out}/missing/x" >/dev/null 2>"${out}/missing.err" || status=$?
     test "${status}" -eq 1
     grep -q "${out}/missing/x" "${out}/missing.err"
+    printf '{"workload": "web", "web": {"pages": 0}}\n' >"${out}/bad.json"
+    printf '{"base": {"workload": "web", "web": {"pages": 0}}}\n' \
+      >"${out}/bad_sweep.json"
+    for tool in hvc_run hvc_sweep; do
+      spec="${out}/bad.json"
+      if [ "${tool}" = hvc_sweep ]; then spec="${out}/bad_sweep.json"; fi
+      status=0
+      "build/tools/${tool}" "${spec}" --out "${out}/bad" >/dev/null \
+        2>"${out}/bad.err" || status=$?
+      test "${status}" -eq 2
+      grep -qxF "${tool}: ${spec}: web.pages: must be > 0" "${out}/bad.err"
+    done
 
     build/tools/hvc_sweep scenarios/ablation_resequencer.json -j 2 \
       --out "${out}/reseq" >/dev/null

@@ -25,8 +25,8 @@ PageLoadSession::PageLoadSession(net::Node& client, net::Node& server,
           sim::seed_mix(cfg_.processing_seed, sim::fnv1a64(page.name))),
       deps_remaining_(page.objects.size(), 0),
       requested_(page.objects.size(), false),
-      loaded_(page.objects.size(), false),
-      processing_(page.objects.size(), kNoEvent) {
+      loaded_(page.objects.size(), false) {
+  processing_.reserve(page_.objects.size());
   for (const auto& o : page_.objects) {
     deps_remaining_[o.id] = static_cast<int>(o.deps.size());
   }
@@ -40,11 +40,8 @@ PageLoadSession::PageLoadSession(net::Node& client, net::Node& server,
 }
 
 PageLoadSession::~PageLoadSession() {
-  // Only ids that have not fired: cancelling a fired event would corrupt
-  // the queue's live count.
-  for (const sim::EventId id : processing_) {
-    if (id != kNoEvent) client_.simulator().cancel(id);
-  }
+  // Cancelling an event that has fired already is a no-op.
+  for (const sim::EventId id : processing_) client_.simulator().cancel(id);
 }
 
 void PageLoadSession::start() {
@@ -137,11 +134,8 @@ void PageLoadSession::on_object_complete(int object_id) {
     const double mu = std::log(mean) - sigma * sigma / 2.0;
     delay = static_cast<sim::Duration>(processing_rng_.lognormal(mu, sigma));
   }
-  processing_[object_id] =
-      client_.simulator().after(delay, [this, object_id] {
-        processing_[object_id] = kNoEvent;
-        on_object_processed(object_id);
-      });
+  processing_.push_back(client_.simulator().after(
+      delay, [this, object_id] { on_object_processed(object_id); }));
 }
 
 void PageLoadSession::on_object_processed(int object_id) {

@@ -98,9 +98,7 @@ class PageLoadSession {
   std::vector<int> deps_remaining_;
   std::vector<bool> requested_;
   std::vector<bool> loaded_;
-  /// Per object: the id of its scheduled processing event until that
-  /// event fires, kNoEvent otherwise.
-  static constexpr sim::EventId kNoEvent = ~sim::EventId{0};
+  /// Every object-processing event scheduled, fired or not.
   std::vector<sim::EventId> processing_;
   int loaded_count_ = 0;
   int processed_count_ = 0;

@@ -14,36 +14,50 @@
 
 namespace hvc::core {
 
+namespace {
+
+using Policy = std::unique_ptr<steer::SteeringPolicy>;
+
+template <typename P>
+Policy make() {
+  return std::make_unique<P>();
+}
+
+constexpr sim::Named<PolicyMaker> kPolicyTable[] = {
+    {"embb-only",
+     []() -> Policy {
+       return std::make_unique<steer::SingleChannelPolicy>(0);
+     }},
+    {"urllc-only",
+     []() -> Policy {
+       return std::make_unique<steer::SingleChannelPolicy>(1);
+     }},
+    {"round-robin", &make<steer::RoundRobinPolicy>},
+    {"weighted", &make<steer::WeightedPolicy>},
+    {"min-delay", &make<steer::MinDelayPolicy>},
+    {"dchannel", &make<steer::DChannelPolicy>},
+    {"dchannel+prio",
+     []() -> Policy {
+       return std::make_unique<steer::DChannelPolicy>(
+           steer::DChannelConfig{.use_flow_priority = true});
+     }},
+    {"msg-priority", &make<steer::MessagePriorityPolicy>},
+    {"redundant",
+     []() -> Policy {
+       return std::make_unique<steer::RedundantPolicy>(
+           std::make_unique<steer::MinDelayPolicy>(), steer::RedundantConfig{});
+     }},
+    {"cost-aware", &make<steer::CostAwarePolicy>},
+    {"flow-binding", &make<steer::FlowBindingPolicy>},
+};
+
+}  // namespace
+
+constinit const std::span<const sim::Named<PolicyMaker>> kPolicies =
+    kPolicyTable;
+
 std::unique_ptr<steer::SteeringPolicy> make_policy(const std::string& name) {
-  if (name == "embb-only") {
-    return std::make_unique<steer::SingleChannelPolicy>(0);
-  }
-  if (name == "urllc-only") {
-    return std::make_unique<steer::SingleChannelPolicy>(1);
-  }
-  if (name == "round-robin") {
-    return std::make_unique<steer::RoundRobinPolicy>();
-  }
-  if (name == "weighted") return std::make_unique<steer::WeightedPolicy>();
-  if (name == "min-delay") return std::make_unique<steer::MinDelayPolicy>();
-  if (name == "dchannel") return std::make_unique<steer::DChannelPolicy>();
-  if (name == "dchannel+prio") {
-    return std::make_unique<steer::DChannelPolicy>(
-        steer::DChannelConfig{.use_flow_priority = true});
-  }
-  if (name == "msg-priority") {
-    return std::make_unique<steer::MessagePriorityPolicy>();
-  }
-  if (name == "redundant") {
-    return std::make_unique<steer::RedundantPolicy>(
-        std::make_unique<steer::MinDelayPolicy>(), steer::RedundantConfig{});
-  }
-  if (name == "cost-aware") {
-    return std::make_unique<steer::CostAwarePolicy>();
-  }
-  if (name == "flow-binding") {
-    return std::make_unique<steer::FlowBindingPolicy>();
-  }
+  if (const auto* p = sim::find_name(kPolicies, name)) return p->value();
   throw std::invalid_argument("unknown steering policy: " + name);
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,17 +20,21 @@
 #include "channel/profile.hpp"
 #include "fault/injector.hpp"
 #include "net/node.hpp"
+#include "sim/names.hpp"
 #include "sim/stats.hpp"
 #include "steer/steering_policy.hpp"
 #include "transport/tcp.hpp"
 
 namespace hvc::core {
 
-/// Instantiate a steering policy by name:
-///   "embb-only" | "urllc-only" | "round-robin" | "weighted" |
-///   "min-delay" | "dchannel" | "dchannel+prio" | "msg-priority" |
-///   "redundant" | "cost-aware" | "flow-binding"
-/// Throws std::invalid_argument for unknown names.
+using PolicyMaker = std::unique_ptr<steer::SteeringPolicy> (*)();
+
+/// Every steering policy a name selects, with its constructor; a
+/// scenario's policy names are exactly these.
+extern const std::span<const sim::Named<PolicyMaker>> kPolicies;
+
+/// Instantiate the steering policy kPolicies calls `name`. Throws
+/// std::invalid_argument for unknown names.
 std::unique_ptr<steer::SteeringPolicy> make_policy(const std::string& name);
 
 using PolicyFactory = std::function<std::unique_ptr<steer::SteeringPolicy>()>;

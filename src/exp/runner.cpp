@@ -21,13 +21,54 @@ sim::RateBps mbps_f(double m) {
   return static_cast<sim::RateBps>(m * 1e6 + 0.5);
 }
 
-trace::FiveGProfile parse_5g_profile(const std::string& name) {
-  if (name == "lowband-stationary") {
-    return trace::FiveGProfile::kLowbandStationary;
-  }
-  if (name == "lowband-driving") return trace::FiveGProfile::kLowbandDriving;
-  return trace::FiveGProfile::kMmWaveDriving;  // validated by the parser
+/// A fixed-characteristic channel's defaults with the spec's rtt/rate
+/// overrides applied (negative = keep the default).
+channel::FixedDefaults with_overrides(const ChannelSpec& c,
+                                      channel::FixedDefaults d) {
+  if (c.rtt_ms >= 0) d.rtt = sim::milliseconds_f(c.rtt_ms);
+  if (c.rate_mbps >= 0) d.rate = mbps_f(c.rate_mbps);
+  return d;
 }
+
+constexpr sim::Named<ChannelBuilder> kChannelTable[] = {
+    {"embb", [](const ChannelSpec& c, sim::Duration, std::uint64_t) {
+       const auto d = with_overrides(c, channel::kEmbbDefaults);
+       return channel::embb_constant_profile(d.rtt, d.rate);
+     }},
+    {"urllc", [](const ChannelSpec& c, sim::Duration, std::uint64_t) {
+       const auto d = with_overrides(c, channel::kUrllcDefaults);
+       return channel::urllc_profile(d.rtt, d.rate);
+     }},
+    {"5g", [](const ChannelSpec& c, sim::Duration length, std::uint64_t seed) {
+       return channel::embb_trace_profile(
+           sim::value_of(trace::kFiveGProfiles, c.profile, "5G profile"),
+           length, seed);
+     }},
+    {"tsn", [](const ChannelSpec& c, sim::Duration, std::uint64_t) {
+       const auto d = with_overrides(c, channel::kTsnDefaults);
+       return channel::wifi_tsn_profile(d.rate, d.rtt);
+     }},
+    {"wifi", [](const ChannelSpec& c, sim::Duration, std::uint64_t) {
+       const auto d = with_overrides(c, channel::kWifiDefaults);
+       return channel::wifi_contended_profile(d.rate, d.rtt);
+     }},
+    {"cisp", [](const ChannelSpec& c, sim::Duration, std::uint64_t) {
+       const auto d = with_overrides(c, channel::kCispDefaults);
+       return channel::cisp_profile(d.rtt, d.rate);
+     }},
+    {"fiber", [](const ChannelSpec& c, sim::Duration, std::uint64_t) {
+       const auto d = with_overrides(c, channel::kFiberDefaults);
+       return channel::fiber_profile(d.rtt, d.rate);
+     }},
+    {"leo", [](const ChannelSpec&, sim::Duration length, std::uint64_t seed) {
+       return channel::leo_profile(seed, length);
+     }},
+};
+
+constexpr sim::Named<DChannelPreset> kPresetTable[] = {
+    {"aggressive", &steer::DChannelConfig::aggressive},
+    {"web-tuned", &steer::DChannelConfig::web_tuned},
+};
 
 channel::ChannelProfile build_channel(const ChannelSpec& c,
                                       double scenario_duration_s,
@@ -36,48 +77,16 @@ channel::ChannelProfile build_channel(const ChannelSpec& c,
       sim::seconds_f(c.duration_s >= 0 ? c.duration_s : scenario_duration_s);
   const std::uint64_t trace_seed =
       c.seed >= 0 ? static_cast<std::uint64_t>(c.seed) : scenario_seed;
-  if (c.type == "5g") {
-    return channel::embb_trace_profile(parse_5g_profile(c.profile),
-                                       trace_duration, trace_seed);
-  }
-  if (c.type == "leo") return channel::leo_profile(trace_seed, trace_duration);
-  // Fixed-characteristic channels: rtt/rate overrides replace the type's
-  // defaults (negative = keep the default).
-  const auto with_overrides = [&c](channel::FixedDefaults d) {
-    if (c.rtt_ms >= 0) d.rtt = sim::milliseconds_f(c.rtt_ms);
-    if (c.rate_mbps >= 0) d.rate = mbps_f(c.rate_mbps);
-    return d;
-  };
-  if (c.type == "urllc") {
-    const auto d = with_overrides(channel::kUrllcDefaults);
-    return channel::urllc_profile(d.rtt, d.rate);
-  }
-  if (c.type == "embb") {
-    const auto d = with_overrides(channel::kEmbbDefaults);
-    return channel::embb_constant_profile(d.rtt, d.rate);
-  }
-  if (c.type == "tsn") {
-    const auto d = with_overrides(channel::kTsnDefaults);
-    return channel::wifi_tsn_profile(d.rate, d.rtt);
-  }
-  if (c.type == "wifi") {
-    const auto d = with_overrides(channel::kWifiDefaults);
-    return channel::wifi_contended_profile(d.rate, d.rtt);
-  }
-  if (c.type == "cisp") {
-    const auto d = with_overrides(channel::kCispDefaults);
-    return channel::cisp_profile(d.rtt, d.rate);
-  }
-  // "fiber" (the parser rejects anything else).
-  const auto d = with_overrides(channel::kFiberDefaults);
-  return channel::fiber_profile(d.rtt, d.rate);
+  return sim::value_of(kChannelTypes, c.type, "channel type")(
+      c, trace_duration, trace_seed);
 }
 
-/// DChannelConfig from preset + per-knob overrides.
+/// DChannelConfig from preset (none = aggressive) + per-knob overrides.
 steer::DChannelConfig build_dchannel_config(const PolicySpec& p) {
-  steer::DChannelConfig cfg = p.preset == "web-tuned"
-                                  ? steer::DChannelConfig::web_tuned()
-                                  : steer::DChannelConfig::aggressive();
+  steer::DChannelConfig cfg =
+      p.preset.empty()
+          ? steer::DChannelConfig::aggressive()
+          : sim::value_of(kDChannelPresets, p.preset, "DChannel preset")();
   if (p.cost_factor >= 0) cfg.cost_factor = p.cost_factor;
   if (p.min_margin_ms >= 0) cfg.min_margin = sim::milliseconds_f(p.min_margin_ms);
   if (p.max_queue_fill >= 0) cfg.max_queue_fill = p.max_queue_fill;
@@ -95,15 +104,8 @@ steer::DChannelConfig build_dchannel_config(const PolicySpec& p) {
   return cfg;
 }
 
-bool is_plain_named_policy(const PolicySpec& p) {
-  return p.preset.empty() && p.cost_factor < 0 && p.min_margin_ms < 0 &&
-         p.max_queue_fill < 0 && p.max_data_queue_fill < 0 &&
-         p.queue_risk < 0 && p.accelerate_control < 0 &&
-         p.use_flow_priority < 0;
-}
-
 core::PolicyFactory make_factory(const PolicySpec& p) {
-  if (is_plain_named_policy(p)) return nullptr;  // core::make_policy(name)
+  if (!p.tuned()) return nullptr;  // core::make_policy(name)
   const steer::DChannelConfig cfg = build_dchannel_config(p);
   return [cfg] { return std::make_unique<steer::DChannelPolicy>(cfg); };
 }
@@ -111,21 +113,9 @@ core::PolicyFactory make_factory(const PolicySpec& p) {
 fault::FaultEvent build_fault(const FaultSpec& f, std::uint64_t scenario_seed,
                               std::size_t index) {
   fault::FaultEvent e;
-  if (f.kind == "rate_cliff") {
-    e.kind = fault::FaultKind::kRateCliff;
-  } else if (f.kind == "ge_burst") {
-    e.kind = fault::FaultKind::kGeBurst;
-  } else if (f.kind == "delay_spike") {
-    e.kind = fault::FaultKind::kDelaySpike;
-  } else if (f.kind == "flap") {
-    e.kind = fault::FaultKind::kFlap;
-  } else {
-    e.kind = fault::FaultKind::kOutage;  // parser guarantees the set
-  }
+  e.kind = sim::value_of(fault::kFaultKinds, f.kind, "fault kind");
   e.channel = static_cast<std::size_t>(f.channel);
-  e.dir = f.direction == "down"  ? fault::FaultDir::kDownlink
-          : f.direction == "up"  ? fault::FaultDir::kUplink
-                                 : fault::FaultDir::kBoth;
+  e.dir = sim::value_of(fault::kFaultDirs, f.direction, "fault direction");
   e.start = sim::seconds_f(f.start_s);
   e.duration = sim::seconds_f(f.duration_s);
   e.rate_scale = f.rate_scale;
@@ -160,82 +150,83 @@ void put_summary(std::map<std::string, double>& m, const std::string& prefix,
   m[prefix + ".count"] = static_cast<double>(s.count());
 }
 
-void run_workload(const ScenarioSpec& spec, const core::ScenarioConfig& cfg,
-                  std::map<std::string, double>& m) {
-  if (spec.workload == "bulk") {
-    const double dur_s =
-        spec.bulk.duration_s >= 0 ? spec.bulk.duration_s : spec.duration_s;
-    const auto r = core::run_bulk(cfg, spec.cca, sim::seconds_f(dur_s));
-    m["bulk.goodput_mbps"] = r.goodput_bps / 1e6;
-    m["bulk.retransmissions"] = static_cast<double>(r.retransmissions);
-    m["bulk.rto_count"] = static_cast<double>(r.rto_count);
-    sim::Summary rtt;
-    for (const auto& p : r.rtt_ms.points()) rtt.add(p.value);
-    put_summary(m, "bulk.rtt_ms", rtt);
-    for (std::size_t i = 0; i < r.data_packets_per_channel.size(); ++i) {
-      m["bulk.channel" + std::to_string(i) + ".data_packets"] =
-          static_cast<double>(r.data_packets_per_channel[i]);
-    }
-    if (!spec.faults.empty()) {
-      m["fault.blackout_committed_bytes"] =
-          static_cast<double>(r.fault_blackout_committed_bytes);
-      m["fault.blackout_dropped_packets"] =
-          static_cast<double>(r.fault_blackout_dropped_packets);
-      // Time-to-recover per outage: gap between the outage clearing and
-      // the first cumulative-ack progress after it.
-      for (std::size_t i = 0; i < spec.faults.size(); ++i) {
-        const auto& f = spec.faults[i];
-        if (f.kind != "outage") continue;
-        const sim::Time end =
-            sim::seconds_f(f.start_s) + sim::seconds_f(f.duration_s);
-        double at_end = 0.0;
-        sim::Time recovered = sim::kTimeNever;
-        for (const auto& p : r.acked_bytes.points()) {
-          if (p.t <= end) {
-            at_end = p.value;
-          } else if (p.value > at_end) {
-            recovered = p.t;
-            break;
-          }
+void run_bulk(const ScenarioSpec& spec, std::map<std::string, double>& m) {
+  const double dur_s =
+      spec.bulk.duration_s >= 0 ? spec.bulk.duration_s : spec.duration_s;
+  const auto r = core::run_bulk(build_scenario_config(spec), spec.cca,
+                                sim::seconds_f(dur_s));
+  m["bulk.goodput_mbps"] = r.goodput_bps / 1e6;
+  m["bulk.retransmissions"] = static_cast<double>(r.retransmissions);
+  m["bulk.rto_count"] = static_cast<double>(r.rto_count);
+  sim::Summary rtt;
+  for (const auto& p : r.rtt_ms.points()) rtt.add(p.value);
+  put_summary(m, "bulk.rtt_ms", rtt);
+  for (std::size_t i = 0; i < r.data_packets_per_channel.size(); ++i) {
+    m["bulk.channel" + std::to_string(i) + ".data_packets"] =
+        static_cast<double>(r.data_packets_per_channel[i]);
+  }
+  if (!spec.faults.empty()) {
+    m["fault.blackout_committed_bytes"] =
+        static_cast<double>(r.fault_blackout_committed_bytes);
+    m["fault.blackout_dropped_packets"] =
+        static_cast<double>(r.fault_blackout_dropped_packets);
+    // Time-to-recover per outage: gap between the outage clearing and
+    // the first cumulative-ack progress after it.
+    for (std::size_t i = 0; i < spec.faults.size(); ++i) {
+      const auto& f = spec.faults[i];
+      if (f.kind != "outage") continue;
+      const sim::Time end =
+          sim::seconds_f(f.start_s) + sim::seconds_f(f.duration_s);
+      double at_end = 0.0;
+      sim::Time recovered = sim::kTimeNever;
+      for (const auto& p : r.acked_bytes.points()) {
+        if (p.t <= end) {
+          at_end = p.value;
+        } else if (p.value > at_end) {
+          recovered = p.t;
+          break;
         }
-        m["fault.outage" + std::to_string(i) + ".time_to_recover_ms"] =
-            recovered == sim::kTimeNever ? -1.0
-                                         : sim::to_millis(recovered - end);
       }
+      m["fault.outage" + std::to_string(i) + ".time_to_recover_ms"] =
+          recovered == sim::kTimeNever ? -1.0
+                                       : sim::to_millis(recovered - end);
     }
-    return;
   }
-  if (spec.workload == "video") {
-    app::video::SvcConfig svc;
-    svc.layer_bitrates.clear();
-    for (const double kbps : spec.video.layer_kbps) {
-      svc.layer_bitrates.push_back(
-          static_cast<sim::RateBps>(kbps * 1000.0 + 0.5));
-    }
-    svc.fps = spec.video.fps;
-    svc.keyframe_interval = spec.video.keyframe_interval;
-    svc.seed = static_cast<std::uint64_t>(spec.video.encoder_seed);
-    app::video::VideoReceiverConfig rx;
-    rx.decode_wait = sim::milliseconds_f(spec.video.decode_wait_ms);
-    rx.lookahead_frames = spec.video.lookahead_frames;
-    rx.keyframe_interval = spec.video.keyframe_interval;
-    rx.layers = static_cast<int>(spec.video.layer_kbps.size());
-    rx.seed = static_cast<std::uint64_t>(spec.video.receiver_seed);
-    const double dur_s =
-        spec.video.duration_s >= 0 ? spec.video.duration_s : spec.duration_s;
-    const auto r = core::run_video(cfg, svc, rx, sim::seconds_f(dur_s));
-    put_summary(m, "video.latency_ms", r.stats.latency_ms);
-    put_summary(m, "video.ssim", r.stats.ssim);
-    m["video.frames_decoded"] = static_cast<double>(r.stats.frames_decoded);
-    m["video.frames_concealed"] =
-        static_cast<double>(r.stats.frames_concealed);
-    for (std::size_t i = 0; i < r.stats.decoded_at_layer.size(); ++i) {
-      m["video.decoded_at_layer" + std::to_string(i)] =
-          static_cast<double>(r.stats.decoded_at_layer[i]);
-    }
-    return;
+}
+
+void run_video(const ScenarioSpec& spec, std::map<std::string, double>& m) {
+  app::video::SvcConfig svc;
+  svc.layer_bitrates.clear();
+  for (const double kbps : spec.video.layer_kbps) {
+    svc.layer_bitrates.push_back(
+        static_cast<sim::RateBps>(kbps * 1000.0 + 0.5));
   }
-  // web
+  svc.fps = spec.video.fps;
+  svc.keyframe_interval = spec.video.keyframe_interval;
+  svc.seed = static_cast<std::uint64_t>(spec.video.encoder_seed);
+  app::video::VideoReceiverConfig rx;
+  rx.decode_wait = sim::milliseconds_f(spec.video.decode_wait_ms);
+  rx.lookahead_frames = spec.video.lookahead_frames;
+  rx.keyframe_interval = spec.video.keyframe_interval;
+  rx.layers = static_cast<int>(spec.video.layer_kbps.size());
+  rx.seed = static_cast<std::uint64_t>(spec.video.receiver_seed);
+  const double dur_s =
+      spec.video.duration_s >= 0 ? spec.video.duration_s : spec.duration_s;
+  const auto r = core::run_video(build_scenario_config(spec), svc, rx,
+                                 sim::seconds_f(dur_s));
+  put_summary(m, "video.latency_ms", r.stats.latency_ms);
+  put_summary(m, "video.ssim", r.stats.ssim);
+  m["video.frames_decoded"] = static_cast<double>(r.stats.frames_decoded);
+  m["video.frames_concealed"] =
+      static_cast<double>(r.stats.frames_concealed);
+  for (std::size_t i = 0; i < r.stats.decoded_at_layer.size(); ++i) {
+    m["video.decoded_at_layer" + std::to_string(i)] =
+        static_cast<double>(r.stats.decoded_at_layer[i]);
+  }
+}
+
+void run_web(const ScenarioSpec& spec, std::map<std::string, double>& m) {
+  const core::ScenarioConfig cfg = build_scenario_config(spec);
   const auto corpus = app::web::generate_corpus(
       {.pages = spec.web.pages,
        .landing_fraction = spec.web.landing_fraction,
@@ -259,8 +250,7 @@ void run_workload(const ScenarioSpec& spec, const core::ScenarioConfig& cfg,
 /// cell, first "urllc" = scarce steering pool) and pop::run_city does
 /// the rest on a flow-level model. Trace-driven channel types have no
 /// fluid equivalent and are rejected.
-void run_city_workload(const ScenarioSpec& spec,
-                       std::map<std::string, double>& m) {
+void run_city(const ScenarioSpec& spec, std::map<std::string, double>& m) {
   pop::CityConfig cc;
   cc.population = spec.city.population;
   cc.seed = spec.seed;
@@ -348,7 +338,21 @@ void write_artifacts(const ScenarioSpec& spec, const RunOptions& opts,
   }
 }
 
+constexpr sim::Named<WorkloadRunner> kWorkloadTable[] = {
+    {"bulk", &run_bulk},
+    {"video", &run_video},
+    {"web", &run_web},
+    {"city", &run_city},
+};
+
 }  // namespace
+
+constinit const std::span<const sim::Named<ChannelBuilder>> kChannelTypes =
+    kChannelTable;
+constinit const std::span<const sim::Named<DChannelPreset>> kDChannelPresets =
+    kPresetTable;
+constinit const std::span<const sim::Named<WorkloadRunner>> kWorkloads =
+    kWorkloadTable;
 
 core::ScenarioConfig build_scenario_config(const ScenarioSpec& spec) {
   core::ScenarioConfig cfg;
@@ -412,12 +416,7 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   // host-clock accessor, so no wallclock lint carve-out is needed.
   const std::uint64_t t0 = obs::prof::now_ns();
   try {
-    if (spec.workload == "city") {
-      run_city_workload(spec, result.metrics);
-    } else {
-      const core::ScenarioConfig cfg = build_scenario_config(spec);
-      run_workload(spec, cfg, result.metrics);
-    }
+    sim::value_of(kWorkloads, spec.workload, "workload")(spec, result.metrics);
     result.obs = iso.registry.snapshot();
   } catch (const std::exception& e) {
     result.metrics.clear();

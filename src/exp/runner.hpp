@@ -11,7 +11,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 
 #include "core/scenario.hpp"
@@ -22,6 +24,8 @@
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/tracer.hpp"
+#include "sim/names.hpp"
+#include "steer/dchannel.hpp"
 
 namespace hvc::exp {
 
@@ -74,6 +78,21 @@ struct RunOptions {
   /// trace here after the run (hvc_run --trace).
   std::string trace_path;
 };
+
+using ChannelBuilder = channel::ChannelProfile (*)(
+    const ChannelSpec&, sim::Duration trace_duration,
+    std::uint64_t trace_seed);
+using DChannelPreset = steer::DChannelConfig (*)();
+using WorkloadRunner = void (*)(const ScenarioSpec&,
+                                std::map<std::string, double>& metrics);
+
+/// The channel types, DChannel presets and workloads a spec may name,
+/// each with what this module builds from it. The spec parser accepts
+/// exactly these names; core, transport, trace and fault table the
+/// policies, CCAs, 5G profiles and fault kinds the same way.
+extern const std::span<const sim::Named<ChannelBuilder>> kChannelTypes;
+extern const std::span<const sim::Named<DChannelPreset>> kDChannelPresets;
+extern const std::span<const sim::Named<WorkloadRunner>> kWorkloads;
 
 /// Execute one scenario in full isolation (see file comment), then stream
 /// its artifacts (trace, telemetry, audit, spans) to their files.

@@ -8,9 +8,13 @@
 // are errors, reported with their JSON path), and round-trip through
 // to_json() so tools can record exactly what ran.
 //
-// The mapping from spec fields onto the src/channel, src/steer,
-// src/transport and src/app factories lives in runner.cpp; this header is
-// pure data.
+// spec.cpp declares each block's fields once, in one field list (key,
+// member, range rule, when to_json writes it) that both the parser and
+// to_json walk. Every enumerated name (policy, CCA, channel type, 5G
+// profile, fault kind, ...) is checked against the one table its builder
+// uses (sim/names.hpp). The mapping from spec fields onto the
+// src/channel, src/steer, src/transport and src/app factories lives in
+// runner.cpp; this header is pure data.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +34,11 @@ class SpecError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// One virtual channel. `type` selects the factory in channel/profile.hpp:
-///   "embb"   constant-rate eMBB        "urllc"  3GPP URLLC
-///   "5g"     trace-driven eMBB (requires `profile`: lowband-stationary |
-///            lowband-driving | mmwave-driving)
-///   "tsn"    Wi-Fi TSN slice           "wifi"   contended Wi-Fi
-///   "cisp"   priced microwave WAN      "fiber"  terrestrial fiber
-///   "leo"    LEO satellite
-/// Negative numeric fields mean "use the factory default".
+/// One virtual channel. `type` names an entry of exp::kChannelTypes
+/// (runner.hpp), which builds it from a channel/profile.hpp factory: the
+/// fixed-characteristic embb, urllc, tsn, wifi, cisp and fiber, and the
+/// trace-driven "5g" (which needs a trace::kFiveGProfiles `profile`) and
+/// "leo". Negative numeric fields mean "use the factory default".
 struct ChannelSpec {
   std::string type = "embb";
   std::string profile;        ///< 5g only
@@ -45,10 +46,12 @@ struct ChannelSpec {
   double rate_mbps = -1;
   double duration_s = -1;     ///< trace horizon (5g/leo); -1 = scenario's
   std::int64_t seed = -1;     ///< trace seed (5g/leo); -1 = scenario's
+
+  bool operator==(const ChannelSpec&) const = default;
 };
 
-/// Steering policy. `name` accepts every core::make_policy() name; for
-/// the DChannel family, `preset` ("aggressive" | "web-tuned") picks a
+/// Steering policy. `name` accepts every core::kPolicies name; for the
+/// DChannel family, `preset` (an exp::kDChannelPresets name) picks a
 /// DChannelConfig baseline and the numeric fields override individual
 /// knobs (negative / -1 = keep the preset's value).
 struct PolicySpec {
@@ -65,6 +68,15 @@ struct PolicySpec {
   /// Human-readable scheme label ("dchannel+prio" style): a policy sweep
   /// axis value in results params, and hvc_run's banner.
   [[nodiscard]] std::string label() const;
+  /// Whether any DChannel knob is set (to_json writes more than the
+  /// name); an untuned policy is built by core::make_policy(name).
+  [[nodiscard]] bool tuned() const;
+
+  /// Parse + validate a policy value, a name or an object, as the
+  /// scenario key "policy" takes it; throws SpecError.
+  static PolicySpec from_json(const obs::json::Value& v);
+
+  bool operator==(const PolicySpec&) const = default;
 };
 
 /// Table 1-style web workload (core::run_web).
@@ -78,6 +90,8 @@ struct WebSpec {
   std::int64_t bg_download_bytes = 10 * 1000;
   int bg_flow_priority = 1;
   double per_load_timeout_s = 60;
+
+  bool operator==(const WebSpec&) const = default;
 };
 
 /// Fig. 2-style real-time SVC video workload (core::run_video).
@@ -90,11 +104,15 @@ struct VideoSpec {
   int lookahead_frames = 2;
   std::int64_t encoder_seed = 17;
   std::int64_t receiver_seed = 23;
+
+  bool operator==(const VideoSpec&) const = default;
 };
 
 /// Fig. 1-style bulk download (core::run_bulk).
 struct BulkSpec {
   double duration_s = -1;       ///< -1 = scenario duration
+
+  bool operator==(const BulkSpec&) const = default;
 };
 
 /// City-cell population workload (pop::run_city): 10⁴–10⁶ archetype-mixed
@@ -105,11 +123,14 @@ struct BulkSpec {
 /// policy disable URLLC steering.
 struct CitySpec {
   pop::PopulationSpec population;
+
+  bool operator==(const CitySpec&) const = default;
 };
 
-/// One injected disruption episode (src/fault). `kind` picks the fault
-/// and which kind-specific knobs apply — supplying another kind's knob is
-/// an error, so specs can't silently carry dead parameters:
+/// One injected disruption episode (src/fault). `kind` (a
+/// fault::kFaultKinds name) picks the fault and which kind-specific knobs
+/// apply — supplying another kind's knob is an error, so specs can't
+/// silently carry dead parameters:
 ///   "outage"       full blackout of the link(s) for the window
 ///   "rate_cliff"   capacity drops to `rate_scale` (handover cliff)
 ///   "ge_burst"     Gilbert-Elliott burst-loss episode (p_good_to_bad,
@@ -122,7 +143,7 @@ struct CitySpec {
 struct FaultSpec {
   std::string kind = "outage";
   std::int64_t channel = 0;
-  std::string direction = "both";  ///< "down" | "up" | "both"
+  std::string direction = "both";  ///< a fault::kFaultDirs name
   double start_s = 0;
   double duration_s = 1;
   double rate_scale = 0.1;         ///< rate_cliff only, (0, 1)
@@ -148,8 +169,7 @@ struct FaultSpec {
 struct TelemetrySpec {
   bool enabled = false;      ///< default-constructed == telemetry off
   double period_ms = 10;     ///< sim-time sampling period
-  /// Probe groups to sample ("channel" | "link" | "steer" | "transport" |
-  /// "fault"); empty = all groups.
+  /// Probe groups to sample (obs::kProbeGroups names); empty = all.
   std::vector<std::string> series;
   bool audit = false;        ///< also record per-steer() audit log
   std::int64_t max_samples = 16384;    ///< ring capacity per series
@@ -180,10 +200,10 @@ struct SpansSpec {
 
 struct ScenarioSpec {
   std::string name = "scenario";
-  std::string workload = "web";  ///< "bulk" | "video" | "web" | "city"
+  std::string workload = "web";  ///< an exp::kWorkloads name
   double duration_s = 60;        ///< trace horizon & default run length
   std::uint64_t seed = 42;
-  std::string cca = "cubic";     ///< bulk/web transports
+  std::string cca = "cubic";     ///< bulk/web transports (transport::kCcas)
   std::vector<ChannelSpec> channels;  ///< default: {embb, urllc}
   PolicySpec up_policy;
   PolicySpec down_policy;
@@ -202,11 +222,16 @@ struct ScenarioSpec {
   static ScenarioSpec from_json_text(std::string_view text);
   static ScenarioSpec from_file(const std::string& path);
 
-  /// Canonical serialization (sorted keys); from_json(to_json(s)) == s.
+  /// Canonical serialization, each block's keys in its field-list order
+  /// (spec.cpp); from_json(to_json(s)) == s.
   [[nodiscard]] std::string to_json() const;
+
+  bool operator==(const ScenarioSpec&) const = default;
 };
 
-/// Read a whole file; throws SpecError on I/O failure.
+/// Read a whole file in one read into a string of its size; throws
+/// SpecError naming the path on I/O failure (a file that is not a
+/// regular file cannot be opened).
 std::string read_file(const std::string& path);
 
 }  // namespace hvc::exp

@@ -105,20 +105,9 @@ std::string param_string(const std::string& path, const Value& v) {
   if (v.kind == Value::Kind::kBool) return v.boolean ? "true" : "false";
   if (v.is_object() && is_policy_path(path)) {
     try {
-      // Reuse the scenario parser for the label; fall through on error
-      // (expand() will report it with full context).
-      Value probe;
-      probe.kind = Value::Kind::kObject;
-      probe.object["policy"] = v;
-      Value name;
-      name.kind = Value::Kind::kString;
-      name.str = "p";
-      probe.object["name"] = name;
-      // Parse just the policy via a throwaway scenario.
-      ScenarioSpec s = ScenarioSpec::from_json(probe);
-      return s.up_policy.label();
+      return PolicySpec::from_json(v).label();
     } catch (const SpecError&) {
-      // fall through to raw JSON
+      // Raw JSON instead: expand() reports the error with full context.
     }
   }
   return obs::json::serialize(v);

@@ -14,9 +14,9 @@ namespace {
                               msg);
 }
 
-/// Outage and flap both toggle link availability, so they may not overlap
-/// on the same link; the other kinds each own an independent knob.
-[[nodiscard]] int family(FaultKind k) {
+}  // namespace
+
+int family(FaultKind k) {
   switch (k) {
     case FaultKind::kOutage:
     case FaultKind::kFlap:
@@ -31,38 +31,8 @@ namespace {
   return -1;
 }
 
-[[nodiscard]] bool dirs_overlap(FaultDir a, FaultDir b) {
+bool dirs_overlap(FaultDir a, FaultDir b) {
   return a == b || a == FaultDir::kBoth || b == FaultDir::kBoth;
-}
-
-}  // namespace
-
-const char* kind_name(FaultKind k) {
-  switch (k) {
-    case FaultKind::kOutage:
-      return "outage";
-    case FaultKind::kRateCliff:
-      return "rate_cliff";
-    case FaultKind::kGeBurst:
-      return "ge_burst";
-    case FaultKind::kDelaySpike:
-      return "delay_spike";
-    case FaultKind::kFlap:
-      return "flap";
-  }
-  return "unknown";
-}
-
-const char* dir_name(FaultDir d) {
-  switch (d) {
-    case FaultDir::kDownlink:
-      return "down";
-    case FaultDir::kUplink:
-      return "up";
-    case FaultDir::kBoth:
-      return "both";
-  }
-  return "unknown";
 }
 
 void FaultPlan::validate(std::size_t num_channels) const {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "channel/loss.hpp"
+#include "sim/names.hpp"
 #include "sim/units.hpp"
 
 namespace hvc::fault {
@@ -28,8 +29,29 @@ enum class FaultKind : std::uint8_t {
 /// Which of the channel's two links the fault hits.
 enum class FaultDir : std::uint8_t { kDownlink, kUplink, kBoth };
 
-[[nodiscard]] const char* kind_name(FaultKind k);
-[[nodiscard]] const char* dir_name(FaultDir d);
+/// The kinds and directions by name (a scenario's "faults" entries).
+inline constexpr sim::Named<FaultKind> kFaultKinds[] = {
+    {"outage", FaultKind::kOutage},
+    {"rate_cliff", FaultKind::kRateCliff},
+    {"ge_burst", FaultKind::kGeBurst},
+    {"delay_spike", FaultKind::kDelaySpike},
+    {"flap", FaultKind::kFlap},
+};
+inline constexpr sim::Named<FaultDir> kFaultDirs[] = {
+    {"down", FaultDir::kDownlink},
+    {"up", FaultDir::kUplink},
+    {"both", FaultDir::kBoth},
+};
+
+[[nodiscard]] inline const char* kind_name(FaultKind k) {
+  return sim::name_for(kFaultKinds, k).data();
+}
+
+/// Outage and flap both toggle link availability, so they share a family;
+/// each other kind owns an independent knob. Two events of one family may
+/// not overlap on the same link.
+[[nodiscard]] int family(FaultKind k);
+[[nodiscard]] bool dirs_overlap(FaultDir a, FaultDir b);
 
 /// One scheduled disruption episode on one channel.
 struct FaultEvent {

@@ -41,6 +41,11 @@ namespace json {
 class Writer;
 }  // namespace json
 
+/// The probe groups components register under; a scenario's
+/// "telemetry.series" names a subset of them.
+inline constexpr std::string_view kProbeGroups[] = {
+    "channel", "link", "steer", "transport", "fault", "pop"};
+
 struct TelemetryConfig {
   /// Sim-time sampling period.
   sim::Duration period = sim::milliseconds(10);
@@ -49,9 +54,7 @@ struct TelemetryConfig {
   /// Cap on distinct series (the web workload creates a transport per
   /// page load — without a cap a long run would register unboundedly).
   std::size_t max_series = 512;
-  /// Probe groups to sample:
-  /// "channel" | "link" | "steer" | "transport" | "fault".
-  /// Empty = all groups.
+  /// Probe groups to sample (entries of kProbeGroups); empty = all.
   std::vector<std::string> groups;
 };
 

@@ -21,6 +21,8 @@ struct ArchetypeMix {
   double web = 0.6;
   double video = 0.25;
   double background = 0.15;
+
+  bool operator==(const ArchetypeMix&) const = default;
 };
 
 /// Web archetype: think — load a multi-level page — think. A page is
@@ -38,6 +40,8 @@ struct WebArchetype {
   double object_xm_bytes = 1024;        ///< Pareto scale
   double object_alpha = 1.3;            ///< Pareto shape
   double object_cap_bytes = 256 * 1024; ///< tail clamp
+
+  bool operator==(const WebArchetype&) const = default;
 };
 
 /// Video archetype: paced chunks of chunk_s seconds at `kbps` (±30%
@@ -47,6 +51,8 @@ struct WebArchetype {
 struct VideoArchetype {
   double chunk_s = 1.0;
   double kbps = 1500;
+
+  bool operator==(const VideoArchetype&) const = default;
 };
 
 /// Background archetype: sporadic heavy-tailed bulk transfers (syncs,
@@ -56,6 +62,8 @@ struct BackgroundArchetype {
   double xm_bytes = 100 * 1024;     ///< Pareto scale
   double alpha = 1.5;
   double cap_bytes = 4e6;
+
+  bool operator==(const BackgroundArchetype&) const = default;
 };
 
 /// Arrival/departure churn. arrival_rate_per_s > 0 adds Poisson
@@ -64,6 +72,8 @@ struct BackgroundArchetype {
 struct ChurnSpec {
   double arrival_rate_per_s = 0.0;
   double mean_session_s = 0.0;
+
+  bool operator==(const ChurnSpec&) const = default;
 };
 
 /// URLLC steering rule: small web objects (<= max_bytes) are admitted
@@ -79,6 +89,8 @@ struct SteerSpec {
   bool enabled = true;
   double delay_bound_ms = 30.0;
   double max_bytes = 4 * 1024;
+
+  bool operator==(const SteerSpec&) const = default;
 };
 
 struct PopulationSpec {
@@ -94,6 +106,8 @@ struct PopulationSpec {
   /// parser in src/exp reports the same constraints with field paths;
   /// this is the backstop for programmatic construction.
   void validate() const;
+
+  bool operator==(const PopulationSpec&) const = default;
 };
 
 }  // namespace hvc::pop

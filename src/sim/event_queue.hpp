@@ -533,9 +533,9 @@ class CalendarQueue {
 // ---- Facade --------------------------------------------------------------
 
 /// The event queue the Simulator schedules through. Owns the id counter
-/// and the tombstone set (cancellation is implementation-independent) and
-/// delegates storage to the calendar queue or, under HVC_REFERENCE_QUEUE,
-/// the original binary heap.
+/// and the retired set (ids that fired or were cancelled; cancellation
+/// is implementation-independent) and delegates storage to the calendar
+/// queue or, under HVC_REFERENCE_QUEUE, the original binary heap.
 ///
 /// A one-slot front cache sits above the storage impl: a push lands in
 /// the cache when it is free, and every front/pop takes the (at, id)-min
@@ -550,6 +550,7 @@ class EventQueue {
   EventId push(Time at, EventFn&& fn) {
     HVC_PROF_SCOPE(obs::prof::Hook::kEventPush);
     const EventId id = next_id_++;
+    retired_.push_back(false);
     ++live_;
     if (!cache_full_) {
       cache_at_ = at;
@@ -567,15 +568,12 @@ class EventQueue {
   }
 
   /// Cancel a pending event. O(1): the entry is tombstoned and skipped when
-  /// popped. Cancelling the same id twice is a no-op, but `id` must not
-  /// have fired: the queue keeps no record of fired ids, so cancelling one
-  /// would still decrement size().
+  /// popped. An id that has fired, was cancelled already or was never
+  /// issued names no pending event, so cancelling it is a no-op.
   void cancel(EventId id) {
-    if (cancelled_.size() <= id) cancelled_.resize(id + 1, false);
-    if (!cancelled_[id]) {
-      cancelled_[id] = true;
-      if (live_ > 0) --live_;
-    }
+    if (id >= retired_.size() || retired_[id]) return;
+    retired_[id] = true;
+    --live_;
   }
 
   [[nodiscard]] bool empty() const { return live_ == 0; }
@@ -598,6 +596,7 @@ class EventQueue {
     HVC_PROF_SCOPE(obs::prof::Hook::kEventPop);
     out.at = at;
     out.fn = std::move(*fn);
+    retired_[front_id_] = true;
     drop();
     --live_;
     return true;
@@ -620,20 +619,22 @@ class EventQueue {
         take_cache = event_before(cache_at_, cache_id_, e->at, e->id);
       }
       if (take_cache) {
-        if (cancelled(cache_id_)) {
+        if (retired_[cache_id_]) {
           cache_fn_.reset();
           cache_full_ = false;
           continue;
         }
         front_is_cache_ = true;
+        front_id_ = cache_id_;
         at_out = cache_at_;
         return &cache_fn_;
       }
-      if (cancelled(e->id)) {
+      if (retired_[e->id]) {
         drop_impl();  // tombstone: destroy in place
         continue;
       }
       front_is_cache_ = false;
+      front_id_ = e->id;
       at_out = e->at;
       return &e->fn;
     }
@@ -654,13 +655,10 @@ class EventQueue {
       calendar_.drop_front();
     }
   }
-  [[nodiscard]] bool cancelled(EventId id) const {
-    return id < cancelled_.size() && cancelled_[id];
-  }
 
   DebugHeapQueue heap_;
   CalendarQueue calendar_;
-  std::vector<bool> cancelled_;
+  std::vector<bool> retired_;  ///< one per issued id: fired or cancelled
   EventId next_id_ = 0;
   std::size_t live_ = 0;
   // One-slot front cache (see class comment).
@@ -669,6 +667,7 @@ class EventQueue {
   EventFn cache_fn_;
   bool cache_full_ = false;
   bool front_is_cache_ = false;
+  EventId front_id_ = 0;  ///< the id of what the last front() returned
   bool use_reference_;
 };
 

@@ -41,8 +41,8 @@ class Simulator {
     return at(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn));
   }
 
-  /// Cancel a pending event; `id` must not have run yet (see
-  /// EventQueue::cancel). sim::Timer tracks that for its own event.
+  /// Cancel a pending event; a no-op for an id that has run, was
+  /// cancelled already or was never issued (see EventQueue::cancel).
   void cancel(EventId id) { queue_.cancel(id); }
 
   /// Run until the event queue drains or `deadline` is reached, whichever

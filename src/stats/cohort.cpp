@@ -25,16 +25,6 @@ double JainAccumulator::index() const {
   return (s * s) / (static_cast<double>(n_) * ss);
 }
 
-std::string JainAccumulator::to_json() const {
-  return "{\"n\":" + std::to_string(n_) + ",\"sum\":" + sum_.to_decimal() +
-         ",\"sumsq\":" + sumsq_.to_decimal() + '}';
-}
-
-std::string MetricStats::to_json() const {
-  return "{\"moments\":" + moments.to_json() + ",\"hist\":" + hist.to_json() +
-         '}';
-}
-
 void CohortStats::merge(const CohortStats& o) {
   for (const auto& [name, m] : o.metrics) {
     auto it = metrics.find(name);
@@ -45,18 +35,6 @@ void CohortStats::merge(const CohortStats& o) {
     }
   }
   fairness.merge(o.fairness);
-}
-
-std::string CohortStats::to_json() const {
-  std::string out = "{\"metrics\":{";
-  bool first = true;
-  for (const auto& [name, m] : metrics) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + name + "\":" + m.to_json();
-  }
-  out += "},\"fairness\":" + fairness.to_json() + '}';
-  return out;
 }
 
 void CohortSet::merge(const CohortSet& o) {
@@ -91,18 +69,6 @@ void CohortSet::export_metrics(const std::string& prefix,
           static_cast<double>(c.fairness.users());
     }
   }
-}
-
-std::string CohortSet::to_json() const {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, c] : cohorts_) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + name + "\":" + c.to_json();
-  }
-  out += '}';
-  return out;
 }
 
 std::size_t CohortSet::memory_bytes() const {

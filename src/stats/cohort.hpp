@@ -7,9 +7,10 @@
 // its population, not just how well on average.
 //
 // Everything is built from the exact-integer accumulators in
-// streaming.hpp, so CohortSet::merge() is order-independent and
-// to_json() is byte-identical however shards were combined. Memory is
-// O(cohorts × metrics × bins) — independent of user and sample counts.
+// streaming.hpp, so CohortSet::merge() is order-independent: however
+// shards were combined, the merged sets compare equal (operator==).
+// Memory is O(cohorts × metrics × bins) — independent of user and
+// sample counts.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,6 @@ class JainAccumulator {
   [[nodiscard]] std::uint64_t users() const { return n_; }
   /// The index; 1.0 for n == 0 or an all-zero population (vacuously fair).
   [[nodiscard]] double index() const;
-  [[nodiscard]] std::string to_json() const;
 
   bool operator==(const JainAccumulator&) const = default;
 
@@ -55,7 +55,6 @@ struct MetricStats {
     moments.merge(o.moments);
     hist.merge(o.hist);
   }
-  [[nodiscard]] std::string to_json() const;
 
   bool operator==(const MetricStats&) const = default;
 };
@@ -67,7 +66,6 @@ struct CohortStats {
 
   void add(const std::string& metric, double v) { metrics[metric].add(v); }
   void merge(const CohortStats& o);
-  [[nodiscard]] std::string to_json() const;
 
   bool operator==(const CohortStats&) const = default;
 };
@@ -88,9 +86,6 @@ class CohortSet {
   ///   <prefix>.jain.<cohort>    (only for cohorts with >= 1 user value)
   void export_metrics(const std::string& prefix,
                       std::map<std::string, double>* out) const;
-
-  /// Canonical serialization of the exact state (shard-merge identity).
-  [[nodiscard]] std::string to_json() const;
 
   /// Accumulator memory footprint: a function of cohort/metric counts
   /// and the fixed bin layout only — never of how many samples or users

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace hvc::stats {
 
@@ -11,26 +10,7 @@ namespace {
 /// Largest quantized magnitude: 2^32 in 2^-16 steps = 2^48.
 constexpr std::int64_t kMaxQ = std::int64_t{1} << 48;
 
-void append_u64(std::string* out, std::uint64_t v) {
-  *out += std::to_string(v);
-}
-
 }  // namespace
-
-std::string Acc128::to_decimal() const {
-  if (v == 0) return "0";
-  unsigned __int128 mag =
-      v < 0 ? static_cast<unsigned __int128>(-(v + 1)) + 1
-            : static_cast<unsigned __int128>(v);
-  std::string digits;
-  while (mag != 0) {
-    digits += static_cast<char>('0' + static_cast<int>(mag % 10));
-    mag /= 10;
-  }
-  if (v < 0) digits += '-';
-  std::reverse(digits.begin(), digits.end());
-  return digits;
-}
 
 std::int64_t quantize(double v) {
   const double scaled = v * kQuantScale;
@@ -86,19 +66,6 @@ double StreamingMoments::variance() const {
 }
 
 double StreamingMoments::stddev() const { return std::sqrt(variance()); }
-
-std::string StreamingMoments::to_json() const {
-  std::string out = "{\"n\":";
-  append_u64(&out, n_);
-  out += ",\"dropped\":";
-  append_u64(&out, dropped_);
-  out += ",\"sum\":" + sum_.to_decimal();
-  out += ",\"sumsq\":" + sumsq_.to_decimal();
-  out += ",\"min\":" + std::to_string(min_q_);
-  out += ",\"max\":" + std::to_string(max_q_);
-  out += '}';
-  return out;
-}
 
 int LogHistogram::bin_index(double v) {
   if (!(v > 0)) return 0;  // zeros and negatives share the underflow bin
@@ -177,58 +144,6 @@ void QuantileCursor::add(LogHistogram& hist, double v) {
     below_ += counts[static_cast<std::size_t>(bin_)];
     ++bin_;
   }
-}
-
-std::string LogHistogram::to_json() const {
-  std::string out = "{\"n\":";
-  append_u64(&out, n_);
-  out += ",\"bins\":[";
-  bool first = true;
-  for (int i = 0; i < kBins; ++i) {
-    const std::uint64_t c = counts_[static_cast<std::size_t>(i)];
-    if (c == 0) continue;
-    if (!first) out += ',';
-    first = false;
-    out += '[' + std::to_string(i) + ',';
-    append_u64(&out, c);
-    out += ']';
-  }
-  out += "]}";
-  return out;
-}
-
-FixedBinHistogram::FixedBinHistogram(std::vector<double> upper_edges)
-    : edges_(std::move(upper_edges)), counts_(edges_.size() + 1, 0) {
-  if (!std::is_sorted(edges_.begin(), edges_.end())) {
-    throw std::invalid_argument("FixedBinHistogram: edges must be sorted");
-  }
-}
-
-void FixedBinHistogram::add(double v) {
-  const auto it = std::upper_bound(edges_.begin(), edges_.end(), v);
-  counts_[static_cast<std::size_t>(it - edges_.begin())] += 1;
-  ++n_;
-}
-
-void FixedBinHistogram::merge(const FixedBinHistogram& o) {
-  if (edges_ != o.edges_) {
-    throw std::invalid_argument(
-        "FixedBinHistogram::merge: mismatched edge vectors");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += o.counts_[i];
-  n_ += o.n_;
-}
-
-std::string FixedBinHistogram::to_json() const {
-  std::string out = "{\"n\":";
-  append_u64(&out, n_);
-  out += ",\"counts\":[";
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (i > 0) out += ',';
-    append_u64(&out, counts_[i]);
-  }
-  out += "]}";
-  return out;
 }
 
 }  // namespace hvc::stats

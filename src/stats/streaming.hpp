@@ -8,7 +8,7 @@
 // sums, histogram bins — so "merge" is integer addition, which is
 // associative and commutative, and every exported double is a pure
 // function of those integers. Two shards merged A+B or B+A, or a single
-// unsharded pass, all serialize byte-identically.
+// unsharded pass, all reach equal (operator==) states.
 //
 // Floating-point alternatives were rejected deliberately: Welford
 // mean/variance merges and t-digest centroid merges both depend on merge
@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace hvc::stats {
@@ -44,8 +43,6 @@ struct Acc128 {
   }
   constexpr void merge(const Acc128& o) { v += o.v; }
   [[nodiscard]] double to_double() const { return static_cast<double>(v); }
-  /// Exact decimal rendering (for canonical JSON; doubles would round).
-  [[nodiscard]] std::string to_decimal() const;
 
   constexpr bool operator==(const Acc128&) const = default;
 };
@@ -76,9 +73,6 @@ class StreamingMoments {
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return n_ ? dequantize(min_q_) : 0.0; }
   [[nodiscard]] double max() const { return n_ ? dequantize(max_q_) : 0.0; }
-
-  /// Canonical serialization of the exact state (merge-identity tests).
-  [[nodiscard]] std::string to_json() const;
 
   bool operator==(const StreamingMoments&) const = default;
 
@@ -115,8 +109,6 @@ class LogHistogram {
   [[nodiscard]] std::uint64_t underflow() const { return counts_.front(); }
   [[nodiscard]] std::uint64_t overflow() const { return counts_.back(); }
 
-  /// Nonzero bins as sorted [index, count] pairs.
-  [[nodiscard]] std::string to_json() const;
   /// Fixed memory footprint of the bin array (the O(bins) claim).
   [[nodiscard]] static constexpr std::size_t memory_bytes() {
     return kBins * sizeof(std::uint64_t);
@@ -158,34 +150,6 @@ class QuantileCursor {
   double p_;
   int bin_ = 0;              ///< the bin percentile(p) returns
   std::uint64_t below_ = 0;  ///< samples in bins [0, bin_)
-};
-
-/// Classic fixed-edge histogram (counts per [edge[i-1], edge[i]) bucket
-/// plus overflow). Merging requires identical edges; used where a figure
-/// wants specific, human-chosen buckets rather than log spacing.
-class FixedBinHistogram {
- public:
-  FixedBinHistogram() = default;
-  explicit FixedBinHistogram(std::vector<double> upper_edges);
-
-  void add(double v);
-  /// Throws std::invalid_argument when edge vectors differ.
-  void merge(const FixedBinHistogram& o);
-
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] const std::vector<double>& edges() const { return edges_; }
-  /// counts().size() == edges().size() + 1 (last bucket = overflow).
-  [[nodiscard]] const std::vector<std::uint64_t>& counts() const {
-    return counts_;
-  }
-  [[nodiscard]] std::string to_json() const;
-
-  bool operator==(const FixedBinHistogram&) const = default;
-
- private:
-  std::vector<double> edges_;
-  std::vector<std::uint64_t> counts_{0};
-  std::uint64_t n_ = 0;
 };
 
 }  // namespace hvc::stats

@@ -87,15 +87,6 @@ CapacityTrace generate_markov_trace(const MarkovRateModel& model,
   return CapacityTrace::from_runs(std::move(runs), duration, mtu);
 }
 
-const char* to_string(FiveGProfile p) {
-  switch (p) {
-    case FiveGProfile::kLowbandStationary: return "lowband-stationary";
-    case FiveGProfile::kLowbandDriving: return "lowband-driving";
-    case FiveGProfile::kMmWaveDriving: return "mmwave-driving";
-  }
-  return "unknown";
-}
-
 MarkovRateModel five_g_model(FiveGProfile profile) {
   using sim::mbps;
   using sim::kbps;

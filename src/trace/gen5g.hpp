@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/names.hpp"
 #include "sim/rng.hpp"
 #include "trace/trace.hpp"
 
@@ -48,7 +49,16 @@ enum class FiveGProfile {
   kMmWaveDriving,      ///< Fig. 2 right column
 };
 
-[[nodiscard]] const char* to_string(FiveGProfile p);
+/// The profiles by name (a "5g" channel's "profile" in a scenario).
+inline constexpr sim::Named<FiveGProfile> kFiveGProfiles[] = {
+    {"lowband-stationary", FiveGProfile::kLowbandStationary},
+    {"lowband-driving", FiveGProfile::kLowbandDriving},
+    {"mmwave-driving", FiveGProfile::kMmWaveDriving},
+};
+
+[[nodiscard]] inline const char* to_string(FiveGProfile p) {
+  return sim::name_for(kFiveGProfiles, p).data();
+}
 
 /// The Markov model behind each profile (exposed for tests/ablations).
 [[nodiscard]] MarkovRateModel five_g_model(FiveGProfile profile);

@@ -10,8 +10,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
+#include "sim/names.hpp"
 #include "sim/units.hpp"
 
 namespace hvc::transport {
@@ -65,7 +67,14 @@ class CcAlgorithm {
 
 using CcaPtr = std::unique_ptr<CcAlgorithm>;
 
-/// Factory: "cubic", "bbr", "vegas", "vivace", "hvc" (§3.2 channel-aware).
+using CcaMaker = CcaPtr (*)();
+
+/// Every CCA a name selects, with its constructor ("hvc" is the §3.2
+/// channel-aware one); a scenario's "cca" is one of these names.
+extern const std::span<const sim::Named<CcaMaker>> kCcas;
+
+/// Instantiate the CCA kCcas calls `name`; throws std::invalid_argument
+/// for unknown names.
 CcaPtr make_cca(const std::string& name);
 
 }  // namespace hvc::transport

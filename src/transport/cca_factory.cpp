@@ -9,12 +9,25 @@
 
 namespace hvc::transport {
 
+namespace {
+
+template <typename C>
+CcaPtr make() {
+  return std::make_unique<C>();
+}
+
+constexpr sim::Named<CcaMaker> kCcaTable[] = {
+    {"cubic", &make<Cubic>},   {"bbr", &make<Bbr>},
+    {"vegas", &make<Vegas>},   {"vivace", &make<Vivace>},
+    {"hvc", &make<HvcAwareCc>},
+};
+
+}  // namespace
+
+constinit const std::span<const sim::Named<CcaMaker>> kCcas = kCcaTable;
+
 CcaPtr make_cca(const std::string& name) {
-  if (name == "cubic") return std::make_unique<Cubic>();
-  if (name == "bbr") return std::make_unique<Bbr>();
-  if (name == "vegas") return std::make_unique<Vegas>();
-  if (name == "vivace") return std::make_unique<Vivace>();
-  if (name == "hvc") return std::make_unique<HvcAwareCc>();
+  if (const auto* c = sim::find_name(kCcas, name)) return c->value();
   throw std::invalid_argument("unknown CCA: " + name);
 }
 

@@ -20,11 +20,13 @@
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
 #include "exp/sweep.hpp"
+#include "fault/fault.hpp"
 #include "net/node.hpp"
 #include "obs/metrics.hpp"
 #include "sim/seed.hpp"
 #include "sim/units.hpp"
 #include "trace/gen5g.hpp"
+#include "transport/cca.hpp"
 
 namespace hvc {
 namespace {
@@ -88,6 +90,135 @@ TEST(ExpSpec, RoundTripsThroughToJson) {
   EXPECT_EQ(s2.channels[1].seed, 5);
   EXPECT_DOUBLE_EQ(s2.up_policy.cost_factor, 2.5);
   EXPECT_DOUBLE_EQ(s2.resequence_hold_ms, 40.0);
+}
+
+TEST(ExpSpec, EveryFieldOffItsDefaultRoundTripsFieldForField) {
+  // Every key of every block set to a value other than its default; to_json
+  // writes only the workload's own block, so each workload gets a spec.
+  const std::string common = R"(
+    "name": "every-field", "duration_s": 12.5, "seed": 9, "cca": "bbr",
+    "channels": [
+      {"type": "5g", "profile": "mmwave-driving", "rtt_ms": 7,
+       "rate_mbps": 3.5, "duration_s": 20, "seed": 4},
+      {"type": "cisp", "rtt_ms": 9, "rate_mbps": 12}
+    ],
+    "up_policy": {"name": "dchannel+prio", "preset": "web-tuned",
+                  "cost_factor": 2.5, "min_margin_ms": 3,
+                  "max_queue_fill": 0.7, "max_data_queue_fill": 0.6,
+                  "queue_risk": 0.2, "accelerate_control": false,
+                  "use_flow_priority": false},
+    "down_policy": "msg-priority",
+    "resequence_hold_ms": 40,
+    "faults": [
+      {"kind": "outage", "channel": 1, "direction": "up", "start_s": 1,
+       "duration_s": 2},
+      {"kind": "rate_cliff", "channel": 0, "start_s": 1, "duration_s": 2,
+       "rate_scale": 0.3},
+      {"kind": "ge_burst", "channel": 0, "direction": "down", "start_s": 4,
+       "p_good_to_bad": 0.2, "p_bad_to_good": 0.4, "loss_in_bad": 0.5,
+       "loss_in_good": 0.01, "seed": 8},
+      {"kind": "delay_spike", "channel": 1, "start_s": 5,
+       "extra_delay_ms": 30},
+      {"kind": "flap", "channel": 1, "start_s": 7, "duration_s": 2,
+       "period_s": 0.2, "up_fraction": 0.7, "seed": 3}
+    ],
+    "telemetry": {"enabled": false, "period_ms": 2.5,
+                  "series": ["link", "pop"], "audit": true,
+                  "max_samples": 64, "max_series": 8, "audit_capacity": 128},
+    "spans": {"enabled": false, "tail_quantile": 90, "tail_budget": 4,
+              "reservoir_budget": 2, "reservoir_period": 16, "warmup": 3},
+  )";
+  const std::pair<const char*, const char*> blocks[] = {
+      {"web", R"({"pages": 7, "landing_fraction": 0.25, "corpus_seed": 5,
+                  "loads_per_page": 2, "background_flows": false,
+                  "bg_upload_bytes": 100, "bg_download_bytes": 200,
+                  "bg_flow_priority": 3, "per_load_timeout_s": 9})"},
+      {"video", R"({"duration_s": 4, "fps": 25, "layer_kbps": [300, 900],
+                    "keyframe_interval": 10, "decode_wait_ms": 40,
+                    "lookahead_frames": 1, "encoder_seed": 5,
+                    "receiver_seed": 6})"},
+      {"bulk", R"({"duration_s": 3})"},
+      {"city", R"({"users": 50,
+                   "mix": {"web": 0.5, "video": 0.3, "background": 0.2},
+                   "web": {"think_time_s": 3, "min_levels": 2,
+                           "max_levels": 4, "min_objects": 3,
+                           "max_objects": 6, "html_min_bytes": 4096,
+                           "html_max_bytes": 32768, "object_xm_bytes": 2048,
+                           "object_alpha": 1.5, "object_cap_bytes": 131072},
+                   "video": {"chunk_s": 2, "kbps": 800},
+                   "background": {"period_s": 5, "xm_bytes": 50000,
+                                  "alpha": 1.2, "cap_bytes": 1000000},
+                   "churn": {"arrival_rate_per_s": 1.5,
+                             "mean_session_s": 30},
+                   "steer": {"enabled": false, "delay_bound_ms": 20,
+                             "max_bytes": 2048}})"},
+  };
+  for (const auto& [workload, block] : blocks) {
+    SCOPED_TRACE(workload);
+    const auto s = exp::ScenarioSpec::from_json_text(
+        "{" + common + R"("workload": ")" + workload + R"(", ")" + workload +
+        R"(": )" + block + "}");
+    const auto round = exp::ScenarioSpec::from_json_text(s.to_json());
+    EXPECT_TRUE(round == s) << s.to_json();
+    EXPECT_EQ(round.to_json(), s.to_json());
+  }
+}
+
+TEST(ExpSpec, EveryTableNameParsesAndBuilds) {
+  const auto parse = [](const std::string& json) {
+    return exp::ScenarioSpec::from_json_text(json);
+  };
+  for (const auto& p : core::kPolicies) {
+    const std::string name(p.name);
+    EXPECT_NE(core::make_policy(name), nullptr) << name;
+    EXPECT_EQ(parse(R"({"policy": ")" + name + R"("})").down_policy.name,
+              name);
+  }
+  for (const auto& c : transport::kCcas) {
+    const std::string name(c.name);
+    EXPECT_NE(transport::make_cca(name), nullptr) << name;
+    EXPECT_EQ(parse(R"({"cca": ")" + name + R"("})").cca, name);
+  }
+  for (const auto& t : exp::kChannelTypes) {
+    const std::string name(t.name);
+    const std::string profile =
+        name == "5g" ? R"(, "profile": "lowband-driving")" : "";
+    const auto cfg = exp::build_scenario_config(parse(
+        R"({"duration_s": 1, "channels": [{"type": ")" + name + "\"" +
+        profile + "}]}"));
+    EXPECT_EQ(cfg.channels.size(), 1u) << name;
+  }
+  for (const auto& p : trace::kFiveGProfiles) {
+    const std::string name(p.name);
+    const auto cfg = exp::build_scenario_config(parse(
+        R"({"duration_s": 1, "channels": [{"type": "5g", "profile": ")" +
+        name + R"("}]})"));
+    ASSERT_EQ(cfg.channels.size(), 1u);
+    EXPECT_EQ(cfg.channels[0].name, "embb-" + name);
+  }
+  for (const auto& k : fault::kFaultKinds) {
+    for (const auto& d : fault::kFaultDirs) {
+      const auto cfg = exp::build_scenario_config(parse(
+          R"({"duration_s": 2, "faults": [{"kind": ")" + std::string(k.name) +
+          R"(", "direction": ")" + std::string(d.name) + R"("}]})"));
+      ASSERT_EQ(cfg.faults.events.size(), 1u);
+      EXPECT_EQ(cfg.faults.events[0].kind, k.value) << k.name;
+      EXPECT_EQ(cfg.faults.events[0].dir, d.value) << d.name;
+      EXPECT_NO_THROW(cfg.faults.validate(cfg.channels.size()));
+    }
+  }
+  for (const auto& p : exp::kDChannelPresets) {
+    const auto cfg = exp::build_scenario_config(parse(
+        R"({"duration_s": 1, "policy": {"name": "dchannel", "preset": ")" +
+        std::string(p.name) + R"("}})"));
+    ASSERT_TRUE(cfg.up_factory) << p.name;
+    EXPECT_NE(cfg.up_factory(), nullptr);
+  }
+  for (const auto& w : exp::kWorkloads) {
+    EXPECT_EQ(parse(R"({"workload": ")" + std::string(w.name) + R"("})")
+                  .workload,
+              w.name);
+  }
 }
 
 TEST(ExpSpec, RejectsMalformedInput) {
@@ -164,7 +295,7 @@ TEST(ExpSpec, ErrorMessagesNameTheFullPath) {
       {R"({"duration_s": 0})",
        "duration_s: must be > 0"},
       {R"({"duration_s": "x"})",
-       ".duration_s: expected a number, got string"},
+       "duration_s: expected a number, got string"},
       {R"({"web": {"per_load_timeout_s": 0}})",
        "web.per_load_timeout_s: must be > 0"},
       {R"({"web": {"pages": 1.5}})",
@@ -201,6 +332,22 @@ TEST(ExpSpec, ErrorMessagesNameTheFullPath) {
        "bulk.duration_s: expected a number, got string"},
       {R"({"spans": {"tail_budget": -1}})",
        "spans.tail_budget: must be >= 0"},
+      // One row per list an error message spells out from a table.
+      {R"({"channels": [{"type": "6g"}]})",
+       "channels.0.type: unknown channel type '6g' "
+       "(embb|urllc|5g|tsn|wifi|cisp|fiber|leo)"},
+      {R"({"cca": "reno"})",
+       "cca: unknown CCA 'reno' (cubic|bbr|vegas|vivace|hvc)"},
+      {R"({"faults": [{"kind": "meteor"}]})",
+       "faults.0.kind: unknown fault kind 'meteor' "
+       "(outage|rate_cliff|ge_burst|delay_spike|flap)"},
+      {R"({"channels": [{"type": "5g", "profile": "x"}]})",
+       "channels.0.profile: 5g channels need profile: "
+       "lowband-stationary|lowband-driving|mmwave-driving (got 'x')"},
+      {R"({"faults": [{"kind": "outage", "direction": "sideways"}]})",
+       "faults.0.direction: expected down|up|both"},
+      {R"({"workload": "batch"})",
+       "workload: expected bulk|video|web|city (got 'batch')"},
   };
   for (const auto& [spec, message] : cases) {
     try {

@@ -37,7 +37,7 @@ TEST(CityEngine, RunIsDeterministic) {
   const auto cfg = small_city(300);
   const pop::CityResult a = pop::run_city(cfg);
   const pop::CityResult b = pop::run_city(cfg);
-  EXPECT_EQ(a.cohorts.to_json(), b.cohorts.to_json());
+  EXPECT_EQ(a.cohorts, b.cohorts);
   EXPECT_EQ(a.pages, b.pages);
   EXPECT_EQ(a.chunks, b.chunks);
   EXPECT_EQ(a.bg_transfers, b.bg_transfers);
@@ -53,7 +53,7 @@ TEST(CityEngine, SeedChangesOutcome) {
   const pop::CityResult a = pop::run_city(cfg);
   cfg.seed = 8;
   const pop::CityResult b = pop::run_city(cfg);
-  EXPECT_NE(a.cohorts.to_json(), b.cohorts.to_json());
+  EXPECT_NE(a.cohorts, b.cohorts);
 }
 
 TEST(CityEngine, TelemetryMemoryIndependentOfPopulation) {

@@ -105,6 +105,36 @@ TEST(Simulator, CancelPreventsExecution) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Simulator, CancellingAFiredOrUnissuedIdIsANoOp) {
+  // The first push lands in the queue's front cache, the later ones in
+  // the calendar: fire one of each, then cancel both fired ids and an id
+  // the queue never issued.
+  Simulator s;
+  int fired = 0;
+  const EventId first = s.at(milliseconds(1), [&] { ++fired; });
+  const EventId second = s.at(milliseconds(2), [&] { ++fired; });
+  s.at(milliseconds(3), [&] { ++fired; });
+  s.run_until(milliseconds(2));
+  ASSERT_EQ(fired, 2);
+  s.cancel(first);
+  s.cancel(second);
+  s.cancel(~EventId{0});
+  EXPECT_FALSE(s.idle());
+  s.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_TRUE(s.idle());
+
+  EventQueue q;
+  const EventId a = q.push(milliseconds(1), EventFn([] {}));
+  q.push(milliseconds(2), EventFn([] {}));
+  EventQueue::Popped out;
+  ASSERT_TRUE(q.pop_due(milliseconds(1), out));
+  q.cancel(a);
+  q.cancel(a + 5);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.empty());
+}
+
 TEST(Simulator, SchedulingInThePastThrows) {
   Simulator s;
   s.at(milliseconds(10), [] {});

@@ -209,9 +209,6 @@ void check_merge_identity(const std::vector<double>& samples) {
   EXPECT_EQ(forward, sequential);
   EXPECT_EQ(reversed, sequential);
   EXPECT_EQ(level.front(), sequential);
-  EXPECT_EQ(forward.to_json(), sequential.to_json());
-  EXPECT_EQ(reversed.to_json(), sequential.to_json());
-  EXPECT_EQ(level.front().to_json(), sequential.to_json());
 }
 
 TEST(MergeIdentity, StreamingMoments) {
@@ -254,8 +251,6 @@ TEST(MergeIdentity, CohortSetAnyGrouping) {
 
   EXPECT_EQ(forward, sequential);
   EXPECT_EQ(reversed, sequential);
-  EXPECT_EQ(forward.to_json(), sequential.to_json());
-  EXPECT_EQ(reversed.to_json(), sequential.to_json());
 }
 
 TEST(CohortSet, MemoryIndependentOfSampleCount) {
@@ -279,29 +274,6 @@ TEST(CohortSet, ExportMetricsShape) {
   EXPECT_NEAR(out.at("city.web.plt_ms.mean"), 50.5, 1e-3);
   EXPECT_GT(out.at("city.web.plt_ms.p95"), out.at("city.web.plt_ms.p50"));
   EXPECT_NEAR(out.at("city.jain.web"), 1.0, 1e-9);
-}
-
-TEST(FixedBinHistogram, BucketsAndMergeRules) {
-  FixedBinHistogram a({1.0, 10.0, 100.0});
-  a.add(0.5);    // bucket 0: [-inf, 1)
-  a.add(5.0);    // bucket 1: [1, 10)
-  a.add(50.0);   // bucket 2: [10, 100)
-  a.add(500.0);  // overflow
-  ASSERT_EQ(a.counts().size(), 4u);
-  EXPECT_EQ(a.counts()[0], 1u);
-  EXPECT_EQ(a.counts()[1], 1u);
-  EXPECT_EQ(a.counts()[2], 1u);
-  EXPECT_EQ(a.counts()[3], 1u);
-
-  FixedBinHistogram b({1.0, 10.0, 100.0});
-  b.add(2.0);
-  b.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 6u);
-  EXPECT_EQ(a.counts()[1], 3u);
-
-  FixedBinHistogram mismatched({1.0, 2.0});
-  EXPECT_THROW(a.merge(mismatched), std::invalid_argument);
 }
 
 TEST(JainAccumulator, FairnessBounds) {
