@@ -13,13 +13,16 @@
 #   scripts/check.sh lint       # just the static-analysis stage
 #   scripts/check.sh perf       # just the hvc_perf regression smoke
 #   scripts/check.sh diffsim    # just the differential sim-core oracle
+#   scripts/check.sh mains      # run every bench program and example
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 presets=("${@:-default sanitize}")
 # Word-split the default list when invoked with no arguments.
-if [ $# -eq 0 ]; then presets=(default sanitize tsan report lint perf diffsim); fi
+if [ $# -eq 0 ]; then
+  presets=(default sanitize tsan report lint perf diffsim mains)
+fi
 
 for preset in "${presets[@]}"; do
   echo "==== preset: ${preset} ===="
@@ -122,6 +125,31 @@ for preset in "${presets[@]}"; do
     fi
     rm -rf "${out}"
     echo "hvc_report smoke OK"
+  elif [ "${preset}" = "mains" ]; then
+    # Every program CI builds also runs: each bench main and example must
+    # exit 0 and print its table. They pass dials no scenario file reaches
+    # (RedundantConfig, MpConfig, CostAwareConfig, the TCP and browser
+    # configs). The list is read from the CMake files that declare them.
+    cmake --preset default
+    mapfile -t mains < <(sed -n \
+      -e 's|^hvc_bench(\(.*\))$|bench/\1|p' \
+      -e 's|^hvc_example(\(.*\))$|examples/\1|p' \
+      bench/CMakeLists.txt examples/CMakeLists.txt)
+    test "${#mains[@]}" -gt 0
+    cmake --build --preset default -j "$(nproc)" --target "${mains[@]##*/}"
+    out="$(mktemp -d)"
+    for main in "${mains[@]}"; do
+      if ! "build/${main}" >"${out}/stdout"; then
+        echo "${main} exited non-zero" >&2
+        exit 1
+      fi
+      if ! test -s "${out}/stdout"; then
+        echo "${main} printed nothing" >&2
+        exit 1
+      fi
+    done
+    rm -rf "${out}"
+    echo "${#mains[@]} bench programs and examples OK"
   elif [ "${preset}" = "perf" ]; then
     # Hot-path perf regression smoke: quick-mode hvc_perf vs the
     # committed BENCH_hotpath.json baseline. The tolerance is generous

@@ -4,6 +4,14 @@
 
 namespace hvc::app::video {
 
+namespace {
+
+/// Multiplicative size jitter per layer per frame (encoder variance).
+constexpr double kSizeJitter = 0.2;
+constexpr double kKeyframeScale = 2.5;
+
+}  // namespace
+
 SvcEncoder::SvcEncoder(SvcConfig cfg) : cfg_(std::move(cfg)), rng_(cfg_.seed) {}
 
 EncodedFrame SvcEncoder::next_frame(sim::Time now) {
@@ -16,8 +24,8 @@ EncodedFrame SvcEncoder::next_frame(sim::Time now) {
   for (const auto rate : cfg_.layer_bitrates) {
     const double mean_bytes =
         static_cast<double>(rate) / 8.0 / cfg_.fps;
-    double scale = 1.0 + rng_.normal(0.0, cfg_.size_jitter);
-    if (f.keyframe) scale *= cfg_.keyframe_scale;
+    double scale = 1.0 + rng_.normal(0.0, kSizeJitter);
+    if (f.keyframe) scale *= kKeyframeScale;
     scale = std::max(scale, 0.25);
     f.layer_bytes.push_back(
         std::max<std::int64_t>(static_cast<std::int64_t>(mean_bytes * scale),

@@ -24,11 +24,8 @@ struct SvcConfig {
   std::vector<sim::RateBps> layer_bitrates = {
       sim::kbps(400), sim::kbps(4100), sim::kbps(7500)};
   int fps = 30;
-  /// Multiplicative size jitter per layer per frame (encoder variance).
-  double size_jitter = 0.2;
   /// Every n-th frame is a keyframe: larger and dependency-resetting.
   int keyframe_interval = 30;
-  double keyframe_scale = 2.5;
   std::uint64_t seed = 17;
 };
 
@@ -53,7 +50,6 @@ class SvcEncoder {
   [[nodiscard]] std::size_t layers() const {
     return cfg_.layer_bitrates.size();
   }
-  [[nodiscard]] const SvcConfig& config() const { return cfg_; }
 
  private:
   SvcConfig cfg_;

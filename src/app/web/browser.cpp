@@ -9,6 +9,19 @@
 
 namespace hvc::app::web {
 
+namespace {
+
+constexpr std::int64_t kRequestBytes = 400;  ///< upstream, per object
+
+// Client compute per object (BrowserConfig::processing_mean): lognormal
+// with this sigma; render-blocking objects cost kBlockingScale times the
+// mean. The draws come from a stream seeded per page.
+constexpr double kProcessingSigma = 0.5;
+constexpr double kBlockingScale = 2.0;
+constexpr std::uint64_t kProcessingSeed = 77;
+
+}  // namespace
+
 PageLoadSession::PageLoadSession(net::Node& client, net::Node& server,
                                  const WebPage& page, BrowserConfig cfg,
                                  std::function<void(sim::Time)> done)
@@ -22,7 +35,7 @@ PageLoadSession::PageLoadSession(net::Node& client, net::Node& server,
       // differently, and the per-page processing jitter must be the same
       // stream on every platform (sim/seed.hpp, DESIGN.md §4).
       processing_rng_(
-          sim::seed_mix(cfg_.processing_seed, sim::fnv1a64(page.name))),
+          sim::seed_mix(kProcessingSeed, sim::fnv1a64(page.name))),
       deps_remaining_(page.objects.size(), 0),
       requested_(page.objects.size(), false),
       loaded_(page.objects.size(), false) {
@@ -109,7 +122,7 @@ void PageLoadSession::pump_origin(int origin_id) {
       requested_at_[object] = client_.simulator().now();
     }
     const auto req_id =
-        origin.conn->client_sender().write_message(cfg_.request_bytes, 0);
+        origin.conn->client_sender().write_message(kRequestBytes, 0);
     origin.request_to_object[req_id] = object;
   }
 }
@@ -127,10 +140,10 @@ void PageLoadSession::on_object_complete(int object_id) {
   // is parsed/executed. onLoad also waits for processing of the last
   // object.
   double mean = static_cast<double>(cfg_.processing_mean);
-  if (page_.objects[object_id].render_blocking) mean *= cfg_.blocking_scale;
+  if (page_.objects[object_id].render_blocking) mean *= kBlockingScale;
   sim::Duration delay = 0;
   if (mean > 0) {
-    const double sigma = cfg_.processing_sigma;
+    const double sigma = kProcessingSigma;
     const double mu = std::log(mean) - sigma * sigma / 2.0;
     delay = static_cast<sim::Duration>(processing_rng_.lognormal(mu, sigma));
   }

@@ -24,19 +24,16 @@ namespace hvc::app::web {
 
 struct BrowserConfig {
   transport::TcpConfig transport;  ///< applied to every origin connection
-  std::int64_t request_bytes = 400;
   /// Max requests outstanding per origin connection (HTTP/2 streams).
   int max_concurrent_per_origin = 6;
 
   /// Client-side compute per completed object (parse/style/execute)
   /// before its dependents are discovered and requested. Chromium's
   /// main-thread time is a large PLT component; it also paces the request
-  /// stream, which matters to steering. Lognormal; render-blocking
-  /// objects (CSS/JS) cost `blocking_scale` more.
+  /// stream, which matters to steering. Lognormal around this mean;
+  /// browser.cpp holds its sigma and the extra cost of render-blocking
+  /// objects (CSS/JS).
   sim::Duration processing_mean = sim::milliseconds(12);
-  double processing_sigma = 0.5;   ///< lognormal sigma
-  double blocking_scale = 2.0;
-  std::uint64_t processing_seed = 77;
 
   BrowserConfig() {
     transport.cca = "cubic";           // the paper's Table 1 uses CUBIC

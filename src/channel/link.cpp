@@ -10,6 +10,13 @@ using net::PacketPtr;
 using sim::Duration;
 using sim::Time;
 
+namespace {
+
+/// Max unused credit carried across opportunities (bytes mode).
+constexpr std::int64_t kMaxCreditBytes = 2 * net::kMtuBytes;
+
+}  // namespace
+
 Link::Link(sim::Simulator& sim, LinkConfig cfg)
     : sim_(sim),
       cfg_(std::move(cfg)),
@@ -71,7 +78,6 @@ void Link::send(PacketPtr p) {
     }
     return;
   }
-  p->enqueued_at = sim_.now();
   queued_bytes_ += p->size_bytes;
   ++stats_.enqueued_packets;
   stats_.enqueued_bytes += p->size_bytes;
@@ -142,7 +148,7 @@ void Link::on_opportunity() {
       deliver(std::move(p));
     }
   } else {
-    credit_bytes_ = std::min(credit_bytes_ + mtu, cfg_.max_credit_bytes);
+    credit_bytes_ = std::min(credit_bytes_ + mtu, kMaxCreditBytes);
     while (!queue_.empty() && queue_.front()->size_bytes <= credit_bytes_) {
       PacketPtr p = std::move(queue_.front());
       queue_.pop_front();
@@ -187,7 +193,6 @@ void Link::deliver(PacketPtr p) {
   }
   ++stats_.delivered_packets;
   stats_.delivered_bytes += p->size_bytes;
-  stats_.queue_delay_ms.add(sim::to_millis(now - p->enqueued_at));
   if (auto* tr = obs::PacketTracer::active()) {
     tr->record(obs::EventKind::kTx, now, p->id, p->flow, trace_channel(*p),
                trace_direction_, static_cast<std::uint32_t>(p->size_bytes));

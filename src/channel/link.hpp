@@ -23,7 +23,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/tracer.hpp"
 #include "sim/simulator.hpp"
-#include "sim/stats.hpp"
 #include "trace/trace.hpp"
 
 namespace hvc::channel {
@@ -42,8 +41,6 @@ struct LinkConfig {
   std::int64_t queue_limit_bytes = 2 * 1024 * 1024;
   LossConfig loss;
   ServiceMode mode = ServiceMode::kBytesPerOpportunity;
-  /// Max unused credit carried across opportunities (bytes mode).
-  std::int64_t max_credit_bytes = 2 * net::kMtuBytes;
   std::uint64_t loss_seed = 42;
 };
 
@@ -54,7 +51,6 @@ struct LinkStats {
   std::int64_t delivered_bytes = 0;
   std::int64_t dropped_queue_packets = 0;   ///< droptail
   std::int64_t dropped_wire_packets = 0;    ///< loss model
-  sim::Summary queue_delay_ms;              ///< per delivered packet
 };
 
 class Link {
@@ -89,7 +85,6 @@ class Link {
   [[nodiscard]] double average_rate_bps() const {
     return avg_rate_bps_;  // trace property, fixed at construction
   }
-  [[nodiscard]] const LinkConfig& config() const { return cfg_; }
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
   [[nodiscard]] const std::string& name() const { return cfg_.name; }
 

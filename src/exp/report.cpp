@@ -4,9 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <filesystem>
 #include <map>
-#include <sstream>
+#include <system_error>
 
 #include "exp/results.hpp"
 #include "obs/json.hpp"
@@ -21,11 +21,8 @@ using obs::json::Value;
 /// Optional-artifact read: "" when the file does not exist (a missing
 /// telemetry/audit file just means that recorder was off).
 std::string read_if_exists(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  std::error_code ec;
+  return std::filesystem::exists(path, ec) ? read_file(path) : "";
 }
 
 /// Parses each non-blank JSONL line and hands its object to `row`, so

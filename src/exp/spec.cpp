@@ -3,8 +3,11 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 
 #include "core/scenario.hpp"
 #include "exp/runner.hpp"
@@ -404,24 +407,31 @@ std::string only_for(std::uint8_t kinds) {
 template <typename S>
 void read_block(const Value& v, const Path& p, S& s);
 
-/// A number, whole for an integral member, in range `r` as stored; the
-/// unsigned scenario seed is checked before a negative value can wrap.
+/// A number, whole for an integral member, in range `r` and within the
+/// member's type, both checked before it is narrowed: a negative seed or
+/// an `int` past 2^31 must not wrap into a valid value.
 template <typename T>
   requires std::is_arithmetic_v<T> && (!std::is_same_v<T, bool>)
 void read_value(const Value& v, const Path& p, T& out, Range r) {
   if (!v.is_number()) fail_type(p, "a number", v);
-  double stored = v.num;
   if constexpr (std::is_integral_v<T>) {
     // Converting a double outside [-2^63, 2^63) is undefined.
     if (!(v.num >= -0x1p63 && v.num < 0x1p63)) fail(p, "expected an integer");
     const auto i = static_cast<std::int64_t>(v.num);
     if (static_cast<double>(i) != v.num) fail(p, "expected an integer");
+    if (const char* problem = range_problem(v.num, r)) fail(p, problem);
+    using Limits = std::numeric_limits<T>;
+    if (std::cmp_greater(i, Limits::max())) {
+      fail(p, "must be <= " + std::to_string(Limits::max()));
+    }
+    if (std::cmp_less(i, Limits::min())) {
+      fail(p, "must be >= " + std::to_string(Limits::min()));
+    }
     out = static_cast<T>(i);
-    if constexpr (std::is_signed_v<T>) stored = static_cast<double>(out);
   } else {
+    if (const char* problem = range_problem(v.num, r)) fail(p, problem);
     out = v.num;
   }
-  if (const char* problem = range_problem(stored, r)) fail(p, problem);
 }
 
 void read_value(const Value& v, const Path& p, bool& out, Range /*r*/) {

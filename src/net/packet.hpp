@@ -69,7 +69,6 @@ struct Packet {
   std::uint8_t flow_priority = 0;
 
   /// Bookkeeping stamped by the stack (not "on the wire").
-  sim::Time enqueued_at = 0;   ///< when the shim accepted it
   std::uint8_t channel = 0;    ///< channel index it was steered to
   std::uint32_t copies = 1;    ///< >1 when a redundancy policy duplicated it
   std::uint64_t dup_group = 0; ///< shared across copies; receiver dedup key

@@ -206,7 +206,6 @@ class SpanRecorder : public ThreadBinding<SpanRecorder> {
   void enable(SpanConfig cfg = {});
   void disable();
   [[nodiscard]] bool enabled() const { return enabled_; }
-  [[nodiscard]] const SpanConfig& config() const { return cfg_; }
 
   /// Offer a completed unit; the retention rule decides whether the tree
   /// is kept. Always feeds the live histogram.

@@ -11,18 +11,44 @@ using net::PacketPtr;
 using sim::Duration;
 using sim::Time;
 
+namespace {
+
+/// The HVC-aware scheduler accelerates the final bytes of any interactive
+/// message once fewer than this many remain.
+constexpr std::int64_t kTailBytes = 4000;
+/// Streams with priority <= this are pinned to the fast path.
+constexpr std::uint8_t kFastPathMaxPriority = 1;
+/// Per-path congestion controller.
+constexpr const char* kCca = "cubic";
+/// QUIC loss detection: packet reordering threshold, and the time
+/// threshold as a multiple of max(srtt, 50 ms).
+constexpr std::uint64_t kPacketThreshold = 3;
+constexpr double kTimeThreshold = 1.25;
+
+/// How long a packet sent on a path with this RTT state may go unacked
+/// before it counts as lost.
+Duration loss_time(const transport::RttEstimator& rtt) {
+  return std::max(static_cast<Duration>(
+                      kTimeThreshold *
+                      static_cast<double>(
+                          std::max(rtt.srtt(), sim::milliseconds(50)))),
+                  rtt.rto());
+}
+
+}  // namespace
+
 MpEndpoint::MpEndpoint(net::Node& node, net::FlowId flow,
                        std::size_t num_paths, MpConfig cfg)
     : node_(node),
       sim_(node.simulator()),
       flow_(flow),
-      cfg_(std::move(cfg)),
+      cfg_(cfg),
       loss_timer_(sim_, [this] {
         detect_losses();
         try_send();
       }) {
   paths_.resize(num_paths);
-  for (auto& p : paths_) p.cca = transport::make_cca(cfg_.cca);
+  for (auto& p : paths_) p.cca = transport::make_cca(kCca);
   stats_.packets_per_path.assign(num_paths, 0);
   auto& reg = obs::MetricsRegistry::current();
   m_packets_sent_ = &reg.counter("transport.quic.packets_sent");
@@ -159,10 +185,9 @@ std::size_t MpEndpoint::pick_path(const Chunk& chunk) {
   }
 
   // HVC-aware: importance and message geometry decide.
-  const bool important = chunk.priority <= cfg_.fast_path_max_priority ||
+  const bool important = chunk.priority <= kFastPathMaxPriority ||
                          chunk.traffic == TrafficClass::kControl;
-  const bool tail = cfg_.tail_bytes > 0 &&
-                    chunk.message_bytes - chunk.offset <= cfg_.tail_bytes &&
+  const bool tail = chunk.message_bytes - chunk.offset <= kTailBytes &&
                     chunk.traffic == TrafficClass::kInteractive;
   if (important || tail) {
     bool room = paths_[fast].in_flight < paths_[fast].cca->cwnd_bytes();
@@ -261,7 +286,6 @@ void MpEndpoint::send_chunk(Chunk chunk, std::size_t path) {
   paths_[path].in_flight += chunk.len;
   paths_[path].cca->on_packet_sent(sim_.now(), chunk.len,
                                    paths_[path].in_flight);
-  ++stats_.packets_sent;
   ++stats_.packets_per_path[path];
   m_packets_sent_->inc();
   node_.send(std::move(p));
@@ -296,9 +320,7 @@ void MpEndpoint::on_data(const PacketPtr& p) {
     ev.priority = r.priority;
     ev.sent_at = r.sent_at;
     ev.completed = sim_.now();
-    const double latency_ms = sim::to_millis(ev.completed - ev.sent_at);
-    stats_.message_latency_ms.add(latency_ms);
-    m_msg_latency_->add(latency_ms);
+    m_msg_latency_->add(sim::to_millis(ev.completed - ev.sent_at));
     reassembly_.erase(p->app.message_id);
     if (on_message_) on_message_(ev);
   }
@@ -363,18 +385,11 @@ void MpEndpoint::detect_losses() {
   std::vector<std::uint64_t> lost;
   for (auto& [num, sp] : unacked_) {
     if (sp.lost) continue;
-    const Duration thresh = std::max(
-        static_cast<Duration>(
-            cfg_.time_threshold *
-            static_cast<double>(std::max(paths_[sp.path].rtt.srtt(),
-                                         sim::milliseconds(50)))),
-        paths_[sp.path].rtt.rto());
     // Packet-number threshold applies within a path's own number space:
     // cross-path overtaking is routine on HVCs and must not read as loss.
     const bool by_number =
-        sp.path_seq + static_cast<std::uint64_t>(cfg_.packet_threshold) <=
-        paths_[sp.path].largest_acked_seq;
-    const bool by_time = now - sp.sent_at > thresh;
+        sp.path_seq + kPacketThreshold <= paths_[sp.path].largest_acked_seq;
+    const bool by_time = now - sp.sent_at > loss_time(paths_[sp.path].rtt);
     if (by_number || by_time) lost.push_back(num);
   }
   for (const auto num : lost) {
@@ -404,13 +419,8 @@ void MpEndpoint::arm_loss_timer() {
   Time earliest = sim::kTimeNever;
   for (const auto& [num, sp] : unacked_) {
     if (sp.lost) continue;
-    const Duration thresh = std::max(
-        static_cast<Duration>(
-            cfg_.time_threshold *
-            static_cast<double>(std::max(paths_[sp.path].rtt.srtt(),
-                                         sim::milliseconds(50)))),
-        paths_[sp.path].rtt.rto());
-    earliest = std::min(earliest, sp.sent_at + thresh);
+    earliest =
+        std::min(earliest, sp.sent_at + loss_time(paths_[sp.path].rtt));
   }
   if (earliest == sim::kTimeNever) {
     loss_timer_.cancel();

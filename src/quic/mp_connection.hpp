@@ -48,23 +48,11 @@ struct MpConfig {
   SchedulerKind scheduler = SchedulerKind::kHvcAware;
   /// Return ACKs on the lowest-latency path.
   bool ack_on_fast_path = true;
-  /// Accelerate the final bytes of any message once fewer than this many
-  /// remain (0 disables). Only the HVC-aware scheduler uses it.
-  std::int64_t tail_bytes = 4000;
-  /// Streams with priority <= this are pinned to the fast path.
-  std::uint8_t fast_path_max_priority = 1;
-  /// Per-path congestion controller ("cubic", "bbr", ...).
-  std::string cca = "cubic";
-  /// QUIC loss detection: packet reordering threshold.
-  int packet_threshold = 3;
-  double time_threshold = 1.25;  ///< x max(srtt, latest_rtt)
 };
 
 struct MpStats {
-  std::int64_t packets_sent = 0;
   std::int64_t retransmitted_chunks = 0;
   std::vector<std::int64_t> packets_per_path;
-  sim::Summary message_latency_ms;  ///< per completed message (receiver)
 };
 
 class MpConnection;

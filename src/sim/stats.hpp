@@ -108,7 +108,6 @@ class WindowedMin {
                       : q_.front().value;
   }
   [[nodiscard]] bool empty() const { return q_.empty(); }
-  void set_window(Duration w) { window_ = w; }
   void reset() { q_.clear(); }
 
  private:

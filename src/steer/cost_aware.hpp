@@ -32,7 +32,6 @@ class CostAwarePolicy final : public SteeringPolicy {
                  sim::Time now) override;
 
   [[nodiscard]] double total_spent() const { return spent_; }
-  [[nodiscard]] const CostAwareConfig& config() const { return cfg_; }
 
  private:
   CostAwareConfig cfg_;

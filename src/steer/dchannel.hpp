@@ -85,8 +85,6 @@ class DChannelPolicy final : public SteeringPolicy {
                  std::span<const ChannelView> channels,
                  sim::Time now) override;
 
-  [[nodiscard]] const DChannelConfig& config() const { return cfg_; }
-
  private:
   DChannelConfig cfg_;
 };

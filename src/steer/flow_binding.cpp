@@ -2,6 +2,15 @@
 
 namespace hvc::steer {
 
+namespace {
+
+/// Flows with flow_priority <= this bind to the low-latency channel;
+/// the rest bind to the high-bandwidth channel. (IANS would derive this
+/// from socket intents; flow_priority is our wire encoding of them.)
+constexpr std::uint8_t kLatencySensitiveMaxPriority = 0;
+
+}  // namespace
+
 Decision FlowBindingPolicy::steer(const net::Packet& pkt,
                                   std::span<const ChannelView> channels,
                                   sim::Time /*now*/) {
@@ -21,9 +30,8 @@ Decision FlowBindingPolicy::steer(const net::Packet& pkt,
   FlowState& fs = *fs_ptr;
   if (inserted) {
     // Bind at first sight, from the flow's declared intent.
-    fs.channel = pkt.flow_priority <= cfg_.latency_sensitive_max_priority
-                     ? fast
-                     : wide;
+    fs.channel =
+        pkt.flow_priority <= kLatencySensitiveMaxPriority ? fast : wide;
   }
 
   // IANS-style demand escape hatch: a "latency sensitive" flow that turns

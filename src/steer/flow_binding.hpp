@@ -15,11 +15,6 @@
 namespace hvc::steer {
 
 struct FlowBindingConfig {
-  /// Flows with flow_priority <= this bind to the low-latency channel;
-  /// the rest bind to the high-bandwidth channel. (IANS would derive this
-  /// from socket intents; flow_priority is our wire encoding of them.)
-  std::uint8_t latency_sensitive_max_priority = 0;
-
   /// Estimated flow demand above which even latency-sensitive flows bind
   /// to the high-bandwidth channel (IANS considers expected object size).
   /// Demand is estimated from bytes seen so far; 0 disables.

@@ -1,17 +1,28 @@
 #include "steer/priority.hpp"
 
+#include "steer/dchannel.hpp"
+
 namespace hvc::steer {
 
-std::size_t MessagePriorityPolicy::fast_channel(
-    std::span<const ChannelView> channels) const {
-  if (cfg_.fast_channel != SIZE_MAX && cfg_.fast_channel < channels.size() &&
-      !channels[cfg_.fast_channel].down) {
-    return cfg_.fast_channel;
-  }
-  // Lowest base delay wins; ties (e.g. TSN and best-effort slices of one
-  // Wi-Fi medium) break toward the reliable/deterministic channel. A down
-  // channel cannot be "fast" — skip it so acceleration fails over to the
-  // next-best surviving channel.
+namespace {
+
+/// Messages with priority <= this are pinned to the accelerated channel.
+constexpr std::uint8_t kAccelerateMaxPriority = 0;
+
+/// If the fast channel's queue is fuller than this, overflow to the
+/// default channel rather than build unbounded delay. The paper's video
+/// scheme sizes layer 0 under URLLC capacity so this rarely triggers.
+constexpr double kMaxQueueFill = 0.95;
+
+/// Heuristic used for packets carrying no application metadata:
+/// DChannel's aggressive defaults.
+constexpr DChannelConfig kFallback{};
+
+/// The accelerated channel. Lowest base delay wins; ties (e.g. TSN and
+/// best-effort slices of one Wi-Fi medium) break toward the
+/// reliable/deterministic channel. A down channel cannot be "fast" —
+/// skip it so acceleration fails over to the next-best surviving channel.
+std::size_t fast_channel(std::span<const ChannelView> channels) {
   std::size_t best = first_up_channel(channels);
   for (std::size_t i = best + 1; i < channels.size(); ++i) {
     if (channels[i].down) continue;
@@ -23,6 +34,8 @@ std::size_t MessagePriorityPolicy::fast_channel(
   }
   return best;
 }
+
+}  // namespace
 
 Decision MessagePriorityPolicy::steer(const net::Packet& pkt,
                                       std::span<const ChannelView> channels,
@@ -39,7 +52,8 @@ Decision MessagePriorityPolicy::steer(const net::Packet& pkt,
                          : "msg-priority:no-fast-channel"};
   }
 
-  if (cfg_.use_flow_priority && pkt.flow_priority > 0) {
+  // Background flows (flow_priority > 0) are barred from the fast channel.
+  if (pkt.flow_priority > 0) {
     return {dflt, {},
             primary_down ? "msg-priority:failover"
                          : "msg-priority:flow-priority"};
@@ -47,8 +61,9 @@ Decision MessagePriorityPolicy::steer(const net::Packet& pkt,
 
   const ChannelView& fc = channels[fast];
 
-  if (pkt.type != net::PacketType::kData && cfg_.accelerate_control) {
-    if (fc.queue_fill() <= cfg_.max_queue_fill) {
+  // ACK/control packets are accelerated too, as DChannel does.
+  if (pkt.type != net::PacketType::kData) {
+    if (fc.queue_fill() <= kMaxQueueFill) {
       return {fast, {}, "msg-priority:control"};
     }
     return {dflt, {},
@@ -60,17 +75,17 @@ Decision MessagePriorityPolicy::steer(const net::Packet& pkt,
     // No message metadata: fall back to the application-agnostic heuristic.
     const char* reason = nullptr;
     const std::size_t ch =
-        dchannel_choose(pkt, channels, cfg_.fallback, &reason);
+        dchannel_choose(pkt, channels, kFallback, &reason);
     return {ch, {}, reason};
   }
 
-  const bool important = pkt.app.priority <= cfg_.accelerate_max_priority;
+  const bool important = pkt.app.priority <= kAccelerateMaxPriority;
   const bool tail =
       cfg_.accelerate_tail_bytes > 0 &&
       pkt.app.message_bytes > pkt.app.offset &&
       pkt.app.message_bytes - pkt.app.offset <= cfg_.accelerate_tail_bytes;
 
-  if ((important || tail) && fc.queue_fill() <= cfg_.max_queue_fill) {
+  if ((important || tail) && fc.queue_fill() <= kMaxQueueFill) {
     return {fast, {},
             important ? "msg-priority:important" : "msg-priority:tail"};
   }

@@ -10,37 +10,15 @@
 
 #include <cstdint>
 
-#include "steer/dchannel.hpp"
 #include "steer/steering_policy.hpp"
 
 namespace hvc::steer {
 
 struct PrioritySteerConfig {
-  /// Messages with priority <= this are pinned to the accelerated channel.
-  std::uint8_t accelerate_max_priority = 0;
-
-  /// Index of the channel used for accelerated messages; by convention the
-  /// low-latency channel. SIZE_MAX = auto (lowest base OWD).
-  std::size_t fast_channel = SIZE_MAX;
-
-  /// If the fast channel's queue is fuller than this, overflow to the
-  /// default channel rather than build unbounded delay. The paper's video
-  /// scheme sizes layer 0 under URLLC capacity so this rarely triggers.
-  double max_queue_fill = 0.95;
-
-  /// Also accelerate ACK/control packets (as DChannel does).
-  bool accelerate_control = true;
-
-  /// Bar background flows (flow_priority > 0) from the fast channel.
-  bool use_flow_priority = true;
-
   /// §3.2 option: accelerate the tail of any message once fewer than this
   /// many bytes remain, to cut head-of-line blocking on the last RTT.
   /// 0 disables.
   std::uint32_t accelerate_tail_bytes = 0;
-
-  /// Heuristic used for packets carrying no application metadata.
-  DChannelConfig fallback;
 };
 
 class MessagePriorityPolicy final : public SteeringPolicy {
@@ -49,19 +27,13 @@ class MessagePriorityPolicy final : public SteeringPolicy {
 
   [[nodiscard]] std::string name() const override { return "msg-priority"; }
   [[nodiscard]] bool uses_app_info() const override { return true; }
-  [[nodiscard]] bool uses_flow_priority() const override {
-    return cfg_.use_flow_priority;
-  }
+  [[nodiscard]] bool uses_flow_priority() const override { return true; }
 
   Decision steer(const net::Packet& pkt,
                  std::span<const ChannelView> channels,
                  sim::Time now) override;
 
-  [[nodiscard]] const PrioritySteerConfig& config() const { return cfg_; }
-
  private:
-  std::size_t fast_channel(std::span<const ChannelView> channels) const;
-
   PrioritySteerConfig cfg_;
 };
 

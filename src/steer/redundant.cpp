@@ -2,6 +2,17 @@
 
 namespace hvc::steer {
 
+namespace {
+
+/// Messages with priority <= this are mirrored (unless mirror_all).
+constexpr std::uint8_t kMaxPriorityToMirror = 0;
+
+/// Skip the mirror when its queue is fuller than this — replication must
+/// degrade to single-path under load, not amplify congestion.
+constexpr double kMirrorMaxQueueFill = 0.8;
+
+}  // namespace
+
 Decision RedundantPolicy::steer(const net::Packet& pkt,
                                 std::span<const ChannelView> channels,
                                 sim::Time now) {
@@ -17,9 +28,8 @@ Decision RedundantPolicy::steer(const net::Packet& pkt,
   }
 
   const bool qualifies =
-      cfg_.mirror_all ||
-      (pkt.type != net::PacketType::kData && cfg_.mirror_control) ||
-      (pkt.app.present && pkt.app.priority <= cfg_.max_priority_to_mirror);
+      cfg_.mirror_all || pkt.type != net::PacketType::kData ||
+      (pkt.app.present && pkt.app.priority <= kMaxPriorityToMirror);
   if (!qualifies) return d;
 
   // Mirror on the lowest-estimated-delay channel other than the primary.
@@ -28,7 +38,7 @@ Decision RedundantPolicy::steer(const net::Packet& pkt,
   for (std::size_t i = 0; i < channels.size(); ++i) {
     if (i == d.channel) continue;
     if (channels[i].down) continue;  // a dead mirror protects nothing
-    if (channels[i].queue_fill() > cfg_.mirror_max_queue_fill) continue;
+    if (channels[i].queue_fill() > kMirrorMaxQueueFill) continue;
     const auto delay = channels[i].est_delivery_delay(pkt.size_bytes);
     if (delay < mirror_delay) {
       mirror_delay = delay;

@@ -12,15 +12,9 @@
 namespace hvc::steer {
 
 struct RedundantConfig {
-  /// Replicate every packet (true) or only those with message priority
-  /// <= `max_priority_to_mirror` / control packets (false).
+  /// Replicate every packet (true) or only control packets and messages
+  /// of the top priority (false; redundant.cpp holds that priority).
   bool mirror_all = false;
-  std::uint8_t max_priority_to_mirror = 0;
-  bool mirror_control = true;
-
-  /// Skip the mirror when its queue is fuller than this — replication must
-  /// degrade to single-path under load, not amplify congestion.
-  double mirror_max_queue_fill = 0.8;
 };
 
 /// Decorator: delegates primary-channel choice to `base`, then adds a

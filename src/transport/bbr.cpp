@@ -5,11 +5,13 @@
 
 namespace hvc::transport {
 
-Bbr::Bbr(BbrConfig cfg)
-    : cfg_(cfg),
-      btl_bw_filter_(cfg.bw_window_rounds),
-      rt_prop_filter_(cfg.min_rtt_window),
-      pacing_gain_(cfg.startup_gain) {}
+namespace {
+
+constexpr sim::Duration kProbeRttDuration = sim::milliseconds(200);
+
+}  // namespace
+
+Bbr::Bbr() : btl_bw_filter_(kBwWindowRounds), rt_prop_filter_(kMinRttWindow) {}
 
 double Bbr::btl_bw_bps() const { return btl_bw_filter_.get(); }
 
@@ -21,16 +23,16 @@ sim::Duration Bbr::rt_prop() const {
 
 std::int64_t Bbr::bdp_bytes() const {
   const double bw = btl_bw_bps();
-  if (bw <= 0.0) return cfg_.initial_cwnd;
+  if (bw <= 0.0) return kInitialCwnd;
   return static_cast<std::int64_t>(bw / 8.0 * sim::to_seconds(rt_prop()));
 }
 
 std::int64_t Bbr::cwnd_bytes() const {
-  if (mode_ == Mode::kProbeRtt) return cfg_.min_cwnd;
+  if (mode_ == Mode::kProbeRtt) return kMinCwnd;
   const std::int64_t target = static_cast<std::int64_t>(
-      cfg_.cwnd_gain * static_cast<double>(bdp_bytes()));
-  return std::max({target, cfg_.min_cwnd,
-                   btl_bw_bps() <= 0.0 ? cfg_.initial_cwnd : 0});
+      kCwndGain * static_cast<double>(bdp_bytes()));
+  return std::max({target, kMinCwnd,
+                   btl_bw_bps() <= 0.0 ? kInitialCwnd : 0});
 }
 
 double Bbr::pacing_rate_bps() const {
@@ -38,7 +40,7 @@ double Bbr::pacing_rate_bps() const {
   if (bw <= 0.0) {
     // No bandwidth estimate yet: pace the initial window over the
     // (assumed) initial RTT, scaled by the startup gain.
-    return pacing_gain_ * static_cast<double>(cfg_.initial_cwnd) * 8.0 /
+    return pacing_gain_ * static_cast<double>(kInitialCwnd) * 8.0 /
            sim::to_seconds(sim::milliseconds(100));
   }
   return pacing_gain_ * bw;
@@ -88,20 +90,20 @@ void Bbr::advance_cycle(const AckEvent& ev) {
 }
 
 void Bbr::maybe_enter_or_exit_probe_rtt(const AckEvent& ev) {
-  const bool expired = ev.now - rt_prop_stamp_ > cfg_.min_rtt_window;
+  const bool expired = ev.now - rt_prop_stamp_ > kMinRttWindow;
   if (mode_ != Mode::kProbeRtt && expired) {
     mode_ = Mode::kProbeRtt;
     probe_rtt_done_ = -1;
   }
   if (mode_ == Mode::kProbeRtt) {
-    if (probe_rtt_done_ < 0 && ev.bytes_in_flight <= cfg_.min_cwnd) {
-      probe_rtt_done_ = ev.now + cfg_.probe_rtt_duration;
+    if (probe_rtt_done_ < 0 && ev.bytes_in_flight <= kMinCwnd) {
+      probe_rtt_done_ = ev.now + kProbeRttDuration;
     }
     if (probe_rtt_done_ >= 0 && ev.now >= probe_rtt_done_) {
       rt_prop_stamp_ = ev.now;
       mode_ = filled_pipe_ ? Mode::kProbeBw : Mode::kStartup;
       pacing_gain_ = mode_ == Mode::kProbeBw ? kCycleGains[cycle_index_]
-                                             : cfg_.startup_gain;
+                                             : kStartupGain;
       cycle_stamp_ = ev.now;
     }
   }
@@ -114,10 +116,10 @@ void Bbr::on_ack(const AckEvent& ev) {
 
   switch (mode_) {
     case Mode::kStartup:
-      pacing_gain_ = cfg_.startup_gain;
+      pacing_gain_ = kStartupGain;
       if (filled_pipe_) {
         mode_ = Mode::kDrain;
-        pacing_gain_ = cfg_.drain_gain;
+        pacing_gain_ = kDrainGain;
       }
       break;
     case Mode::kDrain:
@@ -145,7 +147,7 @@ void Bbr::on_loss(const LossEvent& ev) {
     full_bw_count_ = 0;
     filled_pipe_ = false;
     mode_ = Mode::kStartup;
-    pacing_gain_ = cfg_.startup_gain;
+    pacing_gain_ = kStartupGain;
   }
 }
 

@@ -14,20 +14,21 @@
 
 namespace hvc::transport {
 
-struct BbrConfig {
-  double startup_gain = 2.885;         ///< 2/ln(2)
-  double drain_gain = 1.0 / 2.885;
-  double cwnd_gain = 2.0;
-  sim::Duration min_rtt_window = sim::seconds(10);
-  sim::Duration probe_rtt_duration = sim::milliseconds(200);
-  int bw_window_rounds = 10;
-  std::int64_t min_cwnd = 4 * kMss;
-  std::int64_t initial_cwnd = 10 * kMss;
-};
-
 class Bbr final : public CcAlgorithm {
  public:
-  explicit Bbr(BbrConfig cfg = {});
+  // BBR v1's gains and windows; HvcAwareCc (hvc_cc.hpp) runs the same
+  // values.
+  static constexpr double kStartupGain = 2.885;  ///< 2/ln(2)
+  static constexpr double kDrainGain = 1.0 / 2.885;
+  static constexpr double kCwndGain = 2.0;
+  /// PROBE_BW pacing-gain cycle.
+  static constexpr double kCycleGains[8] = {1.25, 0.75, 1, 1, 1, 1, 1, 1};
+  static constexpr int kBwWindowRounds = 10;  ///< BtlBw max-filter window
+  static constexpr sim::Duration kMinRttWindow = sim::seconds(10);
+  static constexpr std::int64_t kMinCwnd = 4 * kMss;
+  static constexpr std::int64_t kInitialCwnd = 10 * kMss;
+
+  Bbr();
 
   [[nodiscard]] std::string name() const override { return "bbr"; }
   void on_ack(const AckEvent& ev) override;
@@ -48,7 +49,6 @@ class Bbr final : public CcAlgorithm {
   void advance_cycle(const AckEvent& ev);
   void maybe_enter_or_exit_probe_rtt(const AckEvent& ev);
 
-  BbrConfig cfg_;
   Mode mode_ = Mode::kStartup;
 
   // BtlBw: max filter keyed by the sender's round count.
@@ -64,14 +64,13 @@ class Bbr final : public CcAlgorithm {
   bool filled_pipe_ = false;
 
   // PROBE_BW gain cycling.
-  static constexpr double kCycleGains[8] = {1.25, 0.75, 1, 1, 1, 1, 1, 1};
   int cycle_index_ = 0;
   sim::Time cycle_stamp_ = 0;
 
   // PROBE_RTT.
   sim::Time probe_rtt_done_ = -1;
 
-  double pacing_gain_;
+  double pacing_gain_ = kStartupGain;
 };
 
 }  // namespace hvc::transport

@@ -7,15 +7,24 @@
 
 namespace hvc::transport {
 
-Cubic::Cubic(CubicConfig cfg)
-    : cfg_(cfg),
-      cwnd_(cfg.initial_cwnd),
-      ssthresh_(INT64_MAX) {}
+namespace {
+
+constexpr double kC = 0.4;     ///< cubic scaling constant (MSS units)
+constexpr double kBeta = 0.7;  ///< multiplicative decrease factor
+/// No HyStart exit below this window (Linux's hystart_low_window):
+/// tiny-window delay signals are too noisy to act on.
+constexpr std::int64_t kHystartLowWindow = 16 * kMss;
+constexpr std::int64_t kInitialCwnd = 10 * kMss;
+constexpr std::int64_t kMinCwnd = 2 * kMss;
+
+}  // namespace
+
+Cubic::Cubic() : cwnd_(kInitialCwnd) {}
 
 double Cubic::cubic_target(sim::Time now) const {
   const double t = sim::to_seconds(now - epoch_start_);
   const double delta = t - k_;
-  return cfg_.c * delta * delta * delta + w_max_mss_;
+  return kC * delta * delta * delta + w_max_mss_;
 }
 
 void Cubic::on_ack(const AckEvent& ev) {
@@ -33,7 +42,7 @@ void Cubic::on_ack(const AckEvent& ev) {
     // matters under packet steering: a lifetime-min comparison would
     // false-trigger the moment one sample rides a faster channel.
     bool exit_ss = false;
-    if (cfg_.hystart && ev.rtt > 0 && cwnd_ >= cfg_.hystart_low_window) {
+    if (ev.rtt > 0 && cwnd_ >= kHystartLowWindow) {
       if (ev.round_trips != hystart_round_) {
         prev_round_min_ = cur_round_min_;
         cur_round_min_ = 0;
@@ -62,7 +71,7 @@ void Cubic::on_ack(const AckEvent& ev) {
     epoch_start_ = ev.now;
     const double cwnd_mss = static_cast<double>(cwnd_) / kMss;
     if (w_max_mss_ < cwnd_mss) w_max_mss_ = cwnd_mss;
-    k_ = std::cbrt((w_max_mss_ - cwnd_mss) / cfg_.c);
+    k_ = std::cbrt((w_max_mss_ - cwnd_mss) / kC);
   }
 
   // Standard CUBIC: aim the window at the cubic curve one RTT ahead.
@@ -78,7 +87,7 @@ void Cubic::on_ack(const AckEvent& ev) {
   cwnd_ += static_cast<std::int64_t>(
       increment_mss * static_cast<double>(ev.acked_bytes) /
       static_cast<double>(kMss) * kMss);
-  cwnd_ = std::max(cwnd_, cfg_.min_cwnd);
+  cwnd_ = std::max(cwnd_, kMinCwnd);
 }
 
 void Cubic::on_loss(const LossEvent& ev) {
@@ -90,20 +99,20 @@ void Cubic::on_loss(const LossEvent& ev) {
   prior_w_max_mss_ = w_max_mss_;
 
   const double cwnd_mss = static_cast<double>(cwnd_) / kMss;
-  if (cfg_.fast_convergence && cwnd_mss < w_max_mss_) {
-    w_max_mss_ = cwnd_mss * (1.0 + cfg_.beta) / 2.0;
+  if (cwnd_mss < w_max_mss_) {  // fast convergence
+    w_max_mss_ = cwnd_mss * (1.0 + kBeta) / 2.0;
   } else {
     w_max_mss_ = cwnd_mss;
   }
   cwnd_ = std::max(static_cast<std::int64_t>(
-                       static_cast<double>(cwnd_) * cfg_.beta),
-                   cfg_.min_cwnd);
+                       static_cast<double>(cwnd_) * kBeta),
+                   kMinCwnd);
   ssthresh_ = cwnd_;
   epoch_start_ = -1;
 
   if (ev.is_rto) {
-    ssthresh_ = std::max(cwnd_ / 2, cfg_.min_cwnd);
-    cwnd_ = cfg_.min_cwnd;
+    ssthresh_ = std::max(cwnd_ / 2, kMinCwnd);
+    cwnd_ = kMinCwnd;
     epoch_start_ = -1;
   }
 }

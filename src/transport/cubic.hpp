@@ -8,21 +8,9 @@
 
 namespace hvc::transport {
 
-struct CubicConfig {
-  double c = 0.4;                  ///< cubic scaling constant (MSS units)
-  double beta = 0.7;               ///< multiplicative decrease factor
-  bool fast_convergence = true;
-  bool hystart = true;  ///< delay-based slow-start exit
-  /// No HyStart exit below this window (Linux's hystart_low_window):
-  /// tiny-window delay signals are too noisy to act on.
-  std::int64_t hystart_low_window = 16 * kMss;
-  std::int64_t initial_cwnd = 10 * kMss;
-  std::int64_t min_cwnd = 2 * kMss;
-};
-
 class Cubic final : public CcAlgorithm {
  public:
-  explicit Cubic(CubicConfig cfg = {});
+  Cubic();
 
   [[nodiscard]] std::string name() const override { return "cubic"; }
   void on_ack(const AckEvent& ev) override;
@@ -35,9 +23,8 @@ class Cubic final : public CcAlgorithm {
  private:
   [[nodiscard]] double cubic_target(sim::Time now) const;
 
-  CubicConfig cfg_;
   std::int64_t cwnd_;
-  std::int64_t ssthresh_;
+  std::int64_t ssthresh_ = INT64_MAX;
   double w_max_mss_ = 0.0;       ///< window before last reduction (MSS)
   sim::Time epoch_start_ = -1;   ///< -1: no epoch yet
   double k_ = 0.0;               ///< time offset where cubic crosses w_max

@@ -5,12 +5,14 @@
 
 namespace hvc::transport {
 
-HvcAwareCc::HvcAwareCc(HvcCcConfig cfg)
-    : cfg_(cfg),
-      btl_bw_filter_(cfg.bw_window_rounds),
-      pacing_gain_(cfg.startup_gain) {
-  for (auto& c : ch_) c.rtt_min.set_window(cfg_.rtt_window);
-}
+namespace {
+
+/// Period over which each channel's share of delivered bytes is measured.
+constexpr sim::Duration kRateEpoch = sim::milliseconds(100);
+
+}  // namespace
+
+HvcAwareCc::HvcAwareCc() : btl_bw_filter_(Bbr::kBwWindowRounds) {}
 
 double HvcAwareCc::btl_bw_bps() const { return btl_bw_filter_.get(); }
 
@@ -33,25 +35,25 @@ sim::Duration HvcAwareCc::weighted_rtt() const {
 
 std::int64_t HvcAwareCc::cwnd_bytes() const {
   const double bw = btl_bw_bps();
-  if (bw <= 0.0) return cfg_.initial_cwnd;
+  if (bw <= 0.0) return Bbr::kInitialCwnd;
   const auto bdp = static_cast<std::int64_t>(
       bw / 8.0 * sim::to_seconds(weighted_rtt()));
-  return std::max(static_cast<std::int64_t>(cfg_.cwnd_gain *
+  return std::max(static_cast<std::int64_t>(Bbr::kCwndGain *
                                             static_cast<double>(bdp)),
-                  cfg_.min_cwnd);
+                  Bbr::kMinCwnd);
 }
 
 double HvcAwareCc::pacing_rate_bps() const {
   const double bw = btl_bw_bps();
   if (bw <= 0.0) {
-    return pacing_gain_ * static_cast<double>(cfg_.initial_cwnd) * 8.0 /
+    return pacing_gain_ * static_cast<double>(Bbr::kInitialCwnd) * 8.0 /
            sim::to_seconds(sim::milliseconds(100));
   }
   return pacing_gain_ * bw;
 }
 
 void HvcAwareCc::roll_epoch(sim::Time now) {
-  if (now - epoch_start_ < cfg_.rate_epoch) return;
+  if (now - epoch_start_ < kRateEpoch) return;
   const double secs = sim::to_seconds(now - epoch_start_);
   for (auto& c : ch_) {
     if (!c.seen) continue;
@@ -64,7 +66,7 @@ void HvcAwareCc::roll_epoch(sim::Time now) {
 
 void HvcAwareCc::on_ack(const AckEvent& ev) {
   const std::size_t idx =
-      ev.channel < HvcCcConfig::kMaxChannels ? ev.channel : 0;
+      ev.channel < kMaxChannels ? ev.channel : 0;
   auto& pc = ch_[idx];
   pc.seen = true;
   if (ev.rtt > 0) {
@@ -91,10 +93,10 @@ void HvcAwareCc::on_ack(const AckEvent& ev) {
 
   switch (mode_) {
     case Mode::kStartup:
-      pacing_gain_ = cfg_.startup_gain;
+      pacing_gain_ = Bbr::kStartupGain;
       if (filled_pipe_) {
         mode_ = Mode::kDrain;
-        pacing_gain_ = cfg_.drain_gain;
+        pacing_gain_ = Bbr::kDrainGain;
       }
       break;
     case Mode::kDrain: {
@@ -105,7 +107,7 @@ void HvcAwareCc::on_ack(const AckEvent& ev) {
         mode_ = Mode::kProbeBw;
         cycle_index_ = 0;
         cycle_stamp_ = ev.now;
-        pacing_gain_ = kCycleGains[cycle_index_];
+        pacing_gain_ = Bbr::kCycleGains[cycle_index_];
       }
       break;
     }
@@ -113,7 +115,7 @@ void HvcAwareCc::on_ack(const AckEvent& ev) {
       if (ev.now - cycle_stamp_ > weighted_rtt()) {
         cycle_index_ = (cycle_index_ + 1) % 8;
         cycle_stamp_ = ev.now;
-        pacing_gain_ = kCycleGains[cycle_index_];
+        pacing_gain_ = Bbr::kCycleGains[cycle_index_];
       }
       break;
   }
@@ -126,7 +128,7 @@ void HvcAwareCc::on_loss(const LossEvent& ev) {
     full_bw_count_ = 0;
     filled_pipe_ = false;
     mode_ = Mode::kStartup;
-    pacing_gain_ = cfg_.startup_gain;
+    pacing_gain_ = Bbr::kStartupGain;
   }
 }
 

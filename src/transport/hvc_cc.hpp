@@ -13,25 +13,17 @@
 #include <array>
 
 #include "sim/stats.hpp"
+#include "transport/bbr.hpp"
 #include "transport/cca.hpp"
 
 namespace hvc::transport {
 
-struct HvcCcConfig {
-  double startup_gain = 2.885;
-  double drain_gain = 1.0 / 2.885;
-  double cwnd_gain = 2.0;
-  sim::Duration rtt_window = sim::seconds(10);
-  int bw_window_rounds = 10;
-  std::int64_t min_cwnd = 4 * kMss;
-  std::int64_t initial_cwnd = 10 * kMss;
-  sim::Duration rate_epoch = sim::milliseconds(100);
-  static constexpr std::size_t kMaxChannels = 8;
-};
-
+/// Runs Bbr's gains, bandwidth window, cwnd bounds and RTT window.
 class HvcAwareCc final : public CcAlgorithm {
  public:
-  explicit HvcAwareCc(HvcCcConfig cfg = {});
+  static constexpr std::size_t kMaxChannels = 8;
+
+  HvcAwareCc();
 
   [[nodiscard]] std::string name() const override { return "hvc"; }
   void on_ack(const AckEvent& ev) override;
@@ -48,7 +40,7 @@ class HvcAwareCc final : public CcAlgorithm {
 
  private:
   struct PerChannel {
-    sim::WindowedMin rtt_min{sim::seconds(10)};
+    sim::WindowedMin rtt_min{Bbr::kMinRttWindow};
     std::int64_t epoch_bytes = 0;
     double rate_bps = 0.0;  ///< EWMA of per-epoch throughput share
     bool seen = false;
@@ -56,9 +48,8 @@ class HvcAwareCc final : public CcAlgorithm {
 
   void roll_epoch(sim::Time now);
 
-  HvcCcConfig cfg_;
   Mode mode_ = Mode::kStartup;
-  std::array<PerChannel, HvcCcConfig::kMaxChannels> ch_{};
+  std::array<PerChannel, kMaxChannels> ch_{};
 
   sim::WindowedMax btl_bw_filter_;  ///< keyed by the sender's round count
 
@@ -66,10 +57,9 @@ class HvcAwareCc final : public CcAlgorithm {
   int full_bw_count_ = 0;
   bool filled_pipe_ = false;
 
-  static constexpr double kCycleGains[8] = {1.25, 0.75, 1, 1, 1, 1, 1, 1};
   int cycle_index_ = 0;
   sim::Time cycle_stamp_ = 0;
-  double pacing_gain_;
+  double pacing_gain_ = Bbr::kStartupGain;
 
   sim::Time epoch_start_ = 0;
   sim::Duration srtt_ = sim::milliseconds(100);

@@ -32,10 +32,14 @@ class RttEstimator {
     return std::clamp(raw, kMinRto, kMaxRto);
   }
 
+  /// Hard ceiling on the timeout, backed-off ones included. Bounds the
+  /// probe interval through long blackouts (fault injection, §3's
+  /// flapping channels): backoff doubles up to this, never past it.
+  static constexpr sim::Duration kMaxRto = sim::seconds(60);
+
  private:
   static constexpr sim::Duration kGranularity = sim::milliseconds(1);
   static constexpr sim::Duration kMinRto = sim::milliseconds(200);
-  static constexpr sim::Duration kMaxRto = sim::seconds(60);
 
   bool has_sample_ = false;
   sim::Duration srtt_ = 0;

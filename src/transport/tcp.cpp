@@ -11,6 +11,20 @@ using net::PacketPtr;
 using sim::Duration;
 using sim::Time;
 
+namespace {
+
+constexpr int kDupackThreshold = 3;
+/// Base RACK reordering window as a fraction of srtt (min 10 ms). When
+/// reordering is *observed* (a never-retransmitted segment is delivered
+/// below an already-SACKed block), the window grows multiplicatively up
+/// to one srtt — Linux RACK's adaptation, and what lets CUBIC survive
+/// persistent cross-channel reordering under packet steering.
+constexpr double kRackWindowFrac = 0.25;
+constexpr int kRackMaxMult = 8;
+constexpr Duration kDelayedAckTimeout = sim::milliseconds(25);
+
+}  // namespace
+
 FlowPair make_flow_pair() {
   return {net::next_flow_id(), net::next_flow_id()};
 }
@@ -186,7 +200,6 @@ void TcpSender::send_segment(Segment& seg, bool retransmission) {
     in_flight_ += seg.len;
   }
   ++stats_.packets_sent;
-  stats_.bytes_sent += seg.len;
   if (retransmission) {
     ++stats_.retransmissions;
   }
@@ -209,7 +222,7 @@ Duration TcpSender::rack_window() const {
   const Duration srtt =
       rtt_.has_sample() ? rtt_.srtt() : sim::milliseconds(100);
   const Duration base = std::max<Duration>(
-      static_cast<Duration>(cfg_.rack_window_frac *
+      static_cast<Duration>(kRackWindowFrac *
                             static_cast<double>(srtt)),
       sim::milliseconds(10));
   if (!reordering_seen_) return base;
@@ -224,7 +237,7 @@ void TcpSender::note_spurious_if_unretransmitted(const Segment& seg,
   if (!seg.lost || seg.tx_count != 1) return;
   ++stats_.spurious_loss_marks;
   reordering_seen_ = true;
-  if (reo_mult_ < cfg_.rack_max_mult) ++reo_mult_;
+  if (reo_mult_ < kRackMaxMult) ++reo_mult_;
   const Duration srtt =
       rtt_.has_sample() ? rtt_.srtt() : sim::milliseconds(100);
   if (now - last_undo_ >= srtt) {
@@ -238,7 +251,7 @@ void TcpSender::note_reordering(const Segment& seg) {
   // block proves the path reorders; widen the RACK window.
   if (seg.tx_count == 1 && seg.seq + seg.len < highest_sacked_end_) {
     reordering_seen_ = true;
-    if (reo_mult_ < cfg_.rack_max_mult) ++reo_mult_;
+    if (reo_mult_ < kRackMaxMult) ++reo_mult_;
   }
 }
 
@@ -377,7 +390,7 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
   // Dupack fallback (matters only if SACK blocks were dropped/limited).
   if (tp.ack == last_cum_ack_ && !any_new_sack && newly_delivered == 0 &&
       tp.ack < stream_end_) {
-    if (++dupacks_ >= cfg_.dupack_threshold && !outstanding_.empty()) {
+    if (++dupacks_ >= kDupackThreshold && !outstanding_.empty()) {
       Segment& head = outstanding_.begin()->second;
       if (!head.lost && !head.sacked) {
         const std::int64_t lost_bytes = mark_lost(head);
@@ -432,8 +445,10 @@ void TcpSender::on_ack_packet(const PacketPtr& p) {
 
 void TcpSender::arm_rto() {
   Duration rto = rtt_.rto();
-  for (int i = 0; i < rto_backoff_ && rto < cfg_.max_rto; ++i) rto *= 2;
-  rto_timer_.arm(std::min(rto, cfg_.max_rto));
+  for (int i = 0; i < rto_backoff_ && rto < RttEstimator::kMaxRto; ++i) {
+    rto *= 2;
+  }
+  rto_timer_.arm(std::min(rto, RttEstimator::kMaxRto));
 }
 
 void TcpSender::on_rto() {
@@ -446,8 +461,9 @@ void TcpSender::on_rto() {
   // re-sending the window each backoff interval would only pile stale
   // copies into the dead link's queue (all wasted bytes on recovery).
   // Probe with the single oldest unacked segment instead — the bounded
-  // exponential backoff (arm_rto, cfg_.max_rto) paces the probes, and the
-  // first ack through rebuilds the ACK clock and normal recovery.
+  // exponential backoff (arm_rto, RttEstimator::kMaxRto) paces the
+  // probes, and the first ack through rebuilds the ACK clock and normal
+  // recovery.
   if (rto_backoff_ >= 2) {
     for (auto& [seq, seg] : outstanding_) {
       if (seg.sacked) continue;
@@ -529,15 +545,12 @@ TcpReceiver::TcpReceiver(net::Node& local, FlowPair flows, TcpConfig cfg)
 
 void TcpReceiver::on_data_packet(const PacketPtr& p) {
   const Time now = sim_.now();
-  ++stats_.packets_received;
   const std::uint64_t first = p->tp.seq;
   const std::uint64_t last = first + p->tp.len;
 
   // Compute how many genuinely new bytes this packet contributes.
   std::int64_t added = 0;
-  if (last <= cum_) {
-    ++stats_.duplicate_packets;
-  } else {
+  if (last > cum_) {
     std::uint64_t lo = std::max(first, cum_);
     // Subtract overlap with existing out-of-order blocks.
     added = static_cast<std::int64_t>(last - lo);
@@ -546,10 +559,7 @@ void TcpReceiver::on_data_packet(const PacketPtr& p) {
       const std::uint64_t ol = std::min(last, bl);
       if (ol > of) added -= static_cast<std::int64_t>(ol - of);
     }
-    if (added <= 0) {
-      ++stats_.duplicate_packets;
-      added = 0;
-    }
+    added = std::max<std::int64_t>(added, 0);
   }
 
   // Merge [first, last) into the block map.
@@ -604,7 +614,7 @@ void TcpReceiver::on_data_packet(const PacketPtr& p) {
       unacked_count_ = 0;
       delack_timer_.cancel();
     } else if (!delack_timer_.armed()) {
-      delack_timer_.arm(cfg_.delayed_ack_timeout);
+      delack_timer_.arm(kDelayedAckTimeout);
     }
   } else {
     send_ack(p);

@@ -53,29 +53,14 @@ struct TcpConfig {
   /// Flow-level priority stamped on every packet (0 = foreground).
   std::uint8_t flow_priority = 0;
 
-  /// Delayed ACKs: ack every 2nd packet or after the timeout.
+  /// Delayed ACKs: ack every 2nd packet or after a 25 ms timeout.
   bool delayed_ack = false;
-  sim::Duration delayed_ack_timeout = sim::milliseconds(25);
 
-  int dupack_threshold = 3;
-  /// Base RACK reordering window as a fraction of srtt (min 10 ms). When
-  /// reordering is *observed* (a never-retransmitted segment is delivered
-  /// below an already-SACKed block), the window grows multiplicatively up
-  /// to one srtt — Linux RACK's adaptation, and what lets CUBIC survive
-  /// persistent cross-channel reordering under packet steering.
-  double rack_window_frac = 0.25;
-  int rack_max_mult = 8;
   int max_sack_blocks = 4;
-
-  /// Hard ceiling on the backed-off retransmission timeout. Bounds the
-  /// probe interval through long blackouts (fault injection, §3's flapping
-  /// channels): backoff doubles up to this, never past it.
-  sim::Duration max_rto = sim::seconds(60);
 };
 
 struct TcpSenderStats {
   std::int64_t packets_sent = 0;
-  std::int64_t bytes_sent = 0;          ///< payload, incl. retransmissions
   std::int64_t bytes_acked = 0;         ///< cumulatively acked payload
   std::int64_t retransmissions = 0;
   std::int64_t rto_count = 0;
@@ -248,8 +233,6 @@ class TcpSender {
 };
 
 struct TcpReceiverStats {
-  std::int64_t packets_received = 0;
-  std::int64_t duplicate_packets = 0;
   std::int64_t acks_sent = 0;
 };
 

@@ -4,7 +4,18 @@
 
 namespace hvc::transport {
 
-Vegas::Vegas(VegasConfig cfg) : cfg_(cfg), cwnd_(cfg.initial_cwnd) {}
+namespace {
+
+// Queue backlog targets, in packets.
+constexpr double kAlphaPkts = 2.0;
+constexpr double kBetaPkts = 4.0;
+constexpr double kGammaPkts = 1.0;  ///< slow-start exit threshold
+constexpr std::int64_t kInitialCwnd = 10 * kMss;
+constexpr std::int64_t kMinCwnd = 2 * kMss;
+
+}  // namespace
+
+Vegas::Vegas() : cwnd_(kInitialCwnd) {}
 
 void Vegas::on_ack(const AckEvent& ev) {
   if (ev.rtt <= 0) return;
@@ -25,31 +36,31 @@ void Vegas::on_ack(const AckEvent& ev) {
                    static_cast<double>(rtt));
 
   if (in_slow_start_) {
-    if (diff > cfg_.gamma_pkts) {
+    if (diff > kGammaPkts) {
       in_slow_start_ = false;
-      cwnd_ = std::max(cwnd_ - kMss, cfg_.min_cwnd);
+      cwnd_ = std::max(cwnd_ - kMss, kMinCwnd);
     } else {
       cwnd_ += cwnd_ / 2;  // Vegas doubles every other RTT; approximate
     }
     return;
   }
 
-  if (diff < cfg_.alpha_pkts) {
+  if (diff < kAlphaPkts) {
     cwnd_ += kMss;
-  } else if (diff > cfg_.beta_pkts) {
-    cwnd_ = std::max(cwnd_ - kMss, cfg_.min_cwnd);
+  } else if (diff > kBetaPkts) {
+    cwnd_ = std::max(cwnd_ - kMss, kMinCwnd);
   }
 }
 
 void Vegas::on_loss(const LossEvent& ev) {
   if (ev.is_rto) {
-    cwnd_ = cfg_.min_cwnd;
+    cwnd_ = kMinCwnd;
     in_slow_start_ = true;
     return;
   }
   cwnd_ = std::max(
       static_cast<std::int64_t>(static_cast<double>(cwnd_) * 0.75),
-      cfg_.min_cwnd);
+      kMinCwnd);
   in_slow_start_ = false;
 }
 

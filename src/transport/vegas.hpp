@@ -10,17 +10,9 @@
 
 namespace hvc::transport {
 
-struct VegasConfig {
-  double alpha_pkts = 2.0;
-  double beta_pkts = 4.0;
-  double gamma_pkts = 1.0;  ///< slow-start exit threshold
-  std::int64_t initial_cwnd = 10 * kMss;
-  std::int64_t min_cwnd = 2 * kMss;
-};
-
 class Vegas final : public CcAlgorithm {
  public:
-  explicit Vegas(VegasConfig cfg = {});
+  Vegas();
 
   [[nodiscard]] std::string name() const override { return "vegas"; }
   void on_ack(const AckEvent& ev) override;
@@ -30,7 +22,6 @@ class Vegas final : public CcAlgorithm {
   [[nodiscard]] sim::Duration base_rtt() const { return base_rtt_; }
 
  private:
-  VegasConfig cfg_;
   std::int64_t cwnd_;
   std::int64_t ssthresh_ = INT64_MAX;
   sim::Duration base_rtt_ = 0;  ///< 0 = no sample yet (lifetime min)

@@ -5,15 +5,30 @@
 
 namespace hvc::transport {
 
-Vivace::Vivace(VivaceConfig cfg)
-    : cfg_(cfg), rate_bps_(cfg.initial_rate_bps) {}
+namespace {
+
+constexpr double kExponent = 0.9;        ///< t in x^t (x in Mbps)
+constexpr double kRttGradCoeff = 900.0;  ///< b
+constexpr double kLossCoeff = 11.35;     ///< c
+constexpr double kProbeEps = 0.05;
+constexpr double kInitialRateBps = 2e6;
+constexpr double kMinRateBps = 0.2e6;
+constexpr double kMaxRateBps = 500e6;
+/// Gradient-to-rate conversion (delta Mbps per unit utility gradient),
+/// with confidence amplification folded into simple step clamping.
+constexpr double kStepScale = 0.1;
+constexpr double kMaxStepFrac = 0.25;  ///< max relative rate change per pair
+
+}  // namespace
+
+Vivace::Vivace() : rate_bps_(kInitialRateBps) {}
 
 sim::Duration Vivace::mi_duration() const {
   // One MI ~ 1 RTT, floored so an MI always spans several packets.
   return std::max<sim::Duration>(srtt_, sim::milliseconds(10));
 }
 
-double Vivace::MonitorInterval::utility(const VivaceConfig& cfg) const {
+double Vivace::MonitorInterval::utility() const {
   const double duration =
       sim::to_seconds(std::max<sim::Duration>(end - start, 1));
   const double goodput_mbps =
@@ -44,9 +59,9 @@ double Vivace::MonitorInterval::utility(const VivaceConfig& cfg) const {
   }
 
   const double x = goodput_mbps > 0 ? goodput_mbps : 1e-3;
-  return std::pow(x, cfg.exponent) -
-         cfg.rtt_grad_coeff * sent_mbps * std::max(0.0, slope) -
-         cfg.loss_coeff * sent_mbps * loss_frac;
+  return std::pow(x, kExponent) -
+         kRttGradCoeff * sent_mbps * std::max(0.0, slope) -
+         kLossCoeff * sent_mbps * loss_frac;
 }
 
 void Vivace::ensure_current(sim::Time now) {
@@ -54,7 +69,7 @@ void Vivace::ensure_current(sim::Time now) {
     MonitorInterval mi;
     mi.start = now;
     mi.sign = mis_.empty() ? +1 : -mis_.back().sign;
-    mi.rate_bps = rate_bps_ * (1.0 + mi.sign * cfg_.probe_eps);
+    mi.rate_bps = rate_bps_ * (1.0 + mi.sign * kProbeEps);
     mis_.push_back(mi);
   }
 }
@@ -74,19 +89,19 @@ void Vivace::finalize_ready(sim::Time now) {
   while (!mis_.empty()) {
     MonitorInterval& front = mis_.front();
     if (front.end == 0 || now < front.end + front.lag) break;
-    const double u = front.utility(cfg_);
+    const double u = front.utility();
     if (front.sign > 0) {
       utility_plus_ = u;
       have_plus_ = true;
     } else if (have_plus_) {
-      const double d_rate_mbps = 2.0 * cfg_.probe_eps * rate_bps_ / 1e6;
+      const double d_rate_mbps = 2.0 * kProbeEps * rate_bps_ / 1e6;
       if (d_rate_mbps > 1e-9) {
         const double grad = (utility_plus_ - u) / d_rate_mbps;
-        double step_mbps = cfg_.step_scale * grad;
-        const double cap = cfg_.max_step_frac * rate_bps_ / 1e6;
+        double step_mbps = kStepScale * grad;
+        const double cap = kMaxStepFrac * rate_bps_ / 1e6;
         step_mbps = std::clamp(step_mbps, -cap, cap);
         rate_bps_ = std::clamp(rate_bps_ + step_mbps * 1e6,
-                               cfg_.min_rate_bps, cfg_.max_rate_bps);
+                               kMinRateBps, kMaxRateBps);
       }
       have_plus_ = false;
     }

@@ -23,23 +23,9 @@
 
 namespace hvc::transport {
 
-struct VivaceConfig {
-  double exponent = 0.9;            ///< t in x^t (x in Mbps)
-  double rtt_grad_coeff = 900.0;    ///< b
-  double loss_coeff = 11.35;        ///< c
-  double probe_eps = 0.05;
-  double initial_rate_bps = 2e6;
-  double min_rate_bps = 0.2e6;
-  double max_rate_bps = 500e6;
-  /// Gradient-to-rate conversion (delta Mbps per unit utility gradient),
-  /// with confidence amplification folded into simple step clamping.
-  double step_scale = 0.1;
-  double max_step_frac = 0.25;      ///< max relative rate change per pair
-};
-
 class Vivace final : public CcAlgorithm {
  public:
-  explicit Vivace(VivaceConfig cfg = {});
+  Vivace();
 
   [[nodiscard]] std::string name() const override { return "vivace"; }
   void on_packet_sent(sim::Time now, std::int64_t bytes,
@@ -64,7 +50,7 @@ class Vivace final : public CcAlgorithm {
     std::vector<std::pair<sim::Time, double>> rtt_samples;
     std::int64_t acked_bytes = 0;
     std::int64_t lost_bytes = 0;
-    [[nodiscard]] double utility(const VivaceConfig& cfg) const;
+    [[nodiscard]] double utility() const;
   };
 
   void ensure_current(sim::Time now);
@@ -73,7 +59,6 @@ class Vivace final : public CcAlgorithm {
   void attribute_ack(const AckEvent& ev);
   [[nodiscard]] sim::Duration mi_duration() const;
 
-  VivaceConfig cfg_;
   double rate_bps_;
   std::deque<MonitorInterval> mis_;  ///< front oldest; back = sending MI
   double utility_plus_ = 0.0;

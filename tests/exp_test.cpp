@@ -300,6 +300,13 @@ TEST(ExpSpec, ErrorMessagesNameTheFullPath) {
        "web.per_load_timeout_s: must be > 0"},
       {R"({"web": {"pages": 1.5}})",
        "web.pages: expected an integer"},
+      // An int member past its type's limits, before it can wrap.
+      {R"({"web": {"pages": 4294967297}})",
+       "web.pages: must be <= 2147483647"},
+      {R"({"video": {"fps": 4294967326}})",
+       "video.fps: must be <= 2147483647"},
+      {R"({"workload": "city", "city": {"web": {"max_levels": 2147483648}}})",
+       "city.web.max_levels: must be <= 2147483647"},
       {R"({"video": {"layer_kbps": [1, -2]}})",
        "video.layer_kbps.1: expected a positive number"},
       {R"({"policy": {"name": "dchannel", "preset": "x"}})",

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -20,7 +21,9 @@
 #include "exp/spec.hpp"
 #include "exp/sweep.hpp"
 #include "net/node.hpp"
+#include "quic/mp_connection.hpp"
 #include "sim/seed.hpp"
+#include "steer/basic_policies.hpp"
 #include "steer/dchannel.hpp"
 #include "trace/gen5g.hpp"
 
@@ -660,6 +663,354 @@ TEST(TraceGolden, TracedRunRowsAreExact) {
     ASSERT_FALSE(row.empty());
     row.pop_back();  // the trailing newline
     EXPECT_EQ(row, kTraceGoldenRows[i]);
+  }
+}
+
+// ---- Steering golden: the policies no other golden runs ----
+//
+// TraceGolden pins dchannel and msg-priority; these rows pin redundant,
+// flow-binding and cost-aware steering, whose tuning values (mirror
+// queue-fill cap, mirrored priority, latency-sensitive priority) are
+// constants in src/steer. Redundant mirrors SVC layer 0 over a
+// trace-driven eMBB, flow-binding splits page loads from background
+// flows, and cost-aware buys cISP latency for web objects over fiber.
+// A change that claims to leave steering untouched must leave every
+// row unchanged.
+
+constexpr const char* kSteerGoldenSpecs[] = {
+    R"({"name": "steer_golden_redundant", "workload": "video",
+        "duration_s": 6, "seed": 7,
+        "channels": [{"type": "5g", "profile": "lowband-driving"},
+                     {"type": "urllc"}],
+        "policy": "redundant", "video": {"duration_s": 3}})",
+    R"({"name": "steer_golden_flow_binding", "workload": "web",
+        "duration_s": 20, "seed": 7, "cca": "cubic",
+        "channels": [{"type": "5g", "profile": "lowband-stationary"},
+                     {"type": "urllc"}],
+        "policy": "flow-binding",
+        "web": {"pages": 2, "loads_per_page": 1}})",
+    R"({"name": "steer_golden_cost_aware", "workload": "web",
+        "duration_s": 20, "seed": 7, "cca": "cubic",
+        "channels": [{"type": "fiber"}, {"type": "cisp"}],
+        "policy": "cost-aware",
+        "web": {"pages": 2, "loads_per_page": 1}})",
+};
+
+const char* const kSteerGoldenRows[] = {
+    R"({"run":0,"name":"steer_golden_redundant","params":{})"
+    R"(,"metrics":{"video.decoded_at_layer0":0)"
+    R"(,"video.decoded_at_layer1":6e+01,"video.decoded_at_layer2":2)"
+    R"(,"video.decoded_at_layer3":29,"video.frames_concealed":5e+01)"
+    R"(,"video.frames_decoded":91,"video.latency_ms.count":91)"
+    R"(,"video.latency_ms.max":296.166685)"
+    R"(,"video.latency_ms.mean":156.09802764835166)"
+    R"(,"video.latency_ms.min":67.500001)"
+    R"(,"video.latency_ms.p25":70.000001)"
+    R"(,"video.latency_ms.p5":67.500018)"
+    R"(,"video.latency_ms.p50":92.105288)"
+    R"(,"video.latency_ms.p75":259.47438)"
+    R"(,"video.latency_ms.p90":280.416682)"
+    R"(,"video.latency_ms.p95":284.96430150000003)"
+    R"(,"video.latency_ms.p99":290.91668439999995,"video.ssim.count":91)"
+    R"(,"video.ssim.max":0.9840732976780505)"
+    R"(,"video.ssim.mean":0.9102310505677117)"
+    R"(,"video.ssim.min":0.863377629728223)"
+    R"(,"video.ssim.p25":0.8767608733096965)"
+    R"(,"video.ssim.p5":0.8706324506198817)"
+    R"(,"video.ssim.p50":0.8818819007249233)"
+    R"(,"video.ssim.p75":0.9695593155463038)"
+    R"(,"video.ssim.p90":0.9766300570713113)"
+    R"(,"video.ssim.p95":0.9813734802789085)"
+    R"(,"video.ssim.p99":0.9829803455520266})"
+    R"(,"obs":{"app.video.frame_latency_ms.count":91)"
+    R"(,"app.video.frame_latency_ms.max":296.166685)"
+    R"(,"app.video.frame_latency_ms.mean":156.09802764835166)"
+    R"(,"app.video.frame_latency_ms.p50":92.105288)"
+    R"(,"app.video.frame_latency_ms.p95":284.96430150000003)"
+    R"(,"app.video.frame_latency_ms.p99":290.91668439999995)"
+    R"(,"app.video.frames_concealed":5e+01)"
+    R"(,"app.video.frames_decoded":91,"app.video.ssim.count":91)"
+    R"(,"app.video.ssim.max":0.9840732976780505)"
+    R"(,"app.video.ssim.mean":0.9102310505677117)"
+    R"(,"app.video.ssim.p50":0.8818819007249233)"
+    R"(,"app.video.ssim.p95":0.9813734802789085)"
+    R"(,"app.video.ssim.p99":0.9829803455520266)"
+    R"(,"link.embb-lowband-driving-down.delivered_bytes":4220836)"
+    R"(,"link.embb-lowband-driving-down.delivered_packets":2909)"
+    R"(,"link.embb-lowband-driving-down.dropped_queue":0)"
+    R"(,"link.embb-lowband-driving-down.dropped_wire":0)"
+    R"(,"link.embb-lowband-driving-up.delivered_bytes":0)"
+    R"(,"link.embb-lowband-driving-up.delivered_packets":0)"
+    R"(,"link.embb-lowband-driving-up.dropped_queue":0)"
+    R"(,"link.embb-lowband-driving-up.dropped_wire":0)"
+    R"(,"link.urllc-down.delivered_bytes":723191)"
+    R"(,"link.urllc-down.delivered_packets":562)"
+    R"(,"link.urllc-down.dropped_queue":197)"
+    R"(,"link.urllc-down.dropped_wire":0)"
+    R"(,"link.urllc-up.delivered_bytes":0)"
+    R"(,"link.urllc-up.delivered_packets":0)"
+    R"(,"link.urllc-up.dropped_queue":0,"link.urllc-up.dropped_wire":0)"
+    R"(,"node.client.duplicates_suppressed":132)"
+    R"(,"node.client.unroutable":0)"
+    R"(,"node.server.duplicates_suppressed":0)"
+    R"(,"node.server.unroutable":0,"shim.down.ch0.bytes":4220836)"
+    R"(,"shim.down.ch0.packets":2909,"shim.down.ch1.bytes":1013339)"
+    R"(,"shim.down.ch1.packets":759,"shim.down.duplicates":132)"
+    R"(,"shim.up.ch0.bytes":0,"shim.up.ch0.packets":0)"
+    R"(,"shim.up.ch1.bytes":0,"shim.up.ch1.packets":0)"
+    R"(,"shim.up.duplicates":0)"
+    R"(,"steer.redundant(min-delay).down.decisions.ch0":2799)"
+    R"(,"steer.redundant(min-delay).down.decisions.ch1":737)"
+    R"(,"steer.redundant(min-delay).up.decisions.ch0":0)"
+    R"(,"steer.redundant(min-delay).up.decisions.ch1":0}})",
+    R"({"run":0,"name":"steer_golden_flow_binding","params":{})"
+    R"(,"metrics":{"web.per_page_mean_ms":2497.159158)"
+    R"(,"web.plt_ms.count":2,"web.plt_ms.max":3240.766965)"
+    R"(,"web.plt_ms.mean":2497.159158,"web.plt_ms.min":1753.551351)"
+    R"(,"web.plt_ms.p25":2125.3552545000002)"
+    R"(,"web.plt_ms.p5":1827.9121317,"web.plt_ms.p50":2497.159158)"
+    R"(,"web.plt_ms.p75":2868.9630615,"web.plt_ms.p90":3092.0454036)"
+    R"(,"web.plt_ms.p95":3166.4061843)"
+    R"(,"web.plt_ms.p99":3225.8948088599996,"web.timeouts":0})"
+    R"(,"obs":{"app.web.objects_loaded":64,"app.web.pages_loaded":2)"
+    R"(,"app.web.plt_ms.count":2,"app.web.plt_ms.max":3240.766965)"
+    R"(,"app.web.plt_ms.mean":2497.159158)"
+    R"(,"app.web.plt_ms.p50":2497.159158)"
+    R"(,"app.web.plt_ms.p95":3166.4061843)"
+    R"(,"app.web.plt_ms.p99":3225.8948088599996)"
+    R"(,"link.embb-lowband-stationary-down.delivered_bytes":1.72233e+06)"
+    R"(,"link.embb-lowband-stationary-down.delivered_packets":2.03e+03)"
+    R"(,"link.embb-lowband-stationary-down.dropped_queue":0)"
+    R"(,"link.embb-lowband-stationary-down.dropped_wire":0)"
+    R"(,"link.embb-lowband-stationary-up.delivered_bytes":1.06112e+06)"
+    R"(,"link.embb-lowband-stationary-up.delivered_packets":1623)"
+    R"(,"link.embb-lowband-stationary-up.dropped_queue":0)"
+    R"(,"link.embb-lowband-stationary-up.dropped_wire":0)"
+    R"(,"link.urllc-down.delivered_bytes":1159917)"
+    R"(,"link.urllc-down.delivered_packets":872)"
+    R"(,"link.urllc-down.dropped_queue":64)"
+    R"(,"link.urllc-down.dropped_wire":0)"
+    R"(,"link.urllc-up.delivered_bytes":7.856e+04)"
+    R"(,"link.urllc-up.delivered_packets":1284)"
+    R"(,"link.urllc-up.dropped_queue":0,"link.urllc-up.dropped_wire":0)"
+    R"(,"node.client.duplicates_suppressed":0)"
+    R"(,"node.client.unroutable":0)"
+    R"(,"node.server.duplicates_suppressed":0)"
+    R"(,"node.server.unroutable":0,"shim.down.ch0.bytes":1.72233e+06)"
+    R"(,"shim.down.ch0.packets":2.03e+03,"shim.down.ch1.bytes":1255575)"
+    R"(,"shim.down.ch1.packets":936,"shim.down.duplicates":0)"
+    R"(,"shim.up.ch0.bytes":1.06112e+06,"shim.up.ch0.packets":1623)"
+    R"(,"shim.up.ch1.bytes":7.856e+04,"shim.up.ch1.packets":1284)"
+    R"(,"shim.up.duplicates":0)"
+    R"(,"steer.flow-binding.down.decisions.ch0":2.03e+03)"
+    R"(,"steer.flow-binding.down.decisions.ch1":936)"
+    R"(,"steer.flow-binding.up.decisions.ch0":1623)"
+    R"(,"steer.flow-binding.up.decisions.ch1":1284)"
+    R"(,"transport.tcp.packets_sent":2959)"
+    R"(,"transport.tcp.retransmissions":113,"transport.tcp.rto_count":3)"
+    R"(,"transport.tcp.spurious_loss_marks":1}})",
+    R"({"run":0,"name":"steer_golden_cost_aware","params":{})"
+    R"(,"metrics":{"web.per_page_mean_ms":346.1561855)"
+    R"(,"web.plt_ms.count":2,"web.plt_ms.max":358.549511)"
+    R"(,"web.plt_ms.mean":346.1561855,"web.plt_ms.min":333.76286)"
+    R"(,"web.plt_ms.p25":339.95952274999996)"
+    R"(,"web.plt_ms.p5":335.00219254999996,"web.plt_ms.p50":346.1561855)"
+    R"(,"web.plt_ms.p75":352.35284825,"web.plt_ms.p90":356.0708459)"
+    R"(,"web.plt_ms.p95":357.31017845,"web.plt_ms.p99":358.30164449)"
+    R"(,"web.timeouts":0},"obs":{"app.web.objects_loaded":64)"
+    R"(,"app.web.pages_loaded":2,"app.web.plt_ms.count":2)"
+    R"(,"app.web.plt_ms.max":358.549511)"
+    R"(,"app.web.plt_ms.mean":346.1561855)"
+    R"(,"app.web.plt_ms.p50":346.1561855)"
+    R"(,"app.web.plt_ms.p95":357.31017845)"
+    R"(,"app.web.plt_ms.p99":358.30164449)"
+    R"(,"link.cisp-down.delivered_bytes":243514)"
+    R"(,"link.cisp-down.delivered_packets":508)"
+    R"(,"link.cisp-down.dropped_queue":0)"
+    R"(,"link.cisp-down.dropped_wire":0)"
+    R"(,"link.cisp-up.delivered_bytes":2.7682e+05)"
+    R"(,"link.cisp-up.delivered_packets":1688)"
+    R"(,"link.cisp-up.dropped_queue":0,"link.cisp-up.dropped_wire":5)"
+    R"(,"link.fiber-down.delivered_bytes":1902688)"
+    R"(,"link.fiber-down.delivered_packets":1284)"
+    R"(,"link.fiber-down.dropped_queue":0)"
+    R"(,"link.fiber-down.dropped_wire":0)"
+    R"(,"link.fiber-up.delivered_bytes":1.0332e+05)"
+    R"(,"link.fiber-up.delivered_packets":101)"
+    R"(,"link.fiber-up.dropped_queue":0,"link.fiber-up.dropped_wire":0)"
+    R"(,"node.client.duplicates_suppressed":0)"
+    R"(,"node.client.unroutable":0)"
+    R"(,"node.server.duplicates_suppressed":0)"
+    R"(,"node.server.unroutable":0,"shim.down.ch0.bytes":1902688)"
+    R"(,"shim.down.ch0.packets":1284,"shim.down.ch1.bytes":252334)"
+    R"(,"shim.down.ch1.packets":515,"shim.down.duplicates":0)"
+    R"(,"shim.up.ch0.bytes":1.0332e+05,"shim.up.ch0.packets":101)"
+    R"(,"shim.up.ch1.bytes":2.7784e+05,"shim.up.ch1.packets":1693)"
+    R"(,"shim.up.duplicates":0)"
+    R"(,"steer.cost-aware.bucket_dollars":4.1300000000001844e-05)"
+    R"(,"steer.cost-aware.down.decisions.ch0":1284)"
+    R"(,"steer.cost-aware.down.decisions.ch1":515)"
+    R"(,"steer.cost-aware.spent_dollars":0.011942700000000037)"
+    R"(,"steer.cost-aware.up.decisions.ch0":101)"
+    R"(,"steer.cost-aware.up.decisions.ch1":1693)"
+    R"(,"transport.tcp.packets_sent":1789)"
+    R"(,"transport.tcp.retransmissions":16,"transport.tcp.rto_count":1)"
+    R"(,"transport.tcp.spurious_loss_marks":2}})",
+};
+
+TEST(SteerGolden, PolicyRunRowsAreExact) {
+  for (std::size_t i = 0; i < std::size(kSteerGoldenSpecs); ++i) {
+    const exp::RunResult r = exp::run_scenario(
+        exp::ScenarioSpec::from_json_text(kSteerGoldenSpecs[i]));
+    std::string row = exp::to_jsonl({r});
+    ASSERT_FALSE(row.empty());
+    row.pop_back();  // the trailing newline
+    EXPECT_EQ(row, kSteerGoldenRows[i]);
+  }
+}
+
+// ---- MPQUIC golden: exact counts per scheduler and ACK path ----
+//
+// quic_test checks each scheduler's shape with bounds; this pins the
+// exact outcome of one short mixed run over a lossy eMBB path and URLLC,
+// under every scheduler × ACK path: bulk, small interactive messages,
+// interactive messages large enough that only their tails ride the fast
+// path, and priority-1 realtime with a deadline (pinned to the fast path
+// by priority alone). The counts and the transport.quic.* registry
+// values move with the scheduler, the tail threshold, the fast-path
+// priority, the packet threshold and the per-path CCA. (The time
+// threshold does not bind here: the RTO floor is larger.)
+
+struct MpGolden {
+  quic::SchedulerKind scheduler;
+  bool ack_on_fast_path;
+  std::vector<std::int64_t> packets_per_path;  ///< server (data) side
+  std::int64_t retransmitted_chunks;           ///< server side
+  int messages;                                ///< completed at the client
+  const char* quic_obs;  ///< the run's transport.quic.* registry values
+};
+
+const MpGolden kMpGoldens[] = {
+    {quic::SchedulerKind::kMinRtt, false, {1284, 535}, 24, 37,
+     "transport.quic.message_latency_ms.count=37;"
+     "transport.quic.message_latency_ms.max=556.5;"
+     "transport.quic.message_latency_ms.mean=157.34324324324325;"
+     "transport.quic.message_latency_ms.p50=125.09999999999999;"
+     "transport.quic.message_latency_ms.p95=440.25999999999971;"
+     "transport.quic.message_latency_ms.p99=532.452;"
+     "transport.quic.packets_sent=1817;"
+     "transport.quic.retransmitted_chunks=24;"},
+    {quic::SchedulerKind::kMinRtt, true, {2491, 516}, 19, 69,
+     "transport.quic.message_latency_ms.count=69;"
+     "transport.quic.message_latency_ms.max=393;"
+     "transport.quic.message_latency_ms.mean=81.810144927536243;"
+     "transport.quic.message_latency_ms.p50=66;"
+     "transport.quic.message_latency_ms.p95=222.39999999999986;"
+     "transport.quic.message_latency_ms.p99=335.87999999999943;"
+     "transport.quic.packets_sent=3005;"
+     "transport.quic.retransmitted_chunks=19;"},
+    {quic::SchedulerKind::kEcf, false, {1284, 535}, 24, 37,
+     "transport.quic.message_latency_ms.count=37;"
+     "transport.quic.message_latency_ms.max=556.5;"
+     "transport.quic.message_latency_ms.mean=157.34324324324325;"
+     "transport.quic.message_latency_ms.p50=125.09999999999999;"
+     "transport.quic.message_latency_ms.p95=440.25999999999971;"
+     "transport.quic.message_latency_ms.p99=532.452;"
+     "transport.quic.packets_sent=1817;"
+     "transport.quic.retransmitted_chunks=24;"},
+    {quic::SchedulerKind::kEcf, true, {2492, 521}, 19, 69,
+     "transport.quic.message_latency_ms.count=69;"
+     "transport.quic.message_latency_ms.max=394;"
+     "transport.quic.message_latency_ms.mean=82.994202898550725;"
+     "transport.quic.message_latency_ms.p50=67;"
+     "transport.quic.message_latency_ms.p95=208.79999999999998;"
+     "transport.quic.message_latency_ms.p99=336.87999999999943;"
+     "transport.quic.packets_sent=3011;"
+     "transport.quic.retransmitted_chunks=19;"},
+    {quic::SchedulerKind::kHvcAware, false, {1280, 597}, 102, 47,
+     "transport.quic.message_latency_ms.count=47;"
+     "transport.quic.message_latency_ms.max=776.89999999999998;"
+     "transport.quic.message_latency_ms.mean=208.28723404255317;"
+     "transport.quic.message_latency_ms.p50=149;"
+     "transport.quic.message_latency_ms.p95=629.41999999999973;"
+     "transport.quic.message_latency_ms.p99=734.21199999999999;"
+     "transport.quic.packets_sent=1875;"
+     "transport.quic.retransmitted_chunks=102;"},
+    {quic::SchedulerKind::kHvcAware, true, {2496, 515}, 19, 69,
+     "transport.quic.message_latency_ms.count=69;"
+     "transport.quic.message_latency_ms.max=407;"
+     "transport.quic.message_latency_ms.mean=81.159420289855092;"
+     "transport.quic.message_latency_ms.p50=67;"
+     "transport.quic.message_latency_ms.p95=219.99999999999989;"
+     "transport.quic.message_latency_ms.p99=337.6399999999993;"
+     "transport.quic.packets_sent=3009;"
+     "transport.quic.retransmitted_chunks=19;"},
+};
+
+std::string join_counts(const std::vector<std::int64_t>& v) {
+  std::string s;
+  for (const auto n : v) s += (s.empty() ? "" : ", ") + std::to_string(n);
+  return s;
+}
+
+TEST(MpQuicGolden, SchedulerAndAckPathCountsAreExact) {
+  for (const MpGolden& g : kMpGoldens) {
+    const exp::RunIsolation iso;
+    std::vector<std::int64_t> per_path;
+    std::int64_t retx = 0;
+    int messages = 0;
+    {
+      sim::Simulator s;
+      net::TwoHostNetwork net(
+          s, std::make_unique<steer::PinnedChannelPolicy>(),
+          std::make_unique<steer::PinnedChannelPolicy>());
+      auto embb = channel::embb_constant_profile();
+      embb.loss.bernoulli = 0.01;
+      net.add_channel(std::move(embb));
+      net.add_channel(channel::urllc_profile());
+      net.finalize();
+      quic::MpConfig cfg;
+      cfg.scheduler = g.scheduler;
+      cfg.ack_on_fast_path = g.ack_on_fast_path;
+      auto conn =
+          quic::MpConnection::make_pair(net.client(), net.server(), 2, cfg);
+      const auto bulk = conn.server->open_stream(quic::StreamIntents::bulk());
+      const auto small =
+          conn.server->open_stream(quic::StreamIntents::interactive(1));
+      const auto tailed =
+          conn.server->open_stream(quic::StreamIntents::interactive(2));
+      const auto realtime =
+          conn.server->open_stream(quic::StreamIntents::realtime(1, 80));
+      conn.client->set_on_message(
+          [&](const quic::MpEndpoint::MessageEvent&) { ++messages; });
+      for (int i = 0; i < 20; ++i) {
+        s.at(sim::milliseconds(100 * i),
+             [&] { conn.server->send_message(bulk, 200'000); });
+        s.at(sim::milliseconds(100 * i + 20),
+             [&] { conn.server->send_message(small, 1'500); });
+        s.at(sim::milliseconds(100 * i + 40),
+             [&] { conn.server->send_message(tailed, 12'000); });
+        s.at(sim::milliseconds(100 * i + 60),
+             [&] { conn.server->send_message(realtime, 6'000); });
+      }
+      s.run_until(seconds(3));
+      per_path = conn.server->stats().packets_per_path;
+      retx = conn.server->stats().retransmitted_chunks;
+    }
+    std::ostringstream quic_obs;
+    quic_obs.precision(17);
+    for (const auto& [k, v] : iso.registry.snapshot()) {
+      if (k.rfind("transport.quic.", 0) == 0) quic_obs << k << '=' << v << ';';
+    }
+    SCOPED_TRACE(::testing::Message()
+                 << "actual: {" << static_cast<int>(g.scheduler) << ", "
+                 << g.ack_on_fast_path << ", {" << join_counts(per_path)
+                 << "}, " << retx << ", " << messages << ", \""
+                 << quic_obs.str() << "\"}");
+    EXPECT_EQ(per_path, g.packets_per_path);
+    EXPECT_EQ(retx, g.retransmitted_chunks);
+    EXPECT_EQ(messages, g.messages);
+    EXPECT_EQ(quic_obs.str(), g.quic_obs);
   }
 }
 

@@ -296,7 +296,7 @@ TEST(VivaceCca, RttRampPushesRateDown) {
     ev.rtt = milliseconds(20 + (i % 50));
     v.on_ack(ev);
   }
-  EXPECT_LT(v.base_rate_bps(), VivaceConfig{}.initial_rate_bps * 1.5);
+  EXPECT_LT(v.base_rate_bps(), Vivace().base_rate_bps() * 1.5);
 }
 
 TEST(HvcCca, WeightedRttResistsPollution) {
