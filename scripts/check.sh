@@ -198,16 +198,24 @@ for preset in "${presets[@]}"; do
     # Capacity traces are runs addressed by index arithmetic (products
     # of span and slot index, 128-bit where they could overflow); the
     # trace, TSN and channel suites run it under UBSan's overflow checks.
+    # A sim::Timer's queued entry captures `this` and, after a later
+    # re-arm, stays queued until its first deadline, so a timer freed
+    # without cancelling would be a use-after-free only ASan traps; the
+    # sim, QUIC and video suites drive timers armed, re-armed, cancelled
+    # and destroyed in every order.
     cmake --preset sanitize
     cmake --build --preset sanitize -j "$(nproc)" \
       --target transport_test span_test pop_test trace_test tsn_test \
-      channel_test
+      channel_test sim_test quic_test video_test
     build-sanitize/tests/transport_test
     build-sanitize/tests/span_test
     build-sanitize/tests/pop_test
     build-sanitize/tests/trace_test
     build-sanitize/tests/tsn_test
     build-sanitize/tests/channel_test
+    build-sanitize/tests/sim_test
+    build-sanitize/tests/quic_test
+    build-sanitize/tests/video_test
     echo "diffsim oracle OK"
   elif [ "${preset}" = "lint" ]; then
     # Static analysis. Two gates:

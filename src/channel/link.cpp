@@ -21,6 +21,7 @@ Link::Link(sim::Simulator& sim, LinkConfig cfg)
     : sim_(sim),
       cfg_(std::move(cfg)),
       loss_(cfg_.loss, sim::Rng(cfg_.loss_seed)),
+      recent_window_(cfg_.capacity),
       cursor_(cfg_.capacity) {
   avg_rate_bps_ = cfg_.capacity.average_rate_bps();
   auto& reg = obs::MetricsRegistry::current();
@@ -242,7 +243,7 @@ double Link::recent_delivery_rate_bps() const {
   if (recent_rate_at_ == sim_.now()) return recent_rate_bps_;
   constexpr sim::Duration kWindow = sim::milliseconds(200);
   const sim::Time to = std::max<sim::Time>(sim_.now(), kWindow);
-  const auto opps = cfg_.capacity.opportunities_in(to - kWindow, to);
+  const auto opps = recent_window_.opportunities_in(to - kWindow, to);
   recent_rate_at_ = sim_.now();
   recent_rate_bps_ = static_cast<double>(opps) *
                      static_cast<double>(cfg_.capacity.mtu_bytes()) * 8.0 /

@@ -161,6 +161,9 @@ class Link {
   // cache. The fault setters invalidate it (same-timestamp safety).
   mutable sim::Time recent_rate_at_ = -1;
   mutable double recent_rate_bps_ = 0.0;
+  // Counts the trace's opportunities in the recent-rate window, which
+  // only moves forward with sim time.
+  mutable trace::WindowCounter recent_window_;
   // Forward cursor over the capacity trace: schedule_service() asks for
   // the next opportunity at nondecreasing sim times, so stepping beats
   // the trace's binary search.

@@ -48,33 +48,33 @@ Shim::~Shim() {
 }
 
 std::span<const steer::ChannelView> Shim::snapshot_views() const {
-  if (views_scratch_.size() != channels_.size()) {
-    // First decision (or a test re-wired the channel set): size the
-    // scratch once; every later call refills it in place.
-    // Runs once per channel-set change, not per decision
-    views_scratch_.resize(channels_.size());
-  }
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
+  // An HvcSet only ever appends channels and a channel's profile never
+  // changes, so a view's constants are filled once, when its channel
+  // first shows up; a decision refreshes only what moves.
+  for (std::size_t i = views_.size(); i < channels_.size(); ++i) {
     const auto& ch = channels_.at(i);
-    const auto& link = ch.link(direction_);
+    const channel::ChannelProfile& profile = ch.profile();
     steer::ChannelView v;
     v.index = i;
-    v.base_owd = ch.profile().owd;
-    v.avg_rate_bps = link.average_rate_bps();
+    v.base_owd = profile.owd;
+    v.avg_rate_bps = ch.link(direction_).average_rate_bps();
+    v.queue_limit_bytes = profile.queue_limit_bytes;
+    v.loss_rate = profile.loss.bernoulli +
+                  profile.loss.ge_loss_in_bad *
+                      (profile.loss.ge_p_good_to_bad > 0 ? 0.1 : 0.0);
+    v.reliable = profile.reliable;
+    v.cost_per_megabyte = profile.cost_per_megabyte;
+    views_.push_back(v);
+  }
+  for (steer::ChannelView& v : views_) {
+    const auto& link = channels_.at(v.index).link(direction_);
     v.recent_rate_bps = link.recent_delivery_rate_bps();
     v.queued_bytes = link.queued_bytes();
-    v.queue_limit_bytes = ch.profile().queue_limit_bytes;
-    v.loss_rate = ch.profile().loss.bernoulli +
-                  ch.profile().loss.ge_loss_in_bad *
-                      (ch.profile().loss.ge_p_good_to_bad > 0 ? 0.1 : 0.0);
-    v.reliable = ch.profile().reliable;
-    v.cost_per_megabyte = ch.profile().cost_per_megabyte;
     // Link-down state is observable at the shim (the MAC reports loss of
     // signal immediately); policies use it to fail over.
     v.down = link.fault_down();
-    views_scratch_[i] = v;
   }
-  return views_scratch_;
+  return views_;
 }
 
 void Shim::send(PacketPtr p) {

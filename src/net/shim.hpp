@@ -48,9 +48,9 @@ class Shim {
   [[nodiscard]] channel::Direction direction() const { return direction_; }
 
  private:
-  /// Current per-channel views for the steering policy. Fills and
-  /// returns the reused member scratch — no allocation per decision;
-  /// valid until the next call.
+  /// Current per-channel views for the steering policy: refreshes the
+  /// reused member views in place — no allocation per decision; valid
+  /// until the next call.
   [[nodiscard]] std::span<const steer::ChannelView> snapshot_views() const;
 
   sim::Simulator& sim_;
@@ -69,9 +69,9 @@ class Shim {
   std::vector<obs::Counter*> m_decisions_;
   obs::Counter* m_duplicates_ = nullptr;
   std::vector<std::int64_t> decisions_;  ///< per channel
-  /// Reused by snapshot_views(): sized to the channel count on first
-  /// use, then refilled in place every steering decision.
-  mutable std::vector<steer::ChannelView> views_scratch_;
+  /// One view per channel, its constants filled when the channel first
+  /// shows up; snapshot_views() refreshes the rest every decision.
+  mutable std::vector<steer::ChannelView> views_;
 
   /// Cached policy_->name(); the audit log stores one copy per record,
   /// so we avoid re-stringifying per packet.

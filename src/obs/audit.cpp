@@ -7,8 +7,10 @@
 namespace hvc::obs {
 
 void SteeringAuditLog::enable(std::size_t capacity) {
-  if (capacity == 0) capacity = 1;
-  ring_.assign(capacity, AuditRecord{});
+  capacity_ = capacity == 0 ? 1 : capacity;
+  // Reserved, not filled: a slot costs memory only once it is written.
+  ring_.clear();
+  ring_.reserve(capacity_);
   head_ = 0;
   total_ = 0;
   enabled_ = true;
@@ -21,15 +23,13 @@ void SteeringAuditLog::disable() {
 }
 
 void SteeringAuditLog::record(AuditRecord rec) {
-  ring_[head_] = std::move(rec);
-  head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(std::move(rec));
+  } else {
+    ring_[head_] = std::move(rec);
+  }
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
   ++total_;
-}
-
-std::size_t SteeringAuditLog::size() const {
-  if (ring_.empty()) return 0;
-  return total_ < ring_.size() ? static_cast<std::size_t>(total_)
-                               : ring_.size();
 }
 
 std::vector<AuditRecord> SteeringAuditLog::snapshot() const {

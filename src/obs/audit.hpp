@@ -60,7 +60,8 @@ class SteeringAuditLog : public ThreadBinding<SteeringAuditLog> {
   [[nodiscard]] static SteeringAuditLog* active() { return bound(); }
 
   /// Start recording into a fresh ring of `capacity` records and install
-  /// this log as the calling thread's active().
+  /// this log as the calling thread's active(). The ring grows as records
+  /// arrive until it holds `capacity`, then overwrites the oldest.
   void enable(std::size_t capacity = kDefaultCapacity);
   /// Stop recording; retained records stay exportable.
   void disable();
@@ -70,11 +71,11 @@ class SteeringAuditLog : public ThreadBinding<SteeringAuditLog> {
   void record(AuditRecord rec);
 
   /// Records currently retained (<= capacity).
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
   /// All records ever made, including overwritten ones.
   [[nodiscard]] std::uint64_t total_recorded() const { return total_; }
   [[nodiscard]] std::size_t capacity() const {
-    return enabled_ ? ring_.size() : 0;
+    return enabled_ ? capacity_ : 0;
   }
 
   /// Retained records, oldest first.
@@ -92,7 +93,8 @@ class SteeringAuditLog : public ThreadBinding<SteeringAuditLog> {
   [[nodiscard]] std::string to_jsonl() const;
 
  private:
-  std::vector<AuditRecord> ring_;
+  std::vector<AuditRecord> ring_;  ///< grows to capacity_, then wraps
+  std::size_t capacity_ = 0;
   std::size_t head_ = 0;  ///< next write slot
   std::uint64_t total_ = 0;
   bool enabled_ = false;

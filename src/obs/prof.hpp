@@ -37,7 +37,7 @@ namespace hvc::obs::prof {
 
 enum class Hook : std::uint8_t {
   kEventPush,        ///< sim::EventQueue::push
-  kEventPop,         ///< sim::EventQueue::pop_due (== events executed)
+  kEventPop,         ///< sim::EventQueue::pop_due (events + Timer wake-ups)
   kPacketAlloc,      ///< net::make_packet / clone_packet
   kPacketFree,       ///< packet deallocation (net::PooledAllocator)
   kLinkServe,        ///< channel::Link::on_opportunity (service discipline)

@@ -43,8 +43,10 @@ const char* to_string(ReorderAction a) {
 }
 
 void PacketTracer::enable(std::size_t capacity) {
-  if (capacity == 0) capacity = 1;
-  ring_.assign(capacity, TraceEvent{});
+  capacity_ = capacity == 0 ? 1 : capacity;
+  // Reserved, not filled: a slot costs memory only once it is written.
+  ring_.clear();
+  ring_.reserve(capacity_);
   head_ = 0;
   total_ = 0;
   enabled_ = true;
@@ -54,12 +56,6 @@ void PacketTracer::enable(std::size_t capacity) {
 void PacketTracer::disable() {
   enabled_ = false;
   unbind();
-}
-
-std::size_t PacketTracer::size() const {
-  if (ring_.empty()) return 0;
-  return total_ < ring_.size() ? static_cast<std::size_t>(total_)
-                               : ring_.size();
 }
 
 std::vector<TraceEvent> PacketTracer::snapshot() const {

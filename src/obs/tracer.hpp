@@ -99,7 +99,8 @@ class PacketTracer : public ThreadBinding<PacketTracer> {
   [[nodiscard]] static PacketTracer* active() { return bound(); }
 
   /// Start recording into a fresh ring of `capacity` events, and bind
-  /// this tracer as the calling thread's active().
+  /// this tracer as the calling thread's active(). The ring grows as
+  /// events arrive until it holds `capacity`, then overwrites the oldest.
   void enable(std::size_t capacity = kDefaultCapacity);
   /// Stop recording; retained events stay exportable.
   void disable();
@@ -110,7 +111,8 @@ class PacketTracer : public ThreadBinding<PacketTracer> {
               std::uint64_t flow_id, std::uint8_t channel,
               std::uint8_t direction, std::uint32_t size_bytes,
               std::uint8_t arg = 0, std::uint64_t aux = 0) {
-    TraceEvent& e = ring_[head_];
+    TraceEvent& e =
+        ring_.size() < capacity_ ? ring_.emplace_back() : ring_[head_];
     e.at = at;
     e.packet_id = packet_id;
     e.flow_id = flow_id;
@@ -120,16 +122,16 @@ class PacketTracer : public ThreadBinding<PacketTracer> {
     e.channel = channel;
     e.direction = direction;
     e.arg = arg;
-    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     ++total_;
   }
 
   /// Events currently retained (<= capacity).
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
   /// All events ever recorded, including overwritten ones.
   [[nodiscard]] std::uint64_t total_recorded() const { return total_; }
   [[nodiscard]] std::size_t capacity() const {
-    return enabled_ ? ring_.size() : 0;
+    return enabled_ ? capacity_ : 0;
   }
 
   /// Retained events, oldest first.
@@ -149,7 +151,8 @@ class PacketTracer : public ThreadBinding<PacketTracer> {
   [[nodiscard]] std::string to_chrome_trace() const;
 
  private:
-  std::vector<TraceEvent> ring_;
+  std::vector<TraceEvent> ring_;  ///< grows to capacity_, then wraps
+  std::size_t capacity_ = 0;
   std::size_t head_ = 0;        ///< next write slot
   std::uint64_t total_ = 0;
   bool enabled_ = false;

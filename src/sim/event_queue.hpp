@@ -533,8 +533,9 @@ class CalendarQueue {
 // ---- Facade --------------------------------------------------------------
 
 /// The event queue the Simulator schedules through. Owns the id counter
-/// and the retired set (ids that fired or were cancelled; cancellation
-/// is implementation-independent) and delegates storage to the calendar
+/// and the retired set (ids that name no pending event: fired, cancelled,
+/// or reserved and not filed yet; cancellation is
+/// implementation-independent) and delegates storage to the calendar
 /// queue or, under HVC_REFERENCE_QUEUE, the original binary heap.
 ///
 /// A one-slot front cache sits above the storage impl: a push lands in
@@ -551,20 +552,25 @@ class EventQueue {
     HVC_PROF_SCOPE(obs::prof::Hook::kEventPush);
     const EventId id = next_id_++;
     retired_.push_back(false);
-    ++live_;
-    if (!cache_full_) {
-      cache_at_ = at;
-      cache_id_ = id;
-      cache_fn_ = std::move(fn);
-      cache_full_ = true;
-      return id;
-    }
-    if (use_reference_) {
-      heap_.enqueue(at, id, std::move(fn));
-    } else {
-      calendar_.enqueue(at, id, std::move(fn));
-    }
+    file(at, id, std::move(fn));
     return id;
+  }
+
+  /// Take the id a push made now would get, without filing anything
+  /// under it: the id names no pending event (cancelling it is a no-op)
+  /// until refile() files one. sim::Timer defers a re-arm this way.
+  EventId reserve() {
+    retired_.push_back(true);
+    return next_id_++;
+  }
+
+  /// File `fn` under `(at, id)`, where `id` came from reserve() and has
+  /// not been filed yet: it pops exactly where a push made at reserve()
+  /// time would have.
+  void refile(Time at, EventId id, EventFn&& fn) {
+    HVC_PROF_SCOPE(obs::prof::Hook::kEventPush);
+    retired_[id] = false;
+    file(at, id, std::move(fn));
   }
 
   /// Cancel a pending event. O(1): the entry is tombstoned and skipped when
@@ -603,6 +609,22 @@ class EventQueue {
   }
 
  private:
+  void file(Time at, EventId id, EventFn&& fn) {
+    ++live_;
+    if (!cache_full_) {
+      cache_at_ = at;
+      cache_id_ = id;
+      cache_fn_ = std::move(fn);
+      cache_full_ = true;
+      return;
+    }
+    if (use_reference_) {
+      heap_.enqueue(at, id, std::move(fn));
+    } else {
+      calendar_.enqueue(at, id, std::move(fn));
+    }
+  }
+
   /// Earliest live entry's fn (tombstones discarded on the way), with
   /// its time in `at_out`; nullptr when drained. Sets front_is_cache_
   /// for the matching drop().
@@ -658,7 +680,7 @@ class EventQueue {
 
   DebugHeapQueue heap_;
   CalendarQueue calendar_;
-  std::vector<bool> retired_;  ///< one per issued id: fired or cancelled
+  std::vector<bool> retired_;  ///< one per issued id: names nothing pending
   EventId next_id_ = 0;
   std::size_t live_ = 0;
   // One-slot front cache (see class comment).

@@ -291,4 +291,36 @@ void OpportunityCursor::seek(Time offset) {
   }
 }
 
+// ---- WindowCounter -----------------------------------------------------
+
+std::int64_t WindowCounter::count_upto(End& end, Time t) const {
+  if (t < 0) return 0;
+  const Duration period = trace_.period_;
+  const std::int64_t cycle = t / period;
+  const Time offset = t - cycle * period;
+  const OpportunityRun* begin = trace_.runs_begin();
+  const OpportunityRun* stop = trace_.runs_end();
+  const auto n = static_cast<std::size_t>(stop - begin);
+  // `k` runs start at or before the offset: the answer's run is k - 1.
+  std::size_t k = cycle == end.cycle ? end.runs : 0;
+  const auto starts_after = [](Time v, const OpportunityRun& r) {
+    return v < r.start;
+  };
+  if (k > 0 && begin[k - 1].start > offset) {
+    k = static_cast<std::size_t>(
+        std::upper_bound(begin, begin + k, offset, starts_after) - begin);
+  } else if (k < n && begin[k].start <= offset) {
+    ++k;  // usually the window only reached the next run
+    if (k < n && begin[k].start <= offset) {
+      k = static_cast<std::size_t>(
+          std::upper_bound(begin + k, stop, offset, starts_after) - begin);
+    }
+  }
+  end.cycle = cycle;
+  end.runs = k;
+  const std::int64_t within =
+      k == 0 ? 0 : begin[k - 1].before + begin[k - 1].count_upto(offset);
+  return cycle * trace_.total_ + within;
+}
+
 }  // namespace hvc::trace

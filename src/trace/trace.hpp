@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/units.hpp"
@@ -180,6 +181,7 @@ class CapacityTrace {
 
  private:
   friend class OpportunityCursor;
+  friend class WindowCounter;
   CapacityTrace() = default;
 
   [[nodiscard]] const OpportunityRun* runs_begin() const {
@@ -233,6 +235,37 @@ class OpportunityCursor {
   OpportunityIterator pos_;
   Time base_ = 0;   ///< start of the period pos_ lies in
   Time last_ = 0;   ///< the previous query
+};
+
+/// Counts opportunities in windows (from, to], exactly as
+/// CapacityTrace::opportunities_in does. Each end of the window remembers
+/// the period and the run its last query ended in, so a window that
+/// moves forward (a link's recent-rate window) steps to its new run in
+/// O(1) instead of searching every run; a jump of more than one run
+/// searches only the runs ahead, and a query earlier than the last one
+/// searches the runs behind, so any query order stays exact. Holds its
+/// own reference to the trace's runs.
+class WindowCounter {
+ public:
+  explicit WindowCounter(CapacityTrace trace) : trace_(std::move(trace)) {}
+
+  [[nodiscard]] std::int64_t opportunities_in(Time from, Time to) {
+    if (trace_.total_ == 0 || to <= from) return 0;
+    return count_upto(to_, to) - count_upto(from_, from);
+  }
+
+ private:
+  /// Where one end of the window last landed.
+  struct End {
+    std::int64_t cycle = 0;  ///< period index
+    std::size_t runs = 0;    ///< runs starting at or before the offset
+  };
+  /// Opportunities in [0, t], as CapacityTrace::opportunities_in counts.
+  [[nodiscard]] std::int64_t count_upto(End& end, Time t) const;
+
+  CapacityTrace trace_;
+  End from_;
+  End to_;
 };
 
 }  // namespace hvc::trace

@@ -25,6 +25,7 @@
 #include "obs/audit.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/tracer.hpp"
@@ -154,6 +155,143 @@ TEST(Tracer, ChromeTraceFlagsOnlyAWrappedRing) {
     instants += e.string_or("ph", "") == "i" ? 1 : 0;
   }
   EXPECT_EQ(instants, 8u);  // the retained events only
+}
+
+// ---- Rings that grow to capacity ----------------------------------------
+//
+// The tracer and the audit log reserve their ring and fill it as entries
+// arrive instead of constructing every slot up front. EagerRing is the
+// ring as it was: every slot built at once, each write at the head. In
+// the empty, partly filled, exactly full and wrapped cases the growing
+// ring must keep what the eager one keeps, report the same size() and
+// capacity(), and export the same bytes: the eager ring's export is its
+// truncation flag, when it wrapped, around its retained entries, oldest
+// first, as a ring that never wrapped writes them.
+
+template <class T>
+struct EagerRing {
+  explicit EagerRing(std::size_t capacity) : slots(capacity) {}
+  void record(T v) {
+    slots[head] = std::move(v);
+    head = head + 1 == slots.size() ? 0 : head + 1;
+    ++total;
+  }
+  [[nodiscard]] std::vector<T> retained() const {
+    std::vector<T> out;
+    obs::for_each_retained(slots, head, total,
+                           [&out](const T& v) { out.push_back(v); });
+    return out;
+  }
+  [[nodiscard]] bool wrapped() const { return total > slots.size(); }
+  [[nodiscard]] std::string counts() const {
+    return "\"capacity\":" + std::to_string(slots.size()) +
+           ",\"recorded\":" + std::to_string(total) +
+           ",\"overwritten\":" + std::to_string(total - slots.size());
+  }
+  std::vector<T> slots;
+  std::size_t head = 0;
+  std::uint64_t total = 0;
+};
+
+constexpr std::size_t kRingCapacity = 8;
+constexpr std::uint64_t kRingFills[] = {0, 3, kRingCapacity, 21};
+
+obs::TraceEvent ring_event(std::uint64_t i) {
+  obs::TraceEvent e;
+  constexpr EventKind kinds[] = {EventKind::kEnqueue, EventKind::kDequeue,
+                                 EventKind::kTx, EventKind::kRx};
+  e.kind = kinds[i % 4];
+  e.at = static_cast<sim::Time>(i * 1000);
+  e.packet_id = i / 4;
+  e.flow_id = 1 + i % 3;
+  e.channel = static_cast<std::uint8_t>(i % 2);
+  e.direction = obs::kDirDown;
+  e.size_bytes = static_cast<std::uint32_t>(100 + i);
+  return e;
+}
+
+void record_event(PacketTracer& tr, const obs::TraceEvent& e) {
+  tr.record(e.kind, e.at, e.packet_id, e.flow_id, e.channel, e.direction,
+            e.size_bytes, e.arg, e.aux);
+}
+
+TEST(RecorderRing, TracerGrowsThenWrapsLikeTheEagerRing) {
+  for (const std::uint64_t n : kRingFills) {
+    SCOPED_TRACE(::testing::Message() << n << " events");
+    PacketTracer tr;
+    tr.enable(kRingCapacity);
+    EagerRing<obs::TraceEvent> eager(kRingCapacity);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      record_event(tr, ring_event(i));
+      eager.record(ring_event(i));
+    }
+    const std::vector<obs::TraceEvent> kept = eager.retained();
+    EXPECT_EQ(tr.size(), kept.size());
+    EXPECT_EQ(tr.capacity(), kRingCapacity);
+    EXPECT_EQ(tr.total_recorded(), n);
+    tr.disable();
+
+    PacketTracer whole;
+    whole.enable(kept.size() + 1);
+    for (const obs::TraceEvent& e : kept) record_event(whole, e);
+    whole.disable();
+    std::string want = whole.to_chrome_trace();
+    if (eager.wrapped()) {
+      want.insert(want.size() - 1, ",\"otherData\":{" + eager.counts() + "}");
+    }
+    EXPECT_EQ(tr.to_chrome_trace(), want);
+    const auto snap = tr.snapshot();
+    ASSERT_EQ(snap.size(), kept.size());
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      EXPECT_EQ(snap[i].at, kept[i].at);
+    }
+  }
+}
+
+TEST(RecorderRing, AuditLogGrowsThenWrapsLikeTheEagerRing) {
+  const auto rec = [](std::uint64_t i) {
+    obs::AuditRecord r;
+    r.at = static_cast<sim::Time>(i * 250);
+    r.packet_id = i;
+    r.flow_id = 1 + i % 3;
+    r.size_bytes = static_cast<std::uint32_t>(52 + 100 * i);
+    r.direction = obs::kDirUp;
+    r.chosen = static_cast<std::uint8_t>(i % 2);
+    r.reason = i % 2 == 0 ? "dchannel:default" : "dchannel:small-object";
+    r.policy = "dchannel";
+    r.channels = {{static_cast<std::int64_t>(i * 1500), 25.5},
+                  {0, 2.5 + static_cast<double>(i)}};
+    return r;
+  };
+  for (const std::uint64_t n : kRingFills) {
+    SCOPED_TRACE(::testing::Message() << n << " records");
+    obs::SteeringAuditLog log;
+    log.enable(kRingCapacity);
+    EagerRing<obs::AuditRecord> eager(kRingCapacity);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      log.record(rec(i));
+      eager.record(rec(i));
+    }
+    const std::vector<obs::AuditRecord> kept = eager.retained();
+    EXPECT_EQ(log.size(), kept.size());
+    EXPECT_EQ(log.capacity(), kRingCapacity);
+    EXPECT_EQ(log.total_recorded(), n);
+    log.disable();
+
+    obs::SteeringAuditLog whole;
+    whole.enable(kept.size() + 1);
+    for (const obs::AuditRecord& r : kept) whole.record(r);
+    whole.disable();
+    const std::string want =
+        (eager.wrapped() ? "{\"meta\":{" + eager.counts() + "}}\n" : "") +
+        whole.to_jsonl();
+    EXPECT_EQ(log.to_jsonl(), want);
+    const auto snap = log.snapshot();
+    ASSERT_EQ(snap.size(), kept.size());
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      EXPECT_EQ(snap[i].packet_id, kept[i].packet_id);
+    }
+  }
 }
 
 TEST(ObsJson, NumberTokensConvertWhollyOrNotAtAll) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -182,6 +186,228 @@ TEST(Timer, DestructionCancelsPendingFire) {
   }
   s.run();
   EXPECT_EQ(fired, 0);
+}
+
+TEST(Timer, PastArmAtThrowsAndKeepsThePreviousArm) {
+  Simulator s;
+  std::vector<Time> fired;
+  Timer t(s, [&] { fired.push_back(s.now()); });
+  s.at(milliseconds(10), [&] {
+    t.arm(milliseconds(5));
+    EXPECT_THROW(t.arm_at(milliseconds(9)), std::logic_error);
+    EXPECT_TRUE(t.armed());
+    EXPECT_EQ(t.deadline(), milliseconds(15));
+  });
+  s.run();
+  EXPECT_EQ(fired, (std::vector<Time>{milliseconds(15)}));
+}
+
+// ---- Deferred Timer against the eager one it replaced --------------------
+//
+// EagerTimer is Timer as it was before re-arms were deferred: every arm
+// cancels the pending event and pushes a new one. Its one change is that
+// a past arm_at throws before cancelling, so the previous arm stays
+// pending, as Timer's does. Seeded schedules drive both through the same
+// actions, and the fire sequence, each slice's run_until return and
+// idle() must agree on both queue backends.
+
+class EagerTimer {
+ public:
+  EagerTimer(Simulator& sim, std::function<void()> fn)
+      : sim_(&sim), fn_(std::move(fn)) {}
+  ~EagerTimer() { cancel(); }
+  EagerTimer(const EagerTimer&) = delete;
+  EagerTimer& operator=(const EagerTimer&) = delete;
+
+  void arm(Duration delay) {
+    cancel();
+    deadline_ = sim_->now() + (delay < 0 ? 0 : delay);
+    armed_ = true;
+    id_ = sim_->after(delay, [this] {
+      armed_ = false;
+      fn_();
+    });
+  }
+  void arm_at(Time when) {
+    if (when < sim_->now()) {
+      throw std::logic_error("EagerTimer::arm_at: scheduling in the past");
+    }
+    cancel();
+    deadline_ = when;
+    armed_ = true;
+    id_ = sim_->at(when, [this] {
+      armed_ = false;
+      fn_();
+    });
+  }
+  void cancel() {
+    if (armed_) {
+      sim_->cancel(id_);
+      armed_ = false;
+    }
+  }
+  [[nodiscard]] bool armed() const { return armed_; }
+  [[nodiscard]] Time deadline() const { return deadline_; }
+
+ private:
+  Simulator* sim_;
+  std::function<void()> fn_;
+  EventId id_ = 0;
+  Time deadline_ = kTimeNever;
+  bool armed_ = false;
+};
+
+/// Timers and plain events on a 1 ms grid, so many land on one instant;
+/// every action and fire is logged.
+template <class TimerT>
+class TimerWorld {
+ public:
+  static constexpr int kTimers = 10;
+  static constexpr Duration kGrid = milliseconds(1);
+
+  TimerWorld(std::uint64_t seed, bool reference_queue) : rng_(seed) {
+    set_reference_queue_for_test(reference_queue);
+    sim_ = std::make_unique<Simulator>();
+    clear_reference_queue_override_for_test();
+    for (int i = 0; i < kTimers; ++i) make_timer(i);
+  }
+  // Timer callbacks hold `this`.
+  TimerWorld(const TimerWorld&) = delete;
+  TimerWorld& operator=(const TimerWorld&) = delete;
+
+  /// Slices of random top-level actions and run_until, then a full run.
+  std::vector<std::string> play() {
+    for (int slice = 0; slice < 400; ++slice) {
+      for (int a = 0; a < 4; ++a) act(-1);
+      // Slice ends on and off the grid.
+      const Time until = sim_->now() + rng_.uniform_int(0, 6) * kGrid +
+                         (slice % 3 == 0 ? kGrid / 2 : 0);
+      const std::size_t ran = sim_->run_until(until);
+      log("slice " + std::to_string(slice) + " ran " + std::to_string(ran) +
+          (sim_->idle() ? " idle" : " busy"));
+    }
+    budget_ = 0;  // callbacks stop acting, so the queue drains
+    const std::size_t ran = sim_->run();
+    log("drain ran " + std::to_string(ran) +
+        (sim_->idle() ? " idle" : " busy"));
+    return std::move(log_);
+  }
+
+ private:
+  void make_timer(int i) {
+    timers_[i] = std::make_unique<TimerT>(*sim_, [this, i] {
+      log("fire T" + std::to_string(i));
+      // Arms and cancels from inside a timer's own callback.
+      if (budget_ > 0 && rng_.chance(0.6)) act(i);
+    });
+  }
+
+  void log(const std::string& what) {
+    log_.push_back(std::to_string(sim_->now()) + " " + what);
+  }
+
+  void note(int i, const char* what) {
+    TimerT& t = *timers_[i];
+    log(std::string(what) + " T" + std::to_string(i) +
+        (t.armed() ? " armed " + std::to_string(t.deadline()) : " idle"));
+  }
+
+  /// One random action; `self` is the timer whose callback is running.
+  void act(int self) {
+    if (budget_ <= 0) return;
+    --budget_;
+    int i = static_cast<int>(rng_.uniform_int(0, kTimers - 1));
+    if (self >= 0 && rng_.chance(0.4)) i = self;
+    TimerT& t = *timers_[i];
+    const Time now = sim_->now();
+    switch (rng_.uniform_int(0, 9)) {
+      case 0:
+      case 1:  // a delay on the grid, zero included
+        t.arm(rng_.uniform_int(0, 6) * kGrid);
+        note(i, "arm");
+        break;
+      case 2:
+      case 3: {  // later than, equal to or earlier than the deadline
+        const Time base = t.armed() ? t.deadline() : now;
+        const Time when = base + rng_.uniform_int(-3, 3) * kGrid;
+        t.arm_at(std::max(when, now));
+        note(i, "arm_at");
+        break;
+      }
+      case 4:  // zero delay
+        t.arm(0);
+        note(i, "arm0");
+        break;
+      case 5:  // in the past: throws, the previous arm stays pending
+        if (now > 0) {
+          const Time past = now - rng_.uniform_int(1, 2 * kGrid);
+          try {
+            t.arm_at(past);
+            log("no throw");
+          } catch (const std::logic_error&) {
+            note(i, "past");
+          }
+        }
+        break;
+      case 6:
+        t.cancel();
+        note(i, "cancel");
+        break;
+      case 7:  // destroyed while (maybe) armed; never from its own fire
+        if (i != self) {
+          make_timer(i);
+          note(i, "fresh");
+        }
+        break;
+      default: {  // a plain event on the same instants, acting when run
+        const int k = plain_++;
+        sim_->at(now + rng_.uniform_int(0, 6) * kGrid, [this, k] {
+          log("plain " + std::to_string(k));
+          act(-1);
+        });
+        break;
+      }
+    }
+  }
+
+  Rng rng_;
+  std::unique_ptr<Simulator> sim_;
+  std::array<std::unique_ptr<TimerT>, kTimers> timers_;
+  std::vector<std::string> log_;
+  int budget_ = 8000;
+  int plain_ = 0;
+};
+
+/// Index of the first differing entry, or -1.
+std::ptrdiff_t first_difference(const std::vector<std::string>& a,
+                                const std::vector<std::string>& b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (a[i] != b[i]) return static_cast<std::ptrdiff_t>(i);
+  }
+  return a.size() == b.size() ? -1 : static_cast<std::ptrdiff_t>(n);
+}
+
+TEST(TimerModel, DeferredRearmFiresAsTheEagerTimerDid) {
+  for (const bool reference : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed
+                                        << (reference ? " heap" : " calendar"));
+      const auto deferred = TimerWorld<Timer>(seed, reference).play();
+      const auto eager = TimerWorld<EagerTimer>(seed, reference).play();
+      const std::ptrdiff_t at = first_difference(deferred, eager);
+      if (at >= 0) {
+        const auto show = [at](const std::vector<std::string>& v) {
+          return static_cast<std::size_t>(at) < v.size()
+                     ? v[static_cast<std::size_t>(at)]
+                     : std::string("<end>");
+        };
+        ADD_FAILURE() << "entry " << at << ": deferred \"" << show(deferred)
+                      << "\" vs eager \"" << show(eager) << "\"";
+      }
+      EXPECT_GT(deferred.size(), 3000u);
+    }
+  }
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

@@ -2,14 +2,26 @@
 // cross-layer priority policy, redundancy, and cost-aware steering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstring>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "channel/channel.hpp"
+#include "channel/profile.hpp"
+#include "net/node.hpp"
+#include "net/shim.hpp"
+#include "sim/rng.hpp"
 #include "steer/basic_policies.hpp"
 #include "steer/cost_aware.hpp"
 #include "steer/dchannel.hpp"
 #include "steer/flow_binding.hpp"
 #include "steer/priority.hpp"
 #include "steer/redundant.hpp"
+#include "trace/gen5g.hpp"
 
 namespace hvc::steer {
 namespace {
@@ -397,6 +409,173 @@ TEST(CostAware, BudgetRefillsOverTime) {
   EXPECT_EQ(p.steer(data_packet(1500), cisp_views(), 0).channel, 0u);
   const auto late = sim::seconds(100);
   EXPECT_EQ(p.steer(data_packet(1500), cisp_views(), late).channel, 1u);
+}
+
+// ---- The views the shim shows a policy -----------------------------------
+//
+// The shim fills a view's constants once and refreshes only queued bytes,
+// down state and the recent-rate hint per decision. A policy that checks
+// every view it is shown against one rebuilt from scratch at the same
+// instant, through an outage, a rate cliff and a delay spike, pins that
+// the refreshed views are the ones a full rebuild would give.
+
+/// The downlink view of channel `i` as the shim built it before its
+/// constants were cached: every field read afresh, the recent rate counted
+/// straight from the trace. `scale` is the rate cliff the test applied.
+ChannelView rebuilt_view(const channel::HvcSet& set, std::size_t i,
+                         double scale, sim::Time now) {
+  const channel::Channel& ch = set.at(i);
+  const channel::Link& link = ch.link(channel::Direction::kDownlink);
+  const channel::ChannelProfile& profile = ch.profile();
+  const trace::CapacityTrace& trace = profile.capacity_down;
+  ChannelView v;
+  v.index = i;
+  v.base_owd = profile.owd;
+  v.avg_rate_bps = trace.average_rate_bps();
+  v.queued_bytes = link.queued_bytes();
+  v.queue_limit_bytes = profile.queue_limit_bytes;
+  v.loss_rate = profile.loss.bernoulli +
+                profile.loss.ge_loss_in_bad *
+                    (profile.loss.ge_p_good_to_bad > 0 ? 0.1 : 0.0);
+  v.reliable = profile.reliable;
+  v.cost_per_megabyte = profile.cost_per_megabyte;
+  v.down = link.fault_down();
+  if (!v.down) {
+    const sim::Duration window = milliseconds(200);
+    const sim::Time to = std::max<sim::Time>(now, window);
+    v.recent_rate_bps = static_cast<double>(
+                            trace.opportunities_in(to - window, to)) *
+                        static_cast<double>(trace.mtu_bytes()) * 8.0 /
+                        sim::to_seconds(window) * scale;
+  }
+  return v;
+}
+
+std::string describe(const ChannelView& v) {
+  return "ch" + std::to_string(v.index) + " owd " +
+         std::to_string(v.base_owd) + " avg " +
+         std::to_string(v.avg_rate_bps) + " recent " +
+         std::to_string(v.recent_rate_bps) + " q " +
+         std::to_string(v.queued_bytes) + "/" +
+         std::to_string(v.queue_limit_bytes) + " loss " +
+         std::to_string(v.loss_rate) + " rel " + std::to_string(v.reliable) +
+         " cost " + std::to_string(v.cost_per_megabyte) + " down " +
+         std::to_string(v.down);
+}
+
+bool same_view(const ChannelView& a, const ChannelView& b) {
+  // Bit-equal doubles: both sides compute the same expressions.
+  return a.index == b.index && a.base_owd == b.base_owd &&
+         std::memcmp(&a.avg_rate_bps, &b.avg_rate_bps, sizeof(double)) == 0 &&
+         std::memcmp(&a.recent_rate_bps, &b.recent_rate_bps,
+                     sizeof(double)) == 0 &&
+         a.queued_bytes == b.queued_bytes &&
+         a.queue_limit_bytes == b.queue_limit_bytes &&
+         std::memcmp(&a.loss_rate, &b.loss_rate, sizeof(double)) == 0 &&
+         a.reliable == b.reliable &&
+         std::memcmp(&a.cost_per_megabyte, &b.cost_per_megabyte,
+                     sizeof(double)) == 0 &&
+         a.down == b.down;
+}
+
+/// Checks every view it is shown against rebuilt_view(), then picks the
+/// fastest channel that is up, so both queues see traffic.
+class ViewCheckingPolicy : public SteeringPolicy {
+ public:
+  explicit ViewCheckingPolicy(const std::array<double, 2>& scale)
+      : scale_(scale) {}
+
+  /// The channel set the shim reads; the network that owns it takes the
+  /// policy first.
+  void watch(const channel::HvcSet* set) { set_ = set; }
+
+  [[nodiscard]] std::string name() const override { return "view-check"; }
+
+  Decision steer(const net::Packet& pkt, std::span<const ChannelView> views,
+                 sim::Time now) override {
+    EXPECT_EQ(views.size(), set_->size());
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      const ChannelView want = rebuilt_view(*set_, i, scale_[i], now);
+      ++checked;
+      if (views[i].down) ++down;
+      if (scale_[i] < 1.0) ++cliff;
+      if (!same_view(views[i], want) && mismatches++ < 5) {
+        ADD_FAILURE() << "t " << now << ": shown " << describe(views[i])
+                      << ", rebuilt " << describe(want);
+      }
+    }
+    Decision d;
+    d.channel = best_up_channel(views, pkt.size_bytes);
+    d.reason = "view-check:min-delay";
+    return d;
+  }
+
+  std::int64_t checked = 0;
+  std::int64_t down = 0;
+  std::int64_t cliff = 0;
+  std::int64_t mismatches = 0;
+
+ private:
+  const channel::HvcSet* set_ = nullptr;
+  const std::array<double, 2>& scale_;
+};
+
+TEST(ShimViews, EveryViewEqualsOneRebuiltAtTheSameInstant) {
+  sim::Simulator s;
+  std::array<double, 2> scale{1.0, 1.0};
+  auto checker_owner = std::make_unique<ViewCheckingPolicy>(scale);
+  ViewCheckingPolicy* checker = checker_owner.get();
+  net::TwoHostNetwork net(s, std::make_unique<SingleChannelPolicy>(0),
+                          std::move(checker_owner));
+  channel::ChannelProfile embb = channel::embb_trace_profile(
+      trace::FiveGProfile::kLowbandDriving, sim::seconds(4), 5);
+  embb.loss.bernoulli = 0.01;
+  net.add_channel(embb);
+  channel::ChannelProfile urllc = channel::urllc_profile();
+  urllc.loss.ge_p_good_to_bad = 0.02;
+  urllc.loss.ge_p_bad_to_good = 0.3;
+  urllc.loss.ge_loss_in_bad = 0.5;
+  urllc.cost_per_megabyte = 0.25;
+  net.add_channel(urllc);
+  net.finalize();
+  checker->watch(&net.channels());
+
+  channel::Link& embb_down = net.channels().at(0).downlink();
+  channel::Link& urllc_down = net.channels().at(1).downlink();
+  auto at = [&s](double secs, auto fn) { s.at(sim::seconds_f(secs), fn); };
+  // A rate cliff on URLLC, an eMBB outage, a delay spike on URLLC, then a
+  // rate cliff on eMBB.
+  at(0.5, [&] { urllc_down.fault_set_rate_scale(scale[1] = 0.5); });
+  at(0.9, [&] { urllc_down.fault_set_rate_scale(scale[1] = 1.0); });
+  at(1.0, [&] { embb_down.fault_set_down(true); });
+  at(1.4, [&] { embb_down.fault_set_down(false); });
+  at(1.5, [&] { urllc_down.fault_set_extra_delay(milliseconds(40)); });
+  at(2.0, [&] { urllc_down.fault_set_extra_delay(0); });
+  at(2.0, [&] { embb_down.fault_set_rate_scale(scale[0] = 0.25); });
+  at(2.6, [&] { embb_down.fault_set_rate_scale(scale[0] = 1.0); });
+
+  // A packet every 200 us, every tenth instant a burst of three.
+  sim::Rng rng(3);
+  constexpr std::int64_t kSizes[] = {net::kHeaderBytes, 600, 1500};
+  for (sim::Time t = 0; t < sim::seconds(3); t += sim::microseconds(200)) {
+    const int burst = (t / sim::microseconds(200)) % 10 == 0 ? 3 : 1;
+    for (int b = 0; b < burst; ++b) {
+      const std::int64_t size = kSizes[rng.uniform_int(0, 2)];
+      s.at(t, [&net, size] {
+        auto p = net::make_packet();
+        p->flow = 1;
+        p->type = size == net::kHeaderBytes ? net::PacketType::kAck
+                                            : net::PacketType::kData;
+        p->size_bytes = size;
+        net.downlink_shim().send(std::move(p));
+      });
+    }
+  }
+  s.run();
+  EXPECT_EQ(checker->mismatches, 0);
+  EXPECT_GT(checker->checked, 30000);
+  EXPECT_GT(checker->down, 1000);   // decisions inside the outage
+  EXPECT_GT(checker->cliff, 5000);  // and inside both rate cliffs
 }
 
 }  // namespace

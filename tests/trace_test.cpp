@@ -495,6 +495,57 @@ TEST(CapacityTraceModel, CursorMatchesLinkWalkAndBinarySearch) {
   }
 }
 
+TEST(CapacityTraceModel, WindowCounterMatchesOpportunitiesIn) {
+  for (const ModelCase& c : model_cases()) {
+    SCOPED_TRACE(c.name);
+    sim::Rng rng(sim::fnv1a64(c.name) + 2);
+    const Duration period = c.ref.period;
+    const Duration mean_gap =
+        c.ref.opps.empty()
+            ? period
+            : std::max<Duration>(
+                  period / static_cast<Duration>(c.ref.opps.size()), 1);
+    const auto check = [&](WindowCounter& counter, Time from, Time to) {
+      const std::int64_t want = c.runs.opportunities_in(from, to);
+      ASSERT_EQ(want, c.ref.opportunities_in(from, to));
+      ASSERT_EQ(counter.opportunities_in(from, to), want)
+          << "(" << from << ", " << to << "]";
+    };
+    // Forward windows of a fixed width, as a link's recent-rate window
+    // moves: each end steps inside a run, crosses runs, jumps an idle
+    // gap or wraps a period.
+    for (const Duration width :
+         {Duration{1}, 3 * mean_gap, period / 5, milliseconds(200),
+          2 * period + 7}) {
+      WindowCounter counter(c.runs);
+      Time to = -width;
+      for (int i = 0; i < 1500; ++i) {
+        switch (rng.uniform_int(0, 9)) {
+          case 0: break;                                           // same time
+          case 1: to += 1; break;
+          case 2: case 3: to += rng.uniform_int(0, 2 * mean_gap); break;
+          case 4: case 5: to += rng.uniform_int(mean_gap, 40 * mean_gap);
+            break;                                                 // runs
+          case 6: to += rng.uniform_int(0, period / 3); break;     // idle gap
+          case 7: to += rng.uniform_int(period, 3 * period); break;  // cycles
+          default:
+            to = (to / period + 1) * period - rng.uniform_int(0, 1);  // wrap
+        }
+        check(counter, to - width, to);
+        if (testing::Test::HasFatalFailure()) return;
+      }
+      // Then windows anywhere, earlier ones included.
+      for (int i = 0; i < 500; ++i) {
+        const Time a = pick_time(rng, c.ref);
+        const Time b = rng.chance(0.5) ? pick_time(rng, c.ref)
+                                       : a + rng.uniform_int(0, period);
+        check(counter, a, b);
+        if (testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
 TEST(CapacityTraceModel, RunsScaleWithDurationNotRate) {
   const auto t = make_5g_trace(FiveGProfile::kMmWaveDriving, seconds(90), 1);
   // At most one run per 10 ms step, however many opportunities it holds.
